@@ -6,6 +6,7 @@
 // equivalents ("not possible" where Slurm cannot express the order).
 #include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/mr/equivalence.hpp"
@@ -51,9 +52,13 @@ int main() {
     for (int level : order) {
       permuted_coords.push_back(coords[static_cast<std::size_t>(level)]);
     }
+    // Appended piecewise: GCC 12's -Wrestrict misfires on
+    // `"[" + std::string + "]"` in Release builds.
+    std::string bracketed = "[";
+    bracketed += util::join_ints(permuted_coords, ", ");
+    bracketed += ']';
     std::cout << std::left << std::setw(12) << order_to_string(order)
-              << std::setw(22)
-              << ("[" + util::join_ints(permuted_coords, ", ") + "]")
+              << std::setw(22) << bracketed
               << std::setw(20) << h.permuted(order).to_string()
               << reorder_rank(h, 10, order) << "\n";
   }

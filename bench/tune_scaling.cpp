@@ -11,17 +11,16 @@
 //     representative's score.
 //  C. DETERMINISM — the canonical JSON report is byte-identical for
 //     --threads=1 and --threads=4.
-//  D. AMORTIZATION — on a multi-payload query the BoundCache computes each
-//     binding class's payload-invariant structure ONCE and evaluates it
-//     across the payload grid (>= 5x fewer full route-resolution passes),
-//     with the canonical report byte-identical for {cache on, off} x
-//     {serial, threaded}; and an incremental re-tune seeded from a
-//     subset-grid report reaches the cold run's exact top-k with strictly
-//     fewer simulated candidates.
+//  D. AMORTIZATION — on a multi-payload query stage 2 bounds each
+//     candidate's payload points in one lane pass (route resolution and
+//     DP once for all lanes; >= 5 lanes per pass on the 6-payload grid),
+//     with the canonical report byte-identical for --threads={1,4}; and an
+//     incremental re-tune seeded from a subset-grid report reaches the
+//     cold run's exact top-k with strictly fewer simulated candidates.
 //
 // Verdicts land in BENCH_tune.json (`top1_matches_exhaustive`,
 // `pruning_sound`, `sim_reduction`, `identical_output`, `identical_ranking`,
-// `bound_reuse_ratio`, `incremental_same_topk`) so CI greps them.
+// `bound_lanes_per_pass`, `incremental_same_topk`) so CI greps them.
 // Pass --quick to trim part A's size axis and skip the depth-7 search.
 #include <algorithm>
 #include <chrono>
@@ -257,11 +256,10 @@ int main(int argc, char** argv) {
                "--threads={1,4}: "
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
 
-  // ---- Part D: bound-cache amortization + incremental re-tune ------------
+  // ---- Part D: payload-lane stage 2 + incremental re-tune ----------------
   // A multi-payload query on deep6: six payload sizes in one algorithm
-  // regime, so every binding class's analyzer structure is payload-invariant
-  // across the whole grid. Each configuration runs in its OWN engine so the
-  // cache starts cold and the reuse accounting is exact.
+  // regime, so every candidate's six points share one plan structure and
+  // stage 2 bounds them in one lane pass. Each run gets its own engine.
   mr::tune::TuneQuery multi = deep_query;
   multi.total_bytes = {256ll << 10, 384ll << 10, 512ll << 10,
                        768ll << 10, 1024ll << 10, 1536ll << 10};
@@ -271,51 +269,35 @@ int main(int argc, char** argv) {
   // use this same query, so the comparison is apples to apples.
   multi.wave_size = 32;
 
-  const auto run_multi = [&](bool use_cache, int threads) {
+  const auto run_multi = [&](int threads) {
     mr::Engine fresh;
     mr::tune::TuneQuery q = multi;
-    q.use_bound_cache = use_cache;
     q.threads = threads;
     return mr::tune::tune(fresh, machine6, q);
   };
-
-  // {cache on, off} x {serial, threaded}: four cold runs, one canonical
-  // document. The cached evaluate IS the uncached analysis bit for bit, so
-  // every byte — bounds, visit order, prunes, scores, ranking — must match.
-  const auto multi_on = run_multi(true, 1);
-  const auto multi_off = run_multi(false, 1);
-  const auto multi_on_mt = run_multi(true, 4);
-  const auto multi_off_mt = run_multi(false, 4);
+  const auto multi_serial = run_multi(1);
+  const auto multi_threaded = run_multi(4);
   const auto canon = [](const mr::tune::TuneReport& r) {
     std::ostringstream os;
     mr::tune::write_json(os, r);
     return os.str();
   };
-  const std::string canon_on = canon(multi_on);
-  const bool identical_ranking = canon_on == canon(multi_off) &&
-                                 canon_on == canon(multi_on_mt) &&
-                                 canon_on == canon(multi_off_mt);
+  const bool identical_ranking = canon(multi_serial) == canon(multi_threaded);
 
-  const std::int64_t built_on = multi_on.stats.bound_structures_built;
-  const std::int64_t reused_on = multi_on.stats.bound_structure_reuses;
-  const std::int64_t built_off = multi_off.stats.bound_structures_built;
-  const double bound_reuse_ratio =
-      built_on > 0 ? static_cast<double>(built_on + reused_on) /
-                         static_cast<double>(built_on)
-                   : 0.0;
-  const double bound_time_ratio =
-      multi_on.stats.bound_seconds > 0
-          ? multi_off.stats.bound_seconds / multi_on.stats.bound_seconds
-          : 0.0;
-  std::cout << "tune_scaling D (bound cache, deep6 x "
-            << multi.total_bytes.size() << " payloads): " << built_on
-            << " structures built + " << reused_on << " reused vs "
-            << built_off << " full analyses uncached (" << bound_reuse_ratio
-            << "x fewer full passes), stage-2 "
-            << multi_on.stats.bound_seconds << " s cached vs "
-            << multi_off.stats.bound_seconds << " s fresh ("
-            << bound_time_ratio << "x), reports identical for "
-            << "{cache on,off} x {threads 1,4}: "
+  const std::int64_t lane_passes = multi_serial.stats.bound_structures_built;
+  const std::int64_t point_bounds =
+      lane_passes + multi_serial.stats.bound_structure_reuses;
+  const double bound_lanes_per_pass =
+      lane_passes > 0 ? static_cast<double>(point_bounds) /
+                            static_cast<double>(lane_passes)
+                      : 0.0;
+  std::cout << "tune_scaling D (payload lanes, deep6 x "
+            << multi.total_bytes.size() << " payloads): " << lane_passes
+            << " lane passes for " << point_bounds << " point bounds ("
+            << bound_lanes_per_pass << " lanes per pass), stage-2 "
+            << multi_serial.stats.bound_seconds << " s serial vs "
+            << multi_threaded.stats.bound_seconds
+            << " s on 4 threads, reports identical for threads {1,4}: "
             << (identical_ranking ? "yes" : "NO — RANKING DIVERGENCE") << "\n";
 
   // Incremental re-tune: tune the first half of the payload grid, then
@@ -331,11 +313,11 @@ int main(int argc, char** argv) {
   const auto seeded =
       mr::tune::tune(inc_engine, machine6, multi, &prev_report);
 
-  bool incremental_same_topk = seeded.top.size() == multi_on.top.size();
+  bool incremental_same_topk = seeded.top.size() == multi_serial.top.size();
   if (incremental_same_topk) {
     for (std::size_t r = 0; r < seeded.top.size(); ++r) {
       const auto& got = seeded.candidates[seeded.top[r]];
-      const auto& want = multi_on.candidates[multi_on.top[r]];
+      const auto& want = multi_serial.candidates[multi_serial.top[r]];
       if (got.order != want.order || got.score != want.score) {
         incremental_same_topk = false;
         std::cout << "  TOP-K MISMATCH at rank " << r + 1 << ": seeded "
@@ -346,19 +328,19 @@ int main(int argc, char** argv) {
     }
   }
   const bool incremental_fewer =
-      seeded.stats.simulated < multi_on.stats.simulated &&
+      seeded.stats.simulated < multi_serial.stats.simulated &&
       seeded.stats.seeded_candidates > 0;
   std::cout << "tune_scaling D (incremental): "
             << seeded.stats.seeded_candidates << " seeds, "
             << seeded.stats.simulated << " simulated vs "
-            << multi_on.stats.simulated
+            << multi_serial.stats.simulated
             << " cold, top-k identical: "
             << (incremental_same_topk ? "yes" : "NO") << ", strictly fewer: "
             << (incremental_fewer ? "yes" : "NO") << "\n";
 
   const bool pass =
       top1_matches && deep_top1 && pruning_sound && sim_reduction >= 5.0 &&
-      identical && identical_ranking && bound_reuse_ratio >= 5.0 &&
+      identical && identical_ranking && bound_lanes_per_pass >= 5.0 &&
       incremental_same_topk && incremental_fewer;
 
   std::ofstream json("BENCH_tune.json");
@@ -385,21 +367,19 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"identical_output\": " << (identical ? "true" : "false") << ",\n"
        << "  \"multi_payload_points\": " << multi.total_bytes.size() << ",\n"
-       << "  \"bound_structures_built\": " << built_on << ",\n"
-       << "  \"bound_structure_reuses\": " << reused_on << ",\n"
-       << "  \"bound_full_passes_uncached\": " << built_off << ",\n"
-       << "  \"bound_reuse_ratio\": " << bound_reuse_ratio << ",\n"
-       << "  \"bound_seconds_cached\": " << multi_on.stats.bound_seconds
+       << "  \"bound_lane_passes\": " << lane_passes << ",\n"
+       << "  \"bound_point_bounds\": " << point_bounds << ",\n"
+       << "  \"bound_lanes_per_pass\": " << bound_lanes_per_pass << ",\n"
+       << "  \"bound_seconds_serial\": " << multi_serial.stats.bound_seconds
        << ",\n"
-       << "  \"bound_seconds_fresh\": " << multi_off.stats.bound_seconds
-       << ",\n"
-       << "  \"bound_time_ratio\": " << bound_time_ratio << ",\n"
+       << "  \"bound_seconds_threaded\": "
+       << multi_threaded.stats.bound_seconds << ",\n"
        << "  \"identical_ranking\": "
        << (identical_ranking ? "true" : "false") << ",\n"
        << "  \"incremental_seeded\": " << seeded.stats.seeded_candidates
        << ",\n"
        << "  \"incremental_simulated\": " << seeded.stats.simulated << ",\n"
-       << "  \"cold_simulated\": " << multi_on.stats.simulated << ",\n"
+       << "  \"cold_simulated\": " << multi_serial.stats.simulated << ",\n"
        << "  \"incremental_same_topk\": "
        << (incremental_same_topk ? "true" : "false") << ",\n"
        << "  \"incremental_fewer_sims\": "

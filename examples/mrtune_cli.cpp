@@ -11,23 +11,28 @@
 // Prints the top-k orders with their §3.3 metric tuples, simulated scores
 // and funnel provenance; --json 1 emits the canonical machine-readable
 // report instead (byte-identical across runs and thread counts when the
-// budget is a point budget or absent).
-#include <cstring>
+// budget is a point budget or absent). Unknown flags and malformed values
+// exit with status 2 and a message naming the offending input.
+#include <charconv>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/tune/report.hpp"
 #include "mixradix/tune/search.hpp"
-#include "mixradix/util/expect.hpp"
+#include "mixradix/util/strings.hpp"
 
 namespace {
 
-int usage() {
+void usage() {
   std::cerr <<
       "usage: mrtune [flags]\n"
       "  --machine SPEC      testbox | hydra:N[:nics] | hydra_node |\n"
@@ -46,22 +51,42 @@ int usage() {
       "  --budget-seconds S  wall-clock cap (non-deterministic)\n"
       "  --shard i/n         search only candidate shard i of n\n"
       "  --plan-cache-cap N  bound this query's plan cache (LRU, 0 = off)\n"
-      "  --bound-cache-cap N bound the static-bound structure cache\n"
-      "                      (LRU, default 512, 0 = unbounded)\n"
-      "  --no-bound-cache 1  fresh analyze_jobs per candidate x point\n"
       "  --json 1            canonical JSON report on stdout (cache and\n"
-      "                      reuse stats go to stderr)\n";
-  return 2;
+      "                      stage-2 stats go to stderr)\n";
+}
+
+/// Bad command-line input: reported with the usage text, exit status 2.
+struct InputError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Strict number parse in the manner of util::parse_int: the whole text
+/// must be one number of type T, or InputError names `where`.
+template <typename T>
+T number(const std::string& where, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    throw InputError("malformed number '" + text + "' in " + where);
+  }
+  return value;
+}
+
+template <typename T>
+std::vector<T> number_list(const std::string& where, const std::string& spec) {
+  std::vector<T> out;
+  for (const std::string& item : mr::util::split(spec, ',')) {
+    out.push_back(number<T>(where, item));
+  }
+  return out;
 }
 
 mr::topo::Machine parse_machine(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ':')) parts.push_back(item);
-  MR_EXPECT(!parts.empty(), "empty machine spec");
+  const std::vector<std::string> parts = mr::util::split(spec, ':');
+  const std::string where = "--machine " + spec;
   const auto arg = [&](std::size_t i, int fallback) {
-    return i < parts.size() ? std::stoi(parts[i]) : fallback;
+    return i < parts.size() ? number<int>(where, parts[i]) : fallback;
   };
   if (parts[0] == "testbox") return mr::topo::testbox();
   if (parts[0] == "hydra") return mr::topo::hydra(arg(1, 4), arg(2, 1));
@@ -71,94 +96,94 @@ mr::topo::Machine parse_machine(const std::string& spec) {
   if (parts[0] == "generic") {
     return mr::topo::generic(arg(1, 2), arg(2, 2), arg(3, 8));
   }
-  throw mr::invalid_argument("unknown machine spec: " + spec);
-}
-
-std::vector<std::string> split(const std::string& spec, char sep) {
-  std::vector<std::string> out;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, sep)) out.push_back(item);
-  MR_EXPECT(!out.empty(), "empty list: " + spec);
-  return out;
+  throw InputError("unknown machine spec '" + spec + "'");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mr;
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  if (argc > 1 && (argc - 1) % 2 != 0) return usage();
-  const auto flag = [&](const char* name, const char* fallback) {
-    const auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-
+  static const std::set<std::string> kFlags = {
+      "machine", "size",          "collective",     "bytes",
+      "concurrency", "k",         "reps",           "threads",
+      "slack",   "budget-points", "budget-seconds", "shard",
+      "plan-cache-cap", "json"};
+  std::optional<topo::Machine> machine;
+  tune::TuneQuery query;
+  EngineConfig config;
+  bool json = false;
   try {
-    const topo::Machine machine = parse_machine(flag("machine", "testbox"));
-    tune::TuneQuery query;
+    std::map<std::string, std::string> flags;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0 || kFlags.count(arg.substr(2)) == 0) {
+        throw InputError("unknown flag " + arg);
+      }
+      if (i + 1 >= argc) throw InputError("missing value for " + arg);
+      flags[arg.substr(2)] = argv[++i];
+    }
+    const auto flag = [&](const char* name, const std::string& fallback) {
+      const auto it = flags.find(name);
+      return it == flags.end() ? fallback : it->second;
+    };
+
+    machine.emplace(parse_machine(flag("machine", "testbox")));
     query.collectives.clear();
-    for (const std::string& name : split(flag("collective", "alltoall"), ',')) {
+    for (const std::string& name :
+         util::split(flag("collective", "alltoall"), ',')) {
       query.collectives.push_back(tune::parse_collective(name));
     }
-    for (const std::string& s :
-         split(flag("size", std::to_string(machine.cores()).c_str()), ',')) {
-      query.comm_sizes.push_back(std::stoll(s));
-    }
-    query.total_bytes.clear();
-    for (const std::string& b : split(flag("bytes", "8388608"), ',')) {
-      query.total_bytes.push_back(std::stoll(b));
-    }
+    query.comm_sizes = number_list<std::int64_t>(
+        "--size", flag("size", std::to_string(machine->cores())));
+    query.total_bytes =
+        number_list<std::int64_t>("--bytes", flag("bytes", "8388608"));
     const std::string mode = flag("concurrency", "all");
-    MR_EXPECT(mode == "all" || mode == "single",
-              "--concurrency must be 'all' or 'single'");
+    if (mode != "all" && mode != "single") {
+      throw InputError("--concurrency must be 'all' or 'single'");
+    }
     query.concurrency = mode == "all" ? tune::Concurrency::AllComms
                                       : tune::Concurrency::SingleComm;
-    query.k = std::stoi(flag("k", "3"));
-    query.repetitions = std::stoi(flag("reps", "2"));
-    query.threads = std::stoi(flag("threads", "0"));
-    query.completion_slack = std::stod(flag("slack", "0"));
-    query.budget.max_points = std::stoll(flag("budget-points", "0"));
-    query.budget.max_seconds = std::stod(flag("budget-seconds", "0"));
-    const std::string shard = flag("shard", "0/1");
-    const auto slash = shard.find('/');
-    MR_EXPECT(slash != std::string::npos, "--shard must be i/n");
-    query.shard_index = std::stoi(shard.substr(0, slash));
-    query.shard_count = std::stoi(shard.substr(slash + 1));
+    query.k = number<int>("--k", flag("k", "3"));
+    query.repetitions = number<int>("--reps", flag("reps", "2"));
+    query.threads = number<int>("--threads", flag("threads", "0"));
+    query.completion_slack = number<double>("--slack", flag("slack", "0"));
+    query.budget.max_points =
+        number<std::int64_t>("--budget-points", flag("budget-points", "0"));
+    query.budget.max_seconds =
+        number<double>("--budget-seconds", flag("budget-seconds", "0"));
+    const std::vector<std::string> shard =
+        util::split(flag("shard", "0/1"), '/');
+    if (shard.size() != 2) throw InputError("--shard must be i/n");
+    query.shard_index = number<int>("--shard", shard[0]);
+    query.shard_count = number<int>("--shard", shard[1]);
     // The query runs in its own Engine so --plan-cache-cap bounds THIS
-    // query's cache; it used to set_capacity on the process-wide
-    // PlanCache singleton, leaking the LRU bound into every later query
-    // in the process.
-    EngineConfig config;
-    config.plan_cache_capacity = std::stoull(flag("plan-cache-cap", "0"));
-    config.bound_cache_capacity = std::stoull(flag(
-        "bound-cache-cap",
-        std::to_string(verify::binding::BoundCache::kDefaultCapacity).c_str()));
-    Engine engine(config);
-    query.use_bound_cache = flag("no-bound-cache", "0") == "0";
+    // query's cache, not a process-wide one.
+    config.plan_cache_capacity =
+        number<std::size_t>("--plan-cache-cap", flag("plan-cache-cap", "0"));
+    json = number<int>("--json", flag("json", "0")) != 0;
+  } catch (const std::exception& e) {
+    std::cerr << "mrtune: " << e.what() << "\n";
+    usage();
+    return 2;
+  }
 
-    const tune::TuneReport report = tune::tune(engine, machine, query);
+  try {
+    Engine engine(config);
+    const tune::TuneReport report = tune::tune(engine, *machine, query);
     const Engine::Stats stats = engine.stats();
-    // Cache/reuse statistics, next to each other: plan cache (compiled
-    // plans) and bound cache (payload-invariant analyzer structures). In
-    // --json mode they go to stderr so stdout stays the canonical document.
+    // Plan-cache and stage-2 statistics; in --json mode they go to stderr
+    // so stdout stays the canonical document.
     std::ostringstream cache_line;
     cache_line << "plan cache: " << stats.plan_cache.hits << " hits, "
                << stats.plan_cache.misses << " misses, "
                << stats.plan_cache.entries << " entries, "
                << stats.plan_cache.evictions << " evictions\n"
-               << "bound cache: " << stats.bound_cache.hits << " hits, "
-               << stats.bound_cache.misses << " misses, "
-               << stats.bound_cache.entries << " entries, "
-               << stats.bound_cache.evictions << " evictions\n"
-               << "stage-2 structures: "
-               << report.stats.bound_structures_built << " built, "
-               << report.stats.bound_structure_reuses << " reused\n";
-    if (flag("json", "0") != "0") {
+               << "stage-2 lane passes: "
+               << report.stats.bound_structures_built << " for "
+               << report.stats.bound_structures_built +
+                      report.stats.bound_structure_reuses
+               << " point bounds\n";
+    if (json) {
       tune::write_json(std::cout, report, /*candidates=*/false);
       std::cerr << cache_line.str();
     } else {

@@ -62,10 +62,6 @@ struct EngineConfig {
   /// (Engine::set_dedicated_thread_budget); dedicated_threads_granted()
   /// reports what this engine received.
   unsigned dedicated_threads = 0;
-  /// Static-bound-structure LRU capacity (verify::binding::BoundCache):
-  /// 0 = unbounded, N = keep at most N payload-invariant structures.
-  std::size_t bound_cache_capacity =
-      verify::binding::BoundCache::kDefaultCapacity;
 };
 
 class Engine {
@@ -83,10 +79,9 @@ class Engine {
   /// PlanCache::shared() itself (the backward-compat story).
   simmpi::PlanCache& plan_cache() noexcept { return *cache_; }
 
-  /// This engine's static-bound-structure cache (tune stage 2's
-  /// analyze_jobs memoization across payload sizes). Always engine-owned —
-  /// Engine::shared() gets its own process-lifetime instance.
-  verify::binding::BoundCache& bound_cache() noexcept { return *bound_cache_; }
+  /// The stateless verify::binding::BoundCache forwarder (see there); it
+  /// holds no state, so every engine hands out the same behaviour.
+  static verify::binding::BoundCache bound_cache() noexcept { return {}; }
 
   /// The pool this engine fans work over: its dedicated pool when
   /// EngineConfig::dedicated_threads > 0, else the process-wide pool
@@ -149,7 +144,6 @@ class Engine {
   /// have fully disjoint stats.
   struct Stats {
     simmpi::PlanCache::Stats plan_cache;
-    verify::binding::BoundCache::Stats bound_cache;
 
     // Timed-executor runs recorded via record_run (sweeps, tune stage 3).
     std::int64_t sim_runs = 0;
@@ -221,7 +215,6 @@ class Engine {
   EngineConfig config_;
   std::unique_ptr<simmpi::PlanCache> owned_cache_;
   simmpi::PlanCache* cache_ = nullptr;
-  std::unique_ptr<verify::binding::BoundCache> bound_cache_;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;  ///< null = use the process pool.
   unsigned granted_ = 0;  ///< dedicated threads drawn from the budget.

@@ -37,6 +37,10 @@
 #include "mixradix/simnet/flow_sim.hpp"
 #include "mixradix/topo/machine.hpp"
 
+namespace mr::simnet {
+class RouteTable;  // mixradix/simnet/route_table.hpp
+}  // namespace mr::simnet
+
 namespace mr::simmpi {
 
 /// One communicator's compiled plan bound to machine cores.
@@ -97,6 +101,11 @@ class SimWorkspace {
   SimWorkspace& operator=(SimWorkspace&&) noexcept;
   SimWorkspace(const SimWorkspace&) = delete;
   SimWorkspace& operator=(const SimWorkspace&) = delete;
+
+  /// The workspace's route table, bound to `machine` (rebinding when the
+  /// machine's fingerprint changed). Callers outside the executor — tune's
+  /// static bound — share it so routes stay warm across their calls.
+  simnet::RouteTable& route_table(const topo::Machine& machine);
 
   /// Internal accessor for the executor (incomplete type elsewhere).
   struct Impl;

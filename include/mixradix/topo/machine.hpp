@@ -95,8 +95,7 @@ class Machine {
 /// Machine instances with equal fingerprints are interchangeable for every
 /// derived structure (interned routes, channel capacities, static bounds) —
 /// pointer identity is NOT a safe test, since a new machine can reuse a
-/// dead one's address. Used by SimWorkspace rebinding and the
-/// verify::binding::BoundCache key.
+/// dead one's address. Used by SimWorkspace rebinding.
 std::string machine_fingerprint(const Machine& machine);
 
 }  // namespace mr::topo

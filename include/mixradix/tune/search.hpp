@@ -23,7 +23,8 @@
 //    all-comms dedup falls back to ExactPlacement.
 //  * stage 2 — branch-and-bound pruning: candidates are sorted by the
 //    static critical-path lower bound (verify::binding, admissible at the
-//    simulated slack via Bound::for_slack); once a candidate's bound
+//    simulated slack via Bound::for_slack; points sharing a plan structure
+//    are bounded in one payload-lane pass); once a candidate's bound
 //    strictly exceeds the current k-th best simulated score, it and every
 //    candidate after it are discarded without running FlowSim. The strict
 //    inequality keeps exact ties simulable, so the returned ranking equals
@@ -100,11 +101,6 @@ struct TuneQuery {
   bool dedup = true;   ///< stage 1; off = every order its own candidate.
   bool prune = true;   ///< stage 2; off = simulate every candidate.
   bool use_plan_cache = true;  ///< resolve plans through the engine's cache.
-  /// Serve stage-2 bounds through the engine's BoundCache: one payload-
-  /// invariant structure per binding class, evaluated across the whole
-  /// payload grid. Bit-identical bounds either way (the cached evaluate IS
-  /// the uncached analysis); off = fresh analyze_jobs per candidate x point.
-  bool use_bound_cache = true;
   /// Shard `shard_index` of `shard_count` over the candidate stream: after
   /// dedup, candidate i (in representative-lexicographic order) belongs to
   /// shard i % shard_count. Shards partition the candidates exactly.
@@ -157,11 +153,11 @@ struct TuneStats {
   /// (h! x points); sim_points vs this is the funnel's saving.
   std::int64_t exhaustive_points = 0;
   std::int64_t budget_skipped = 0;
-  /// Stage-2 full analyses (route resolution + DP recording) vs cheap
-  /// structure reuses (BoundCache evaluate). built + reuses ==
-  /// bounds_computed x points; with the cache off every call is a build.
-  /// Excluded from write_json: reuse counts depend on cache warmth across
-  /// runs sharing an engine, and reports must stay byte-comparable.
+  /// Stage-2 lane passes (one validation, route resolution and DP pass
+  /// each) and the extra payload lanes those passes served: points whose
+  /// plans share a structure ride one pass. built + reuses ==
+  /// bounds_computed x points. Kept out of write_json so the canonical
+  /// document stays comparable with reports written before them.
   std::int64_t bound_structures_built = 0;
   std::int64_t bound_structure_reuses = 0;
   /// Candidates simulated as wave 0 from a previous report's ranking

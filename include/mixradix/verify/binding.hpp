@@ -7,10 +7,11 @@
 // products per analysis:
 //
 //  * diagnostics — every send must resolve to a route the flow simulator
-//    can carry (channel count within ChanSet's inline capacity, channel
-//    ids inside the capacity table), no self-send may cross a channel,
-//    bindings must be in range, and suspicious-but-legal shapes (two ranks
-//    of one job sharing a core) are flagged as warnings;
+//    can carry (channel count within ChanSet's inline capacity, positive
+//    bottleneck capacity; routes come from simnet::RouteTable, the same
+//    derivation the simulator uses), bindings must be in range, and
+//    suspicious-but-legal shapes (two ranks of one job sharing a core) are
+//    flagged as warnings;
 //  * a load report — per-round and per-channel traffic (bytes, flow
 //    count, serialization seconds, oversubscription ratios) with the
 //    top-k congested channels named by level/component, the quantities
@@ -37,15 +38,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mixradix/simmpi/plan.hpp"
 #include "mixradix/simnet/flow_sim.hpp"
+#include "mixradix/simnet/route_table.hpp"
 #include "mixradix/topo/machine.hpp"
 #include "mixradix/verify/verify.hpp"
 
@@ -146,7 +144,8 @@ Result analyze(const simmpi::Plan& plan, const topo::Machine& machine,
 
 /// Analyze several concurrently-launched bound plans — the exact shape
 /// simmpi::run_timed executes. Diagnostics from job k are prefixed
-/// "job k:" when more than one job is analyzed.
+/// "job k:" when more than one job is analyzed. The one-lane case of
+/// analyze_lanes below.
 Result analyze_jobs(const topo::Machine& machine,
                     const std::vector<JobBinding>& jobs,
                     const Options& options = {});
@@ -154,131 +153,48 @@ Result analyze_jobs(const topo::Machine& machine,
 /// Human-readable channel name: "socket[3].egress" etc.
 std::string channel_name(const topo::Machine& machine, simnet::ChannelId id);
 
-// ---- Payload-invariant bound structure and its cache ------------------------
+// ---- Payload lanes ----------------------------------------------------------
 //
-// analyze_jobs splits naturally along the payload axis. Everything the
-// worklist DP's CONTROL FLOW depends on — resolved routes, the CSR
-// happens-before skeleton, node numbering, pend counts and therefore the
-// exact event pop order — is a function of the machine fingerprint and the
-// jobs' structural arrays alone; message byte counts only enter as VALUES
-// (eager flags, transfer floors, per-round CPU costs, channel byte totals).
-// BoundStructure captures the invariant half once — full route resolution,
-// validation diagnostics, and the recorded event schedule — and
-// evaluate() replays the recorded events applying the identical sequence of
-// max/min/+= value operations with floors recomputed from the live payload,
-// which makes its Result BIT-IDENTICAL to a fresh
-// analyze_jobs(machine, jobs, {load_report=false}) on any structurally
-// compatible job list (tests/test_binding.cpp pins this). Soundness is
-// therefore inherited, not re-argued: a cached bound IS the uncached bound.
+// A tune candidate is analyzed once per payload point, and the points of a
+// candidate usually share everything but their bytes: the same cores, the
+// same plan structure. Everything the DP's CONTROL FLOW depends on —
+// routes, the CSR happens-before skeleton, node numbering, pend counts —
+// is a function of that structure alone; message bytes only enter as
+// VALUES (eager flags, transfer floors, per-round CPU costs, channel byte
+// totals). analyze_lanes therefore validates and resolves routes once and
+// runs ONE worklist pass that carries one lane of doubles per payload.
+// Every DP value is a max or min over a fixed set of `a + b` terms and the
+// channel bytes are integer sums, so each lane is bit-identical to
+// analyze_jobs on its own job list (analyze_jobs IS the one-lane case).
 
-/// The payload-invariant half of one analyze_jobs call (see above). Built
-/// from a full analysis; immutable afterwards, so a single structure can be
-/// evaluated concurrently from many threads.
-class BoundStructure {
- public:
-  BoundStructure();
-  ~BoundStructure();
-  BoundStructure(BoundStructure&&) noexcept;
-  BoundStructure& operator=(BoundStructure&&) noexcept;
-  BoundStructure(const BoundStructure&) = delete;
-  BoundStructure& operator=(const BoundStructure&) = delete;
+/// True when `a` and `b` may share one analyze_lanes pass: equal job
+/// counts, and per job equal repetitions, start times, core bindings,
+/// message endpoints, execution CSR arrays and payload-array extents. Only
+/// bytes, round compute and copy costs may differ.
+bool same_structure(const std::vector<JobBinding>& a,
+                    const std::vector<JobBinding>& b);
 
-  /// Run the full analysis (diagnostics + lower bound, no load report) and
-  /// record the payload-invariant structure alongside. `fresh` receives
-  /// exactly what analyze_jobs(machine, jobs, {load_report=false}) returns.
-  static BoundStructure build(const topo::Machine& machine,
-                              const std::vector<JobBinding>& jobs,
-                              Result& fresh);
+/// Analyze P job lists ("lanes") that are same_structure() as lanes[0] in
+/// one pass; result l equals analyze_jobs(machine, lanes[l], options) bit
+/// for bit. A lane that differs in structure is rejected with
+/// mr::invalid_argument, never merged. `routes`, when given, must be bound
+/// to `machine` (RouteTable::bind or rebind_equivalent); passing a table
+/// that outlives the call keeps its routes warm across calls. nullptr = a
+/// call-local table.
+std::vector<Result> analyze_lanes(
+    const topo::Machine& machine,
+    const std::vector<std::vector<JobBinding>>& lanes,
+    const Options& options = {}, simnet::RouteTable* routes = nullptr);
 
-  /// True when the recorded binding had no Error diagnostics; only clean
-  /// structures can evaluate (a defective binding computes no bound anyway).
-  bool clean() const;
-
-  /// Exact structural-equality check: machine fingerprint, job count, and
-  /// every payload-invariant array (ranks, repetitions, start times, message
-  /// endpoints, execution CSR, core bindings) must match bit for bit. This
-  /// is a full comparison, not a hash — a true return PROVES evaluate()
-  /// equals the uncached analysis.
-  bool compatible(const topo::Machine& machine,
-                  const std::vector<JobBinding>& jobs) const;
-
-  /// The payload-dependent pass: recompute eager flags, transfer floors and
-  /// per-round CPU costs from the live message bytes, then replay the
-  /// recorded event schedule. Requires clean() && compatible(machine, jobs).
-  Result evaluate(const topo::Machine& machine,
-                  const std::vector<JobBinding>& jobs) const;
-
-  struct Impl;
-
- private:
-  std::unique_ptr<Impl> impl_;
-};
-
-/// 64-bit structural key of (machine fingerprint, jobs): the BoundCache
-/// index. Collisions are survivable — the cache re-checks
-/// BoundStructure::compatible before reusing an entry — so the hash only
-/// routes lookups, it never vouches for equality.
-std::uint64_t structure_key(const topo::Machine& machine,
-                            const std::vector<JobBinding>& jobs);
-
-/// Thread-safe LRU memoization of BoundStructure (the PlanCache idiom):
-/// one full route-resolution + recording pass per distinct binding
-/// structure, then a cheap evaluate() per payload point. A tune query over
-/// a payload grid computes each candidate class's structure once and
-/// evaluates it across every byte size. Only clean structures are cached;
-/// a key whose stored structure fails the exact compatibility check (hash
-/// collision) is rebuilt and replaced, counted as a miss.
-class BoundCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;    ///< served by a cached structure's evaluate().
-    std::uint64_t misses = 0;  ///< full analyses (build or unclean fallback).
-    std::uint64_t evictions = 0;  ///< entries dropped by the LRU bound.
-    std::size_t entries = 0;
-    double hit_rate() const {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
-  };
-
-  /// Default capacity bounds the cache to kDefaultCapacity structures
-  /// (LRU); 0 = unbounded.
-  static constexpr std::size_t kDefaultCapacity = 512;
-  explicit BoundCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
-  /// Equivalent to analyze_jobs(machine, jobs, {load_report = false,
-  /// lower_bound = true}) — bit-identical Result, served from a cached
-  /// structure when one matches. `structure_reused` (optional) reports
-  /// whether this call skipped the full route-resolution pass.
-  Result analyze(const topo::Machine& machine,
-                 const std::vector<JobBinding>& jobs,
-                 bool* structure_reused = nullptr);
-
-  Stats stats() const;
-  /// Drop every entry and reset the counters.
-  void clear();
-  /// Change the LRU bound; 0 = unbounded. Shrinking evicts oldest first.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const BoundStructure> structure;
-    std::list<std::uint64_t>::iterator recency;
-  };
-
-  /// Precondition: mutex_ held.
-  void enforce_capacity_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  ///< keys, most recently used first.
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+/// Stateless forwarder kept only because perfbench's traced depth8_tune
+/// replay compiles against `engine.bound_cache().analyze(...)`: returns
+/// analyze_jobs(machine, jobs, {load_report = false}) and reports
+/// `*structure_reused = false`. New code calls analyze_jobs or
+/// analyze_lanes directly.
+struct BoundCache {
+  static Result analyze(const topo::Machine& machine,
+                        const std::vector<JobBinding>& jobs,
+                        bool* structure_reused = nullptr);
 };
 
 }  // namespace mr::verify::binding

@@ -49,9 +49,7 @@ Engine::Engine(const EngineConfig& config)
     : config_(config),
       owned_cache_(
           std::make_unique<simmpi::PlanCache>(config.plan_cache_capacity)),
-      cache_(owned_cache_.get()),
-      bound_cache_(std::make_unique<verify::binding::BoundCache>(
-          config.bound_cache_capacity)) {
+      cache_(owned_cache_.get()) {
   if (config.dedicated_threads > 0) {
     granted_ = acquire_dedicated_threads(config.dedicated_threads);
     owned_pool_ = std::make_unique<util::ThreadPool>(granted_);
@@ -59,9 +57,7 @@ Engine::Engine(const EngineConfig& config)
   }
 }
 
-Engine::Engine(SharedTag)
-    : cache_(&simmpi::PlanCache::shared()),
-      bound_cache_(std::make_unique<verify::binding::BoundCache>()) {
+Engine::Engine(SharedTag) : cache_(&simmpi::PlanCache::shared()) {
   // pool_ stays null: thread_pool() resolves to ThreadPool::shared()
   // lazily, so serial callers routed through the shared engine still
   // never spawn worker threads.
@@ -128,7 +124,6 @@ Engine::Stats Engine::stats() const {
     out.workspaces_idle = static_cast<std::int64_t>(idle_.size());
   }
   out.plan_cache = cache_->stats();
-  out.bound_cache = bound_cache_->stats();
   return out;
 }
 

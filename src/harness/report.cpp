@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 
@@ -13,10 +14,19 @@ namespace {
 void print_block(std::ostream& os, const std::string& scenario,
                  const std::vector<SweepSeries>& block) {
   if (block.empty()) return;
+  // 14 columns fit labels up to depth 7 ("0-1-2-3-4-5-6"); deeper orders
+  // widen every column to keep one space before the longest label.
+  int width = 14;
+  for (const auto& series : block) {
+    width = std::max(
+        width,
+        static_cast<int>(order_to_string(series.character.order).size()) + 1);
+  }
   os << "\n-- " << scenario << " --\n";
   os << std::left << std::setw(10) << "size";
   for (const auto& series : block) {
-    os << std::right << std::setw(14) << order_to_string(series.character.order);
+    os << std::right << std::setw(width)
+       << order_to_string(series.character.order);
   }
   os << "\n";
   const auto& sizes = block.front().sizes;
@@ -25,7 +35,7 @@ void print_block(std::ostream& os, const std::string& scenario,
        << util::format_bytes(static_cast<std::uint64_t>(sizes[i]));
     for (const auto& series : block) {
       MR_EXPECT(series.sizes == sizes, "series have mismatched size axes");
-      os << std::right << std::setw(14)
+      os << std::right << std::setw(width)
          << util::format_fixed(series.results[i].mean_bandwidth / 1e6, 1);
     }
     os << "\n";

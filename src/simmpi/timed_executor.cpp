@@ -66,12 +66,11 @@ struct RankState {
 
 /// Everything the engine allocates, hoisted so reuse across runs is
 /// alloc-free once warm: the flow simulator (with its channel lists and
-/// completion heap), the route table, the event heap, per-job message and
-/// rank state, and the machine's channel capacities.
+/// completion heap), the route table (which also holds the machine's
+/// channel capacities), the event heap, and per-job message and rank state.
 struct SimWorkspace::Impl {
   simnet::FlowSim flows;
   simnet::RouteTable routes;
-  std::vector<double> capacities;
   std::string fingerprint;
   std::vector<detail::Event> events;  ///< binary min-heap (Event::operator>).
   std::vector<std::vector<MsgState>> msg_state;
@@ -79,9 +78,9 @@ struct SimWorkspace::Impl {
   std::vector<std::vector<simnet::RouteTable::RouteId>> msg_route;
   std::vector<double> finish;
 
-  /// Bind to `machine`: a changed fingerprint recomputes capacities and
-  /// drops interned routes; an equivalent machine only retargets the
-  /// route table's reference.
+  /// Bind to `machine`: a changed fingerprint rebinds the route table
+  /// (dropping interned routes); an equivalent machine only retargets the
+  /// table's reference.
   void bind(const topo::Machine& machine) {
     std::string fp = topo::machine_fingerprint(machine);
     if (fp == fingerprint) {
@@ -89,7 +88,6 @@ struct SimWorkspace::Impl {
       return;
     }
     fingerprint = std::move(fp);
-    capacities = simnet::channel_capacities(machine);
     routes.bind(machine);
   }
 };
@@ -98,6 +96,11 @@ SimWorkspace::SimWorkspace() : impl_(std::make_unique<Impl>()) {}
 SimWorkspace::~SimWorkspace() = default;
 SimWorkspace::SimWorkspace(SimWorkspace&&) noexcept = default;
 SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
+
+simnet::RouteTable& SimWorkspace::route_table(const topo::Machine& machine) {
+  impl_->bind(machine);
+  return impl_->routes;
+}
 
 namespace {
 
@@ -110,7 +113,8 @@ class Engine {
         ws_(ws),
         reference_(options.reference) {
     ws_.bind(machine);
-    ws_.flows.reset(ws_.capacities, options.completion_slack, !reference_);
+    ws_.flows.reset(ws_.routes.capacities(), options.completion_slack,
+                    !reference_);
     ws_.events.clear();
     const std::size_t njobs = jobs_.size();
     ws_.msg_state.resize(njobs);
@@ -148,6 +152,9 @@ class Engine {
           routes.push_back(ws_.routes.route(
               (*job.core_of_rank)[static_cast<std::size_t>(m.src)],
               (*job.core_of_rank)[static_cast<std::size_t>(m.dst)]));
+          MR_EXPECT(!ws_.routes.too_deep(routes.back()),
+                    "a route crosses more channels than the flow simulator "
+                    "carries (kMaxChannelsPerFlow)");
         }
       }
       for (std::int32_t r = 0; r < job.schedule->nranks; ++r) {

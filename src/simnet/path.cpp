@@ -10,8 +10,9 @@ std::vector<double> channel_capacities(const topo::Machine& machine) {
   for (int level = 0; level < machine.depth(); ++level) {
     const auto& spec = machine.level(level);
     const std::int64_t count = machine.hierarchy().components_at(level);
+    const std::int64_t first = machine.component_id(level, 0);
     for (std::int64_t comp = 0; comp < count; ++comp) {
-      const std::int64_t id = machine.component_id(level, comp);
+      const std::int64_t id = first + comp;
       caps[static_cast<std::size_t>(3 * id)] = spec.link_bandwidth;
       caps[static_cast<std::size_t>(3 * id + 1)] = spec.link_bandwidth;
       // Levels without a memory model get a placeholder capacity; those

@@ -12,6 +12,7 @@
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/simmpi/timed_executor.hpp"
+#include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/thread_pool.hpp"
 #include "mixradix/verify/binding.hpp"
@@ -45,16 +46,24 @@ unsigned resolve_workers(int threads) {
                      : util::ThreadPool::default_threads();
 }
 
-/// Indexed parallel_for with the serial fallback every entry point uses:
-/// results land in pre-sized slots, so output never depends on the worker
-/// count. Serial queries never touch the pool.
+/// Indexed parallel_for_slots with the serial fallback every entry point
+/// uses: results land in pre-sized slots, so output never depends on the
+/// worker count; `fn(slot, i)` may keep per-slot scratch (slot < workers).
+/// Serial queries never touch the pool.
+template <typename Fn>
+void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
+                   const Fn& fn) {
+  if (workers <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(0u, i);
+  } else {
+    engine.thread_pool().parallel_for_slots(n, fn, workers);
+  }
+}
+
 template <typename Fn>
 void fan_out(Engine& engine, std::size_t n, unsigned workers, const Fn& fn) {
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    engine.thread_pool().parallel_for(n, fn, workers);
-  }
+  fan_out_slots(engine, n, workers,
+                [&fn](unsigned /*slot*/, std::size_t i) { fn(i); });
 }
 
 harness::MicrobenchConfig point_config(const TuneQuery& query,
@@ -192,53 +201,70 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
 
 // ---- Stages 2+3 helpers -----------------------------------------------------
 
-/// One candidate's stage-2 outcome: the admissible bound plus the
-/// full-analysis vs structure-reuse accounting behind it.
+/// One candidate's stage-2 outcome: the admissible bound plus the lane
+/// accounting behind it.
 struct BoundOutcome {
   double bound = 0;
-  std::int64_t built = 0;   ///< full route-resolution + DP passes.
-  std::int64_t reused = 0;  ///< BoundCache evaluate()s of a cached structure.
+  std::int64_t passes = 0;       ///< analyze_lanes calls.
+  std::int64_t extra_lanes = 0;  ///< lanes beyond the first of each pass.
 };
 
 /// Stage-2 admissible bound of one candidate: per-point static lower bounds
-/// (deflated for the simulated slack), summed — a lower bound on the
-/// candidate's score because the score is the sum of point makespans. With
-/// the bound cache on, the payload-invariant structure is resolved once per
-/// binding class and evaluated per payload point — the Results (and hence
-/// the bounds and the funnel's ranking) are bit-identical either way.
+/// (deflated for the simulated slack), summed in point order — a lower
+/// bound on the candidate's score because the score is the sum of point
+/// makespans. Points whose job lists share a structure (same plan shape,
+/// differing only in bytes) are bounded in one payload-lane pass; each
+/// lane equals that point's own analyze_jobs bit for bit.
 BoundOutcome candidate_bound(Engine& engine, const topo::Machine& machine,
                              const TuneQuery& query,
                              const std::vector<QueryPoint>& points,
-                             const Order& order) {
-  verify::binding::Options options;
-  options.load_report = false;
-  options.lower_bound = true;
-  BoundOutcome out;
-  for (const QueryPoint& point : points) {
-    const auto jobs = harness::protocol_jobs(
-        engine, machine, point_config(query, point, order));
-    std::vector<verify::binding::JobBinding> bindings;
-    bindings.reserve(jobs.size());
-    for (const auto& job : jobs) {
-      bindings.push_back({&job.plan->schedule, &job.plan->exec,
-                          job.plan->repetitions, &job.core_of_rank,
-                          job.start_time});
+                             const Order& order, simnet::RouteTable& routes) {
+  using verify::binding::JobBinding;
+  std::vector<std::vector<simmpi::PlanJob>> jobs(points.size());
+  std::vector<std::vector<JobBinding>> bindings(points.size());
+  // Points grouped by structure, each group in point order.
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    jobs[p] = harness::protocol_jobs(engine, machine,
+                                     point_config(query, points[p], order));
+    for (const auto& job : jobs[p]) {
+      bindings[p].push_back({&job.plan->schedule, &job.plan->exec,
+                             job.plan->repetitions, &job.core_of_rank,
+                             job.start_time});
     }
-    verify::binding::Result result;
-    if (query.use_bound_cache) {
-      bool reused = false;
-      result = engine.bound_cache().analyze(machine, bindings, &reused);
-      ++(reused ? out.reused : out.built);
+    const auto group = std::find_if(
+        groups.begin(), groups.end(), [&](const std::vector<std::size_t>& g) {
+          return verify::binding::same_structure(bindings[g.front()],
+                                                 bindings[p]);
+        });
+    if (group == groups.end()) {
+      groups.push_back({p});
     } else {
-      result = verify::binding::analyze_jobs(machine, bindings, options);
-      ++out.built;
-    }
-    // A diagnostic here would mean the tuner built an invalid binding; a
-    // zero bound keeps the candidate simulable instead of mis-pruning it.
-    if (result.clean()) {
-      out.bound += result.bound.for_slack(query.completion_slack);
+      group->push_back(p);
     }
   }
+  verify::binding::Options options;
+  options.load_report = false;
+  std::vector<double> point_bound(points.size(), 0.0);
+  BoundOutcome out;
+  for (const std::vector<std::size_t>& group : groups) {
+    std::vector<std::vector<JobBinding>> lanes;
+    lanes.reserve(group.size());
+    for (const std::size_t p : group) lanes.push_back(std::move(bindings[p]));
+    const std::vector<verify::binding::Result> results =
+        verify::binding::analyze_lanes(machine, lanes, options, &routes);
+    for (std::size_t l = 0; l < group.size(); ++l) {
+      // A diagnostic here would mean the tuner built an invalid binding; a
+      // zero bound keeps the candidate simulable instead of mis-pruning it.
+      if (results[l].clean()) {
+        point_bound[group[l]] =
+            results[l].bound.for_slack(query.completion_slack);
+      }
+    }
+    ++out.passes;
+    out.extra_lanes += static_cast<std::int64_t>(group.size()) - 1;
+  }
+  for (const double b : point_bound) out.bound += b;
   return out;
 }
 
@@ -443,17 +469,28 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
 
   // Stage 2: admissible lower bounds, computed in parallel, then the
   // branch-and-bound visit order (bound ascending, packed-first tie-break).
+  // Each worker slot leases one workspace and bounds every candidate it
+  // draws against that workspace's route table, so routes resolved for
+  // one candidate stay warm for the next (and for stage 3).
   if (query.prune) {
     const auto bound_start = std::chrono::steady_clock::now();
     std::vector<BoundOutcome> outcomes(active.size());
-    fan_out(engine, active.size(), workers, [&](std::size_t i) {
+    std::vector<Engine::WorkspaceLease> leases(workers);
+    std::vector<simnet::RouteTable*> routes(leases.size(), nullptr);
+    fan_out_slots(engine, active.size(), workers,
+                  [&](unsigned slot, std::size_t i) {
+      if (routes[slot] == nullptr) {
+        leases[slot] = engine.workspace();
+        routes[slot] = &leases[slot]->route_table(machine);
+      }
       outcomes[i] = candidate_bound(engine, machine, query, report.points,
-                                    candidates[active[i]].order);
+                                    candidates[active[i]].order,
+                                    *routes[slot]);
     });
     for (std::size_t i = 0; i < active.size(); ++i) {
       candidates[active[i]].lower_bound = outcomes[i].bound;
-      stats.bound_structures_built += outcomes[i].built;
-      stats.bound_structure_reuses += outcomes[i].reused;
+      stats.bound_structures_built += outcomes[i].passes;
+      stats.bound_structure_reuses += outcomes[i].extra_lanes;
     }
     stats.bounds_computed = static_cast<std::int64_t>(active.size());
     stats.bound_seconds =

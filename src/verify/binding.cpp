@@ -5,12 +5,10 @@
 #include <cstddef>
 #include <limits>
 #include <sstream>
-#include <type_traits>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "mixradix/simnet/path.hpp"
 #include "mixradix/util/expect.hpp"
 
 namespace mr::verify::binding {
@@ -54,172 +52,20 @@ class Sink {
   int job_ = 0;
 };
 
-/// Per-message derived facts, for one repetition of one job (routes and
-/// round placement are repetition-invariant).
+/// Per-message structural facts, for one repetition of one job (routes
+/// and round placement are repetition- and payload-invariant).
 struct MsgFacts {
   std::int64_t send_gi = -1;  ///< flattened CSR round index of the send.
   std::int64_t recv_gi = -1;
-  double latency = 0;         ///< machine.path_latency(src core, dst core).
+  simnet::RouteTable::RouteId route = -1;
+  double latency = 0;         ///< the route's path latency.
   double cap_min = kInf;      ///< bottleneck capacity along the route; inf = self.
-  double transfer_floor = 0;  ///< latency + bytes / cap_min.
-  bool eager = false;
   bool crosses_network = false;  ///< route non-empty.
-  std::int32_t route = -1;       ///< RouteCache id.
 };
 
-/// Facts about one (src_core, dst_core) route, derived once per distinct
-/// pair rather than once per message (sweeps replay the same few core
-/// pairs across every round and job). Unlike the simulator's RouteTable —
-/// which asserts on malformed routes — defects are recorded so the caller
-/// can surface a located diagnostic instead of aborting.
-struct RouteFacts {
-  simnet::ChanSet channels;  ///< duplicate-free (FlowSim's view); unordered.
-  double latency = 0;
-  double cap_min = kInf;  ///< min capacity over channels; inf for self.
-  int raw_size = 0;       ///< deduped channel count, even when too deep.
-  bool too_deep = false;  ///< route exceeds kMaxChannelsPerFlow.
-};
-
-/// Routes depend only on the machine, so one cache serves every job of an
-/// analysis (and every message of an alltoall round trades its
-/// flow_channels() walk for a hash lookup). Derivation replays the
-/// flow_channels() contract — egress/ingress at every level from the first
-/// divergent one inward, plus each endpoint's memory controllers — from
-/// tables precomputed once per machine, instead of re-walking the
-/// hierarchy API per pair; tests/test_binding.cpp pins the two against
-/// each other.
-class RouteCache {
- public:
-  explicit RouteCache(const topo::Machine& machine) : depth_(machine.depth()) {
-    radix_.resize(static_cast<std::size_t>(depth_));
-    link_bw_.resize(static_cast<std::size_t>(depth_));
-    offset_.resize(static_cast<std::size_t>(depth_));
-    lat_suffix_.assign(static_cast<std::size_t>(depth_) + 1, 0.0);
-    for (int k = depth_ - 1; k >= 0; --k) {
-      radix_[static_cast<std::size_t>(k)] = machine.hierarchy().radix(k);
-      link_bw_[static_cast<std::size_t>(k)] = machine.level(k).link_bandwidth;
-      offset_[static_cast<std::size_t>(k)] = machine.component_id(k, 0);
-      lat_suffix_[static_cast<std::size_t>(k)] =
-          lat_suffix_[static_cast<std::size_t>(k) + 1] +
-          2.0 * machine.level(k).link_latency;
-      if (machine.level(k).mem_bandwidth > 0) {
-        mem_levels_.push_back({k, machine.level(k).mem_bandwidth});
-      }
-    }
-    base_latency_ = machine.costs().base_latency;
-    comp_src_.resize(static_cast<std::size_t>(depth_));
-    comp_dst_.resize(static_cast<std::size_t>(depth_));
-    index_.reserve(1024);
-  }
-
-  std::int32_t route(std::int64_t src, std::int64_t dst) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) |
-                              static_cast<std::uint64_t>(dst);
-    const auto [it, inserted] =
-        index_.try_emplace(key, static_cast<std::int32_t>(routes_.size()));
-    if (inserted) {
-      routes_.push_back(derive(src, dst));
-    }
-    return it->second;
-  }
-
-  const RouteFacts& facts(std::int32_t id) const {
-    return routes_[static_cast<std::size_t>(id)];
-  }
-
-  /// Every derived route, indexed by id (BoundStructure snapshots these).
-  const std::vector<RouteFacts>& all() const { return routes_; }
-
- private:
-  struct MemLevel {
-    int level = 0;
-    double bandwidth = 0;
-  };
-
-  RouteFacts derive(std::int64_t src, std::int64_t dst) {
-    RouteFacts rf;
-    rf.latency = base_latency_;
-    if (src == dst) {
-      return rf;
-    }
-    // Per-level component of each core (core / leaves-below), built with
-    // one small-radix division per level instead of a wide division per
-    // lookup: the leaf component IS the core, and each outer component is
-    // the inner one divided by the inner level's radix.
-    comp_src_[static_cast<std::size_t>(depth_) - 1] = src;
-    comp_dst_[static_cast<std::size_t>(depth_) - 1] = dst;
-    for (int k = depth_ - 2; k >= 0; --k) {
-      comp_src_[static_cast<std::size_t>(k)] =
-          comp_src_[static_cast<std::size_t>(k) + 1] /
-          radix_[static_cast<std::size_t>(k) + 1];
-      comp_dst_[static_cast<std::size_t>(k)] =
-          comp_dst_[static_cast<std::size_t>(k) + 1] /
-          radix_[static_cast<std::size_t>(k) + 1];
-    }
-    // First level (outermost = 0) where the cores' components diverge;
-    // exists because distinct cores differ at least at the leaf level.
-    int fd = 0;
-    while (comp_src_[static_cast<std::size_t>(fd)] ==
-           comp_dst_[static_cast<std::size_t>(fd)]) {
-      ++fd;
-    }
-    rf.latency += lat_suffix_[static_cast<std::size_t>(fd)];
-    // A memory controller above the divergence level is shared by both
-    // endpoints and must be accounted once, not twice (the FlowSim /
-    // RouteTable dedupe); below it the endpoints' controllers differ, as
-    // do every level's egress/ingress components.
-    rf.raw_size = 2 * (depth_ - fd);
-    for (const MemLevel& m : mem_levels_) {
-      rf.raw_size += m.level < fd ? 1 : 2;
-    }
-    if (rf.raw_size > simnet::kMaxChannelsPerFlow) {
-      rf.too_deep = true;
-      return rf;
-    }
-    const auto push = [&](simnet::ChannelId id, double cap) {
-      rf.channels.ids[static_cast<std::size_t>(rf.channels.count++)] = id;
-      rf.cap_min = std::min(rf.cap_min, cap);
-    };
-    for (int k = fd; k < depth_; ++k) {
-      const std::size_t ki = static_cast<std::size_t>(k);
-      const std::int64_t off = offset_[ki];
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_src_[ki])),
-           link_bw_[ki]);
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_dst_[ki]) + 1),
-           link_bw_[ki]);
-    }
-    for (const MemLevel& m : mem_levels_) {
-      const std::size_t ki = static_cast<std::size_t>(m.level);
-      const std::int64_t off = offset_[ki];
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_src_[ki]) + 2),
-           m.bandwidth);
-      if (m.level >= fd) {
-        push(static_cast<simnet::ChannelId>(3 * (off + comp_dst_[ki]) + 2),
-             m.bandwidth);
-      }
-    }
-    return rf;
-  }
-
-  int depth_ = 0;
-  std::vector<std::int64_t> radix_;   ///< per-level radix.
-  std::vector<double> link_bw_;       ///< per-level egress/ingress capacity.
-  std::vector<std::int64_t> offset_;  ///< dense component id of (level, 0).
-  std::vector<double> lat_suffix_;    ///< 2 * sum of link latencies inward.
-  std::vector<MemLevel> mem_levels_;  ///< levels with a memory model.
-  double base_latency_ = 0;
-  std::vector<std::int64_t> comp_src_;  ///< derive() scratch, sized depth.
-  std::vector<std::int64_t> comp_dst_;
-  std::unordered_map<std::uint64_t, std::int32_t> index_;
-  std::vector<RouteFacts> routes_;
-};
-
-/// Per-job derived state shared by the load report and the bound.
+/// Per-job structural state shared by the load report and the bound.
 struct JobFacts {
-  std::vector<MsgFacts> msgs;         ///< indexed by message id (one rep).
-  std::vector<double> round_cpu;      ///< per flattened CSR round.
-  std::int64_t node_base = 0;         ///< first DP node of this job.
-  std::vector<std::int64_t> rank_node_base;  ///< per rank, relative to job.
+  std::vector<MsgFacts> msgs;  ///< indexed by message id (one rep).
 };
 
 double round_cpu_time(const simmpi::PlanExec& exec,
@@ -238,7 +84,7 @@ double round_cpu_time(const simmpi::PlanExec& exec,
 /// Validate one job's binding; returns false when later phases must not
 /// trust its indices. Fills `facts` (rounds/routes) only on success.
 bool check_job(const topo::Machine& machine, const JobBinding& job,
-               RouteCache& routes, Sink& sink, JobFacts& facts) {
+               simnet::RouteTable& routes, Sink& sink, JobFacts& facts) {
   if (job.schedule == nullptr || job.exec == nullptr ||
       job.core_of_rank == nullptr) {
     sink.error(-1, -1, -1, "job is missing its ",
@@ -343,58 +189,29 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
     const int send_round = static_cast<int>(
         mf.send_gi -
         exec.rank_rounds_begin[static_cast<std::size_t>(info.src)]);
-    const std::int64_t core_src = cores[static_cast<std::size_t>(info.src)];
-    const std::int64_t core_dst = cores[static_cast<std::size_t>(info.dst)];
-    mf.route = routes.route(core_src, core_dst);
-    const RouteFacts& rf = routes.facts(mf.route);
-    mf.latency = rf.latency;
-    mf.eager = info.bytes() <= machine.costs().eager_threshold;
-    mf.crosses_network = rf.raw_size > 0;
-    if (core_src == core_dst && mf.crosses_network) {
+    mf.route = routes.route(cores[static_cast<std::size_t>(info.src)],
+                            cores[static_cast<std::size_t>(info.dst)]);
+    // The simulator refuses these routes; report them as analysis
+    // findings so a too-deep machine fails with a location.
+    if (routes.too_deep(mf.route)) {
       sink.error(info.src, send_round, msg_id,
-                 "self-message on core ", core_src, " crosses ",
-                 rf.raw_size, " channels; self traffic must be "
-                 "latency-only");
-      ok = false;
-      continue;
-    }
-    if (core_src != core_dst && !mf.crosses_network) {
-      sink.error(info.src, send_round, msg_id,
-                 "message between distinct cores ", core_src, " and ",
-                 core_dst, " resolved to an empty route");
-      ok = false;
-      continue;
-    }
-    // The simulator's RouteTable asserts (aborts) on these; report them as
-    // analysis findings instead so a too-deep machine fails gracefully.
-    if (rf.too_deep) {
-      sink.error(info.src, send_round, msg_id,
-                 "route crosses ", rf.raw_size,
+                 "route crosses ", routes.channel_count(mf.route),
                  " channels, above the simulator limit of ",
                  simnet::kMaxChannelsPerFlow);
       ok = false;
       continue;
     }
-    mf.cap_min = rf.cap_min;
+    mf.latency = routes.latency(mf.route);
+    mf.cap_min = routes.capacity(mf.route);
+    mf.crosses_network = routes.channel_count(mf.route) > 0;
     if (mf.cap_min <= 0) {
       sink.error(info.src, send_round, msg_id,
                  "route bottleneck capacity is ", mf.cap_min,
                  "; transfers would never complete");
       ok = false;
-      continue;
     }
-    mf.transfer_floor =
-        mf.latency + static_cast<double>(info.bytes()) / mf.cap_min;
   }
-  if (!ok) {
-    return false;
-  }
-  facts.round_cpu.resize(static_cast<std::size_t>(total_rounds));
-  for (std::int64_t gi = 0; gi < total_rounds; ++gi) {
-    facts.round_cpu[static_cast<std::size_t>(gi)] =
-        round_cpu_time(exec, machine.costs(), gi);
-  }
-  return true;
+  return ok;
 }
 
 /// One (channel, round, bytes) contribution; bucketed by channel with a
@@ -409,9 +226,9 @@ struct ChannelTouch {
 void build_load_report(const topo::Machine& machine,
                        const std::vector<JobBinding>& jobs,
                        const std::vector<JobFacts>& facts,
-                       const std::vector<double>& capacities,
-                       const RouteCache& routes, int top_k,
+                       const simnet::RouteTable& routes, int top_k,
                        LoadReport& load) {
+  const std::vector<double>& capacities = routes.capacities();
   std::vector<ChannelTouch> touches;
   std::vector<double> round_straggler;  ///< slowest uncontended msg per round.
   // Per-channel totals over all jobs and repetitions, kept sparse via the
@@ -448,7 +265,7 @@ void build_load_report(const topo::Machine& machine,
       round_straggler[static_cast<std::size_t>(round)] =
           std::max(round_straggler[static_cast<std::size_t>(round)],
                    static_cast<double>(bytes) / mf.cap_min);
-      const simnet::ChanSet& set = routes.facts(mf.route).channels;
+      const simnet::ChanSet& set = routes.channels(mf.route);
       for (std::int32_t k = 0; k < set.count; ++k) {
         const simnet::ChannelId c = set.ids[static_cast<std::size_t>(k)];
         if (chan_flows[static_cast<std::size_t>(c)] == 0) {
@@ -554,8 +371,11 @@ void build_load_report(const topo::Machine& machine,
   load.top_channels = std::move(ranked);
 }
 
-/// Critical-path DP over (job, rank, virtual round) nodes, plus the
-/// per-channel serialization bound.
+/// Critical-path DP over (job, rank, virtual round) nodes plus the
+/// per-channel serialization bound, for every lane at once. The structure
+/// (node numbering, pend counts, worklist pops) comes from lane 0; each
+/// lane l keeps its own doubles, stored lane-minor (node n's lane-l value
+/// at [n * P + l]) so one node's lanes share a cache line.
 ///
 /// Each node splits into a READY event (previous round finished + this
 /// round's CPU cost) and a FINISH event (all posted ops complete). A
@@ -564,117 +384,132 @@ void build_load_report(const topo::Machine& machine,
 /// (a<->b sendrecv) stay acyclic: posts are non-blocking, only the
 /// waitall orders rounds. FINISH events left unprocessed mean a genuine
 /// happens-before cycle: diagnosed, and the bound stays 0 (trivially
-/// sound).
-/// When `trace` is non-null, every popped worklist event is appended in
-/// processing order. The pop order is payload-invariant — pend counts and
-/// worklist pushes depend only on the CSR edges, never on message bytes —
-/// so BoundStructure::evaluate can replay the recorded sequence against a
-/// different payload and reproduce this DP's value operations exactly.
-void build_bound(const std::vector<JobBinding>& jobs,
-                 std::vector<JobFacts>& facts,
-                 const std::vector<double>& capacities,
-                 const RouteCache& routes, Sink& sink, Bound& bound,
-                 std::vector<std::int64_t>* trace = nullptr) {
-  // Node numbering: per job, per rank, virtual round vr in
-  // [0, rounds_of(rank) * repetitions).
-  std::int64_t nnodes = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    facts[j].node_base = nnodes;
+/// sound). Pend counts and worklist pushes depend only on the CSR edges,
+/// never on message bytes, and every value is a max/min of `a + b` terms,
+/// so the pop order cannot change any lane's doubles.
+void build_bound(const topo::Machine& machine,
+                 const std::vector<std::vector<JobBinding>>& lanes,
+                 const std::vector<JobFacts>& facts,
+                 const simnet::RouteTable& routes, Sink& sink,
+                 std::vector<Result>& results) {
+  const std::vector<JobBinding>& jobs = lanes.front();
+  const std::size_t nlanes = lanes.size();
+  const std::size_t njobs = jobs.size();
+
+  // Nodes: per job, per rank, virtual round vr = rep * rounds + local in
+  // [0, rounds_of(rank) * repetitions), numbered job-, rank-, then
+  // vr-major, so a node's predecessor in program order is node - 1.
+  struct Node {
+    std::int32_t job = 0;
+    std::int32_t rep = 0;
+    std::int64_t round = 0;  ///< CSR round index within the job.
+    bool first = false;      ///< vr == 0: starts at the job's start time.
+    bool last = false;       ///< the rank's final virtual round.
+  };
+  std::vector<Node> nodes;
+  std::vector<std::int64_t> worklist;  ///< seeded with each rank's first READY.
+  std::vector<std::size_t> msg_base(njobs + 1, 0);
+  std::vector<std::size_t> round_base(njobs + 1, 0);
+  std::vector<std::int64_t> rank_first;  ///< first node of (job, rank).
+  std::vector<std::size_t> rank_first_base(njobs + 1, 0);
+  for (std::size_t j = 0; j < njobs; ++j) {
     const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int32_t nranks = jobs[j].schedule->nranks;
-    facts[j].rank_node_base.assign(static_cast<std::size_t>(nranks) + 1, 0);
-    for (std::int32_t r = 0; r < nranks; ++r) {
-      facts[j].rank_node_base[static_cast<std::size_t>(r) + 1] =
-          facts[j].rank_node_base[static_cast<std::size_t>(r)] +
-          exec.rounds_of(r) * jobs[j].repetitions;
+    const int reps = jobs[j].repetitions;
+    for (std::int32_t r = 0; r < jobs[j].schedule->nranks; ++r) {
+      const std::int64_t rounds = exec.rounds_of(r);
+      const std::int64_t begin =
+          exec.rank_rounds_begin[static_cast<std::size_t>(r)];
+      rank_first.push_back(static_cast<std::int64_t>(nodes.size()));
+      if (rounds > 0) {
+        worklist.push_back(2 * static_cast<std::int64_t>(nodes.size()));
+      }
+      for (int rep = 0; rep < reps; ++rep) {
+        for (std::int64_t local = 0; local < rounds; ++local) {
+          nodes.push_back({static_cast<std::int32_t>(j), rep, begin + local,
+                           rep == 0 && local == 0,
+                           rep == reps - 1 && local == rounds - 1});
+        }
+      }
     }
-    nnodes += facts[j].rank_node_base[static_cast<std::size_t>(nranks)];
+    rank_first_base[j + 1] = rank_first.size();
+    msg_base[j + 1] = msg_base[j] + facts[j].msgs.size();
+    round_base[j + 1] =
+        round_base[j] + static_cast<std::size_t>(exec.rank_rounds_begin.back());
+  }
+  const std::size_t n = nodes.size();
+  const std::size_t nmsgs = msg_base[njobs];
+
+  // Receiving node of each message in repetition 0, and the node stride
+  // between repetitions; FINISH prerequisites outstanding per node (own
+  // READY plus one per incoming receive edge).
+  std::vector<std::int64_t> recv_node(nmsgs);
+  std::vector<std::int64_t> recv_stride(nmsgs);
+  std::vector<std::int32_t> pend(n, 1);
+  for (std::size_t j = 0; j < njobs; ++j) {
+    const simmpi::PlanExec& exec = *jobs[j].exec;
+    for (std::size_t m = 0; m < facts[j].msgs.size(); ++m) {
+      const std::int32_t dst = jobs[j].schedule->messages[m].dst;
+      const auto d = static_cast<std::size_t>(dst);
+      const std::size_t mi = msg_base[j] + m;
+      recv_node[mi] = rank_first[rank_first_base[j] + d] +
+                      facts[j].msgs[m].recv_gi - exec.rank_rounds_begin[d];
+      recv_stride[mi] = exec.rounds_of(dst);
+      for (int rep = 0; rep < jobs[j].repetitions; ++rep) {
+        ++pend[static_cast<std::size_t>(recv_node[mi] + rep * recv_stride[mi])];
+      }
+    }
   }
 
-  const auto n = static_cast<std::size_t>(nnodes);
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
+  // Payload terms, lane-minor, with the exact expressions the engine uses.
+  const topo::MessagingCosts& costs = machine.costs();
+  std::vector<double> floors(nmsgs * nlanes);  ///< latency + bytes / cap.
+  std::vector<std::uint8_t> eager(nmsgs * nlanes);
+  std::vector<std::int64_t> rep_bytes(nmsgs * nlanes);  ///< bytes * reps.
+  std::vector<double> round_cpu(round_base[njobs] * nlanes);
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    for (std::size_t j = 0; j < njobs; ++j) {
+      const JobBinding& job = lanes[l][j];
+      for (std::size_t m = 0; m < facts[j].msgs.size(); ++m) {
+        const MsgFacts& mf = facts[j].msgs[m];
+        const std::int64_t bytes = job.schedule->messages[m].bytes();
+        const std::size_t at = (msg_base[j] + m) * nlanes + l;
+        floors[at] = mf.latency + static_cast<double>(bytes) / mf.cap_min;
+        eager[at] = bytes <= costs.eager_threshold ? 1 : 0;
+        rep_bytes[at] = bytes * job.repetitions;
+      }
+      const std::size_t rounds = round_base[j + 1] - round_base[j];
+      for (std::size_t gi = 0; gi < rounds; ++gi) {
+        round_cpu[(round_base[j] + gi) * nlanes + l] = round_cpu_time(
+            *job.exec, costs, static_cast<std::int64_t>(gi));
+      }
+    }
+  }
+
+  std::vector<double> finish(n * nlanes, 0.0);
   // Max over constraints a node's FINISH must respect beyond its own
   // READY: incoming message floors and its own rendezvous floors.
-  std::vector<double> inbound(n, 0.0);
-  // FINISH prerequisites outstanding: own READY plus one per incoming
-  // receive edge.
-  std::vector<std::int32_t> pend(n, 0);
+  std::vector<double> inbound(n * nlanes, 0.0);
 
-  const auto node_of = [&](std::size_t j, std::int32_t rank,
-                           std::int64_t vr) {
-    return facts[j].node_base +
-           facts[j].rank_node_base[static_cast<std::size_t>(rank)] + vr;
-  };
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int32_t nranks = jobs[j].schedule->nranks;
-    for (std::int32_t r = 0; r < nranks; ++r) {
-      const std::int64_t rounds = exec.rounds_of(r);
-      for (std::int64_t vr = 0; vr < rounds * jobs[j].repetitions; ++vr) {
-        pend[static_cast<std::size_t>(node_of(j, r, vr))] = 1;
-      }
-    }
-    for (std::size_t m = 0; m < facts[j].msgs.size(); ++m) {
-      const MsgFacts& mf = facts[j].msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rounds = exec.rounds_of(info.dst);
-      for (int rep = 0; rep < jobs[j].repetitions; ++rep) {
-        pend[static_cast<std::size_t>(
-            node_of(j, info.dst, rep * rounds + recv_local))] += 1;
-      }
-    }
-  }
-
-  // Worklist events: 2 * node = READY computable, 2 * node + 1 = FINISH
-  // computable. READY of a rank's first virtual round is computable
-  // immediately; every later READY is triggered by the previous FINISH.
-  std::vector<std::int64_t> worklist;
-  worklist.reserve(n);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (std::int32_t r = 0; r < jobs[j].schedule->nranks; ++r) {
-      if (jobs[j].exec->rounds_of(r) > 0) {
-        worklist.push_back(2 * node_of(j, r, 0));
-      }
-    }
-  }
-
+  // Each message's earliest channel entry (sender READY + latency in
+  // repetition 0), per lane; the channel bound is aggregated after the DP.
+  std::vector<double> entry(nmsgs * nlanes);
   std::size_t finished = 0;
-  double cp = 0.0;
-  // Channel bound inputs, collected as sender READY events fire; flat
-  // arrays + a touched list keep the hot loop hash-free.
-  std::vector<double> chan_entry(capacities.size(), kInf);
-  std::vector<std::int64_t> chan_bytes(capacities.size(), 0);
-  std::vector<simnet::ChannelId> chan_touched;
+  std::vector<double> cp(nlanes, 0.0);
+  std::vector<double> ready(nlanes);
+  std::vector<std::uint8_t> merge_ready(nlanes);
 
   while (!worklist.empty()) {
     const std::int64_t event = worklist.back();
     worklist.pop_back();
-    if (trace != nullptr) {
-      trace->push_back(event);
-    }
     const std::int64_t node = event / 2;
-    // Locate the node from the stored bases.
-    std::size_t j = 0;
-    while (j + 1 < jobs.size() && facts[j + 1].node_base <= node) {
-      ++j;
-    }
-    const std::int64_t local = node - facts[j].node_base;
-    const auto& rbase = facts[j].rank_node_base;
-    const auto rit = std::upper_bound(rbase.begin(), rbase.end(), local);
-    const auto rank =
-        static_cast<std::int32_t>(std::distance(rbase.begin(), rit)) - 1;
-    const std::int64_t vr = local - rbase[static_cast<std::size_t>(rank)];
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int64_t rounds = exec.rounds_of(rank);
-    const std::int64_t gi =
-        exec.rank_rounds_begin[static_cast<std::size_t>(rank)] + vr % rounds;
     const auto ni = static_cast<std::size_t>(node);
-    const auto i = static_cast<std::size_t>(gi);
+    const Node& nd = nodes[ni];
+    const auto j = static_cast<std::size_t>(nd.job);
+    const simmpi::PlanExec& exec = *jobs[j].exec;
+    // The previous round's FINISH, or the job start for the first round.
+    const double* prev = nd.first ? nullptr : &finish[(ni - 1) * nlanes];
+    const double start = jobs[j].start_time;
+    double* in = &inbound[ni * nlanes];
 
     if (event % 2 == 1) {
       // FINISH: all prerequisites delivered. NOT clamped to this round's
@@ -684,12 +519,13 @@ void build_bound(const std::vector<JobBinding>& jobs,
       // was merged into `inbound` at READY time exactly when the engine
       // guarantees it (eager sends complete at ready; op-less rounds
       // advance at ready).
-      const double post = vr == 0 ? jobs[j].start_time
-                                  : finish[static_cast<std::size_t>(node - 1)];
-      finish[ni] = std::max(post, inbound[ni]);
+      double* fin = &finish[ni * nlanes];
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        fin[l] = std::max(prev == nullptr ? start : prev[l], in[l]);
+      }
       ++finished;
-      if (vr == rounds * jobs[j].repetitions - 1) {
-        cp = std::max(cp, finish[ni]);
+      if (nd.last) {
+        for (std::size_t l = 0; l < nlanes; ++l) cp[l] = std::max(cp[l], fin[l]);
       } else {
         worklist.push_back(2 * (node + 1));
       }
@@ -697,71 +533,67 @@ void build_bound(const std::vector<JobBinding>& jobs,
     }
 
     // READY: the previous round's FINISH (or the job start) is known.
-    ready[ni] = (vr == 0 ? jobs[j].start_time
-                         : finish[static_cast<std::size_t>(node - 1)]) +
-                facts[j].round_cpu[i];
-    bool has_eager_send = false;
-    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.send_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = facts[j].msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      // The receiver's FINISH of the same repetition waits at least the
-      // transfer floor past this READY.
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rv =
-          vr / rounds * exec.rounds_of(info.dst) + recv_local;
-      const std::int64_t recv_node = node_of(j, info.dst, rv);
-      const auto ri = static_cast<std::size_t>(recv_node);
-      inbound[ri] = std::max(inbound[ri], ready[ni] + mf.transfer_floor);
-      if (--pend[ri] == 0) {
-        worklist.push_back(2 * recv_node + 1);
-      }
-      if (mf.eager) {
-        has_eager_send = true;
-      } else {
-        // Rendezvous sends complete no earlier than their own transfer
-        // floor (the receiver-ready term is dropped to keep the DP
-        // acyclic — still a valid lower bound).
-        inbound[ni] = std::max(inbound[ni], ready[ni] + mf.transfer_floor);
-      }
-      if (mf.crosses_network && vr / rounds == 0) {
-        // ready is non-decreasing across repetitions, so repetition 0
-        // holds each channel's earliest possible entry.
-        const double entry = ready[ni] + mf.latency;
-        const simnet::ChanSet& set = routes.facts(mf.route).channels;
-        for (std::int32_t s = 0; s < set.count; ++s) {
-          const auto c = static_cast<std::size_t>(
-              set.ids[static_cast<std::size_t>(s)]);
-          if (chan_bytes[c] == 0) {
-            chan_touched.push_back(set.ids[static_cast<std::size_t>(s)]);
-          }
-          chan_entry[c] = std::min(chan_entry[c], entry);
-          chan_bytes[c] += info.bytes() * jobs[j].repetitions;
-        }
-      }
-    }
-    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.recv_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = facts[j].msgs[m];
-      if (!mf.eager) {
-        // Rendezvous transfers start only after the receiver posts.
-        inbound[ni] = std::max(inbound[ni], ready[ni] + mf.transfer_floor);
-      }
+    const auto i = static_cast<std::size_t>(nd.round);
+    const double* cpu = &round_cpu[(round_base[j] + i) * nlanes];
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      ready[l] = (prev == nullptr ? start : prev[l]) + cpu[l];
     }
     // The engine only guarantees finish >= ready when an eager send
     // completes at ready, or when the round has no network ops and
     // advances at ready. A recv-only round's in-flight receives complete
     // at raw transfer time, possibly before the receiver's own ready.
-    const bool has_sends = exec.send_begin[i + 1] > exec.send_begin[i];
-    const bool has_recvs = exec.recv_begin[i + 1] > exec.recv_begin[i];
-    if (has_eager_send || (!has_sends && !has_recvs)) {
-      inbound[ni] = std::max(inbound[ni], ready[ni]);
+    const bool no_ops = exec.send_begin[i + 1] == exec.send_begin[i] &&
+                        exec.recv_begin[i + 1] == exec.recv_begin[i];
+    std::fill(merge_ready.begin(), merge_ready.end(), no_ops ? 1 : 0);
+    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
+         ++k) {
+      const auto m = static_cast<std::size_t>(
+          exec.send_msg[static_cast<std::size_t>(k)]);
+      const MsgFacts& mf = facts[j].msgs[m];
+      const std::size_t mi = msg_base[j] + m;
+      const std::size_t at = mi * nlanes;
+      // The receiver's FINISH of the same repetition waits at least the
+      // transfer floor past this READY.
+      const auto ri =
+          static_cast<std::size_t>(recv_node[mi] + nd.rep * recv_stride[mi]);
+      double* rin = &inbound[ri * nlanes];
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        rin[l] = std::max(rin[l], ready[l] + floors[at + l]);
+        if (eager[at + l] != 0) {
+          merge_ready[l] = 1;
+        } else {
+          // Rendezvous sends complete no earlier than their own transfer
+          // floor (the receiver-ready term is dropped to keep the DP
+          // acyclic — still a valid lower bound).
+          in[l] = std::max(in[l], ready[l] + floors[at + l]);
+        }
+      }
+      if (--pend[ri] == 0) {
+        worklist.push_back(2 * static_cast<std::int64_t>(ri) + 1);
+      }
+      if (nd.rep == 0) {
+        // ready is non-decreasing across repetitions, so repetition 0
+        // holds each channel's earliest possible entry.
+        for (std::size_t l = 0; l < nlanes; ++l) {
+          entry[at + l] = ready[l] + mf.latency;
+        }
+      }
+    }
+    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
+         ++k) {
+      const std::size_t at =
+          (msg_base[j] + static_cast<std::size_t>(
+                             exec.recv_msg[static_cast<std::size_t>(k)])) *
+          nlanes;
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        if (eager[at + l] == 0) {
+          // Rendezvous transfers start only after the receiver posts.
+          in[l] = std::max(in[l], ready[l] + floors[at + l]);
+        }
+      }
+    }
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      if (merge_ready[l] != 0) in[l] = std::max(in[l], ready[l]);
     }
     if (--pend[ni] == 0) {
       worklist.push_back(2 * node + 1);
@@ -776,16 +608,47 @@ void build_bound(const std::vector<JobBinding>& jobs,
     return;
   }
 
-  double agg = 0.0;
-  for (const simnet::ChannelId id : chan_touched) {
-    const auto c = static_cast<std::size_t>(id);
-    agg = std::max(agg, chan_entry[c] + static_cast<double>(chan_bytes[c]) /
-                                            capacities[c]);
+  // Channel serialization: per channel, the earliest entry over the
+  // messages crossing it plus their total bytes over its capacity. Flat
+  // arrays + a touched list keep the pass hash-free; which channels are
+  // touched is structural (a finite lane-0 entry marks one).
+  struct ChannelLane {
+    double entry = kInf;
+    std::int64_t bytes = 0;
+  };
+  const std::vector<double>& capacities = routes.capacities();
+  std::vector<ChannelLane> chan(capacities.size() * nlanes);
+  std::vector<simnet::ChannelId> chan_touched;
+  for (std::size_t j = 0; j < njobs; ++j) {
+    for (std::size_t m = 0; m < facts[j].msgs.size(); ++m) {
+      const MsgFacts& mf = facts[j].msgs[m];
+      if (!mf.crosses_network) continue;
+      const std::size_t at = (msg_base[j] + m) * nlanes;
+      const simnet::ChanSet& set = routes.channels(mf.route);
+      for (std::int32_t s = 0; s < set.count; ++s) {
+        const simnet::ChannelId id = set.ids[static_cast<std::size_t>(s)];
+        ChannelLane* cl = &chan[static_cast<std::size_t>(id) * nlanes];
+        if (cl[0].entry == kInf) chan_touched.push_back(id);
+        for (std::size_t l = 0; l < nlanes; ++l) {
+          cl[l].entry = std::min(cl[l].entry, entry[at + l]);
+          cl[l].bytes += rep_bytes[at + l];
+        }
+      }
+    }
   }
-
-  bound.critical_path = cp;
-  bound.channel_serialization = agg;
-  bound.lower_bound = std::max(cp, agg);
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    double agg = 0.0;
+    for (const simnet::ChannelId id : chan_touched) {
+      const auto c = static_cast<std::size_t>(id);
+      const ChannelLane& cl = chan[c * nlanes + l];
+      agg = std::max(agg, cl.entry + static_cast<double>(cl.bytes) /
+                                         capacities[c]);
+    }
+    Bound& bound = results[l].bound;
+    bound.critical_path = cp[l];
+    bound.channel_serialization = agg;
+    bound.lower_bound = std::max(cp[l], agg);
+  }
 }
 
 }  // namespace
@@ -847,38 +710,110 @@ std::string Result::to_string() const {
   return os.str();
 }
 
+bool same_structure(const std::vector<JobBinding>& a,
+                    const std::vector<JobBinding>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  // Jobs of one list usually share a plan; compare each plan pair once.
+  const JobBinding* last_x = nullptr;
+  const JobBinding* last_y = nullptr;
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    const JobBinding& x = a[j];
+    const JobBinding& y = b[j];
+    if (x.schedule == nullptr || x.exec == nullptr ||
+        x.core_of_rank == nullptr || y.schedule == nullptr ||
+        y.exec == nullptr || y.core_of_rank == nullptr) {
+      return false;
+    }
+    if (x.repetitions != y.repetitions || x.start_time != y.start_time ||
+        *x.core_of_rank != *y.core_of_rank) {
+      return false;
+    }
+    if (last_x != nullptr && x.schedule == last_x->schedule &&
+        x.exec == last_x->exec && y.schedule == last_y->schedule &&
+        y.exec == last_y->exec) {
+      continue;
+    }
+    last_x = &x;
+    last_y = &y;
+    const simmpi::Schedule& sx = *x.schedule;
+    const simmpi::Schedule& sy = *y.schedule;
+    if (sx.nranks != sy.nranks || sx.messages.size() != sy.messages.size()) {
+      return false;
+    }
+    for (std::size_t m = 0; m < sx.messages.size(); ++m) {
+      if (sx.messages[m].src != sy.messages[m].src ||
+          sx.messages[m].dst != sy.messages[m].dst) {
+        return false;
+      }
+    }
+    const simmpi::PlanExec& ex = *x.exec;
+    const simmpi::PlanExec& ey = *y.exec;
+    if (ex.rank_rounds_begin != ey.rank_rounds_begin ||
+        ex.send_begin != ey.send_begin || ex.recv_begin != ey.recv_begin ||
+        ex.send_msg != ey.send_msg || ex.recv_msg != ey.recv_msg ||
+        ex.msg_bytes.size() != ey.msg_bytes.size() ||
+        ex.round_compute.size() != ey.round_compute.size() ||
+        ex.round_copy_doubles.size() != ey.round_copy_doubles.size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<Result> analyze_lanes(
+    const topo::Machine& machine,
+    const std::vector<std::vector<JobBinding>>& lanes, const Options& options,
+    simnet::RouteTable* routes) {
+  MR_EXPECT(!lanes.empty(), "analyze_lanes needs at least one lane");
+  for (std::size_t l = 1; l < lanes.size(); ++l) {
+    MR_EXPECT(same_structure(lanes.front(), lanes[l]),
+              "lane " + std::to_string(l) +
+                  " differs from lane 0 in cores, repetitions, start times, "
+                  "message endpoints or execution structure; analyze it in "
+                  "a separate pass");
+  }
+  simnet::RouteTable local;
+  if (routes == nullptr) {
+    local.bind(machine);
+    routes = &local;
+  }
+  MR_EXPECT(routes->machine() == &machine,
+            "route table is bound to a different machine");
+
+  // Diagnostics depend only on the structure, so the lanes share them.
+  const std::vector<JobBinding>& jobs = lanes.front();
+  std::vector<Result> results(lanes.size());
+  Report report;
+  Sink sink(report, jobs.size() > 1);
+  std::vector<JobFacts> facts(jobs.size());
+  bool ok = !jobs.empty();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sink.job(static_cast<int>(j));
+    ok = check_job(machine, jobs[j], *routes, sink, facts[j]) && ok;
+  }
+  sink.job(-1);
+  if (ok && options.load_report) {
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      build_load_report(machine, lanes[l], facts, *routes, options.top_k,
+                        results[l].load);
+    }
+  }
+  if (ok && options.lower_bound) {
+    build_bound(machine, lanes, facts, *routes, sink, results);
+  }
+  for (Result& result : results) {
+    result.machine = machine.name();
+    result.report = report;
+  }
+  return results;
+}
+
 Result analyze_jobs(const topo::Machine& machine,
                     const std::vector<JobBinding>& jobs,
                     const Options& options) {
-  Result result;
-  result.machine = machine.name();
-  Sink sink(result.report, jobs.size() > 1);
-  if (jobs.empty()) {
-    return result;
-  }
-  RouteCache routes(machine);
-  std::vector<JobFacts> facts(jobs.size());
-  bool ok = true;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sink.job(static_cast<int>(j));
-    ok = check_job(machine, jobs[j], routes, sink, facts[j]) && ok;
-  }
-  if (!ok) {
-    return result;
-  }
-  sink.job(-1);
-  if (!options.load_report && !options.lower_bound) {
-    return result;  // preverify configuration: diagnostics only.
-  }
-  const std::vector<double> capacities = simnet::channel_capacities(machine);
-  if (options.load_report) {
-    build_load_report(machine, jobs, facts, capacities, routes, options.top_k,
-                      result.load);
-  }
-  if (options.lower_bound) {
-    build_bound(jobs, facts, capacities, routes, sink, result.bound);
-  }
-  return result;
+  return std::move(analyze_lanes(machine, {jobs}, options).front());
 }
 
 Result analyze(const simmpi::Plan& plan, const topo::Machine& machine,
@@ -892,380 +827,6 @@ Result analyze(const simmpi::Plan& plan, const topo::Machine& machine,
   return analyze_jobs(machine, {job}, options);
 }
 
-// ---- BoundStructure -------------------------------------------------------
-
-/// The frozen payload-invariant half of one analysis. Job structure is
-/// DEEP-COPIED (CSR arrays, endpoints, cores): JobBinding is non-owning and
-/// the plans behind a tune candidate can be evicted from the PlanCache
-/// between the build and a later evaluate, so pointers must never outlive
-/// the call that passed them in.
-struct BoundStructure::Impl {
-  /// One job's structural snapshot plus the invariant message facts.
-  struct JobStruct {
-    std::int32_t nranks = 0;
-    int repetitions = 1;
-    double start_time = 0;
-    std::vector<std::int64_t> cores;
-    std::vector<std::int32_t> msg_src;  ///< per message; bytes NOT kept.
-    std::vector<std::int32_t> msg_dst;
-    std::vector<std::int64_t> rank_rounds_begin;
-    std::vector<std::int64_t> send_begin;
-    std::vector<std::int64_t> recv_begin;
-    std::vector<std::int32_t> send_msg;
-    std::vector<std::int32_t> recv_msg;
-    /// Invariant per-message facts: send_gi/recv_gi, route id, latency,
-    /// cap_min, crosses_network. The eager/transfer_floor fields hold the
-    /// BUILD payload's values and are recomputed per evaluate.
-    std::vector<MsgFacts> msgs;
-    std::int64_t node_base = 0;
-    std::vector<std::int64_t> rank_node_base;
-  };
-
-  std::string fingerprint;   ///< topo::machine_fingerprint at build time.
-  std::string machine_name;
-  Report report;             ///< payload-invariant diagnostics, verbatim.
-  bool clean_ok = false;
-  std::vector<double> capacities;   ///< simnet::channel_capacities snapshot.
-  std::vector<RouteFacts> routes;   ///< by RouteCache id.
-  std::vector<JobStruct> jobs;
-  std::vector<std::int64_t> trace;  ///< popped DP events, processing order.
-  std::int64_t nnodes = 0;
-};
-
-BoundStructure::BoundStructure() = default;
-BoundStructure::~BoundStructure() = default;
-BoundStructure::BoundStructure(BoundStructure&&) noexcept = default;
-BoundStructure& BoundStructure::operator=(BoundStructure&&) noexcept = default;
-
-bool BoundStructure::clean() const {
-  return impl_ != nullptr && impl_->clean_ok;
-}
-
-BoundStructure BoundStructure::build(const topo::Machine& machine,
-                                     const std::vector<JobBinding>& jobs,
-                                     Result& fresh) {
-  BoundStructure s;
-  s.impl_ = std::make_unique<Impl>();
-  Impl& im = *s.impl_;
-  im.fingerprint = topo::machine_fingerprint(machine);
-  im.machine_name = machine.name();
-
-  // Mirror analyze_jobs(machine, jobs, {load_report=false}) exactly, with
-  // the DP trace recorded alongside.
-  fresh = Result{};
-  fresh.machine = machine.name();
-  Sink sink(fresh.report, jobs.size() > 1);
-  if (jobs.empty()) {
-    return s;
-  }
-  RouteCache routes(machine);
-  std::vector<JobFacts> facts(jobs.size());
-  bool ok = true;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sink.job(static_cast<int>(j));
-    ok = check_job(machine, jobs[j], routes, sink, facts[j]) && ok;
-  }
-  if (ok) {
-    sink.job(-1);
-    im.capacities = simnet::channel_capacities(machine);
-    build_bound(jobs, facts, im.capacities, routes, sink, fresh.bound,
-                &im.trace);
-  }
-  im.report = fresh.report;
-  im.clean_ok = ok && fresh.report.clean();
-  if (!im.clean_ok) {
-    return s;  // defective bindings are analyzed fresh every time.
-  }
-
-  im.routes = routes.all();
-  im.jobs.resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const simmpi::Schedule& sched = *jobs[j].schedule;
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    Impl::JobStruct& js = im.jobs[j];
-    js.nranks = sched.nranks;
-    js.repetitions = jobs[j].repetitions;
-    js.start_time = jobs[j].start_time;
-    js.cores = *jobs[j].core_of_rank;
-    js.msg_src.reserve(sched.messages.size());
-    js.msg_dst.reserve(sched.messages.size());
-    for (const simmpi::MsgInfo& info : sched.messages) {
-      js.msg_src.push_back(info.src);
-      js.msg_dst.push_back(info.dst);
-    }
-    js.rank_rounds_begin = exec.rank_rounds_begin;
-    js.send_begin = exec.send_begin;
-    js.recv_begin = exec.recv_begin;
-    js.send_msg = exec.send_msg;
-    js.recv_msg = exec.recv_msg;
-    js.msgs = std::move(facts[j].msgs);
-    js.node_base = facts[j].node_base;
-    js.rank_node_base = std::move(facts[j].rank_node_base);
-    im.nnodes = js.node_base +
-                js.rank_node_base[static_cast<std::size_t>(js.nranks)];
-  }
-  return s;
-}
-
-bool BoundStructure::compatible(const topo::Machine& machine,
-                                const std::vector<JobBinding>& jobs) const {
-  // Unclean structures keep no structural snapshot; they never match.
-  if (impl_ == nullptr || !impl_->clean_ok) {
-    return false;
-  }
-  const Impl& im = *impl_;
-  if (jobs.size() != im.jobs.size() ||
-      topo::machine_fingerprint(machine) != im.fingerprint) {
-    return false;
-  }
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobBinding& job = jobs[j];
-    const Impl::JobStruct& js = im.jobs[j];
-    if (job.schedule == nullptr || job.exec == nullptr ||
-        job.core_of_rank == nullptr) {
-      return false;
-    }
-    const simmpi::Schedule& sched = *job.schedule;
-    const simmpi::PlanExec& exec = *job.exec;
-    // start_time compares bit-exactly: any difference shifts every DP
-    // value, so only the identical double may reuse the recorded report.
-    if (sched.nranks != js.nranks || job.repetitions != js.repetitions ||
-        job.start_time != js.start_time || *job.core_of_rank != js.cores) {
-      return false;
-    }
-    if (sched.messages.size() != js.msg_src.size()) {
-      return false;
-    }
-    for (std::size_t m = 0; m < sched.messages.size(); ++m) {
-      if (sched.messages[m].src != js.msg_src[m] ||
-          sched.messages[m].dst != js.msg_dst[m]) {
-        return false;
-      }
-    }
-    if (exec.rank_rounds_begin != js.rank_rounds_begin ||
-        exec.send_begin != js.send_begin ||
-        exec.recv_begin != js.recv_begin || exec.send_msg != js.send_msg ||
-        exec.recv_msg != js.recv_msg) {
-      return false;
-    }
-    // The payload-dependent arrays may hold any values, but evaluate()
-    // indexes them, so their extents must cover the structure.
-    const std::int64_t total_rounds = exec.rank_rounds_begin.back();
-    if (exec.msg_bytes.size() != sched.messages.size() ||
-        exec.round_compute.size() < static_cast<std::size_t>(total_rounds) ||
-        exec.round_copy_doubles.size() <
-            static_cast<std::size_t>(total_rounds)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Result BoundStructure::evaluate(const topo::Machine& machine,
-                                const std::vector<JobBinding>& jobs) const {
-  MR_EXPECT(clean(), "evaluate() requires a clean BoundStructure");
-  const Impl& im = *impl_;
-  Result result;
-  result.machine = im.machine_name;
-  result.report = im.report;  // payload-invariant, verbatim.
-  const topo::MessagingCosts& costs = machine.costs();
-
-  // Payload-dependent terms, recomputed with the exact expressions
-  // check_job uses so every double matches the fresh analysis bit for bit.
-  struct JobEval {
-    std::vector<double> floor;        ///< latency + bytes / cap_min.
-    std::vector<std::uint8_t> eager;  ///< bytes <= eager_threshold.
-    std::vector<double> round_cpu;
-  };
-  std::vector<JobEval> ev(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const simmpi::Schedule& sched = *jobs[j].schedule;
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const Impl::JobStruct& js = im.jobs[j];
-    const std::size_t nmsgs = sched.messages.size();
-    ev[j].floor.resize(nmsgs);
-    ev[j].eager.resize(nmsgs);
-    for (std::size_t m = 0; m < nmsgs; ++m) {
-      const std::int64_t bytes = sched.messages[m].bytes();
-      ev[j].eager[m] = bytes <= costs.eager_threshold ? 1 : 0;
-      ev[j].floor[m] =
-          js.msgs[m].latency + static_cast<double>(bytes) / js.msgs[m].cap_min;
-    }
-    const std::int64_t total_rounds = exec.rank_rounds_begin.back();
-    ev[j].round_cpu.resize(static_cast<std::size_t>(total_rounds));
-    for (std::int64_t gi = 0; gi < total_rounds; ++gi) {
-      ev[j].round_cpu[static_cast<std::size_t>(gi)] =
-          round_cpu_time(exec, costs, gi);
-    }
-  }
-
-  // Replay the recorded DP: identical event order, identical value
-  // operations, payload terms swapped in. No pend counts or worklist — the
-  // trace already encodes the schedule (and proves it acyclic).
-  const auto n = static_cast<std::size_t>(im.nnodes);
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  std::vector<double> inbound(n, 0.0);
-  double cp = 0.0;
-  std::vector<double> chan_entry(im.capacities.size(), kInf);
-  std::vector<std::int64_t> chan_bytes(im.capacities.size(), 0);
-  std::vector<simnet::ChannelId> chan_touched;
-
-  for (const std::int64_t event : im.trace) {
-    const std::int64_t node = event / 2;
-    std::size_t j = 0;
-    while (j + 1 < im.jobs.size() && im.jobs[j + 1].node_base <= node) {
-      ++j;
-    }
-    const Impl::JobStruct& js = im.jobs[j];
-    const std::int64_t local = node - js.node_base;
-    const auto& rbase = js.rank_node_base;
-    const auto rit = std::upper_bound(rbase.begin(), rbase.end(), local);
-    const auto rank =
-        static_cast<std::int32_t>(std::distance(rbase.begin(), rit)) - 1;
-    const std::int64_t vr = local - rbase[static_cast<std::size_t>(rank)];
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int64_t rounds = exec.rounds_of(rank);
-    const std::int64_t gi =
-        exec.rank_rounds_begin[static_cast<std::size_t>(rank)] + vr % rounds;
-    const auto ni = static_cast<std::size_t>(node);
-    const auto i = static_cast<std::size_t>(gi);
-
-    if (event % 2 == 1) {
-      const double post = vr == 0 ? js.start_time
-                                  : finish[static_cast<std::size_t>(node - 1)];
-      finish[ni] = std::max(post, inbound[ni]);
-      if (vr == rounds * js.repetitions - 1) {
-        cp = std::max(cp, finish[ni]);
-      }
-      continue;
-    }
-
-    ready[ni] = (vr == 0 ? js.start_time
-                         : finish[static_cast<std::size_t>(node - 1)]) +
-                ev[j].round_cpu[i];
-    bool has_eager_send = false;
-    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.send_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = js.msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rv =
-          vr / rounds * exec.rounds_of(info.dst) + recv_local;
-      const std::int64_t recv_node =
-          js.node_base + rbase[static_cast<std::size_t>(info.dst)] + rv;
-      const auto ri = static_cast<std::size_t>(recv_node);
-      inbound[ri] = std::max(inbound[ri], ready[ni] + ev[j].floor[m]);
-      if (ev[j].eager[m] != 0) {
-        has_eager_send = true;
-      } else {
-        inbound[ni] = std::max(inbound[ni], ready[ni] + ev[j].floor[m]);
-      }
-      if (mf.crosses_network && vr / rounds == 0) {
-        const double entry = ready[ni] + mf.latency;
-        const simnet::ChanSet& set = im.routes[static_cast<std::size_t>(
-                                                   mf.route)].channels;
-        for (std::int32_t s = 0; s < set.count; ++s) {
-          const auto c = static_cast<std::size_t>(
-              set.ids[static_cast<std::size_t>(s)]);
-          if (chan_bytes[c] == 0) {
-            chan_touched.push_back(set.ids[static_cast<std::size_t>(s)]);
-          }
-          chan_entry[c] = std::min(chan_entry[c], entry);
-          chan_bytes[c] += info.bytes() * js.repetitions;
-        }
-      }
-    }
-    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.recv_msg[static_cast<std::size_t>(k)]);
-      if (ev[j].eager[m] == 0) {
-        inbound[ni] = std::max(inbound[ni], ready[ni] + ev[j].floor[m]);
-      }
-    }
-    const bool has_sends = exec.send_begin[i + 1] > exec.send_begin[i];
-    const bool has_recvs = exec.recv_begin[i + 1] > exec.recv_begin[i];
-    if (has_eager_send || (!has_sends && !has_recvs)) {
-      inbound[ni] = std::max(inbound[ni], ready[ni]);
-    }
-  }
-
-  double agg = 0.0;
-  for (const simnet::ChannelId id : chan_touched) {
-    const auto c = static_cast<std::size_t>(id);
-    agg = std::max(agg, chan_entry[c] + static_cast<double>(chan_bytes[c]) /
-                                            im.capacities[c]);
-  }
-  result.bound.critical_path = cp;
-  result.bound.channel_serialization = agg;
-  result.bound.lower_bound = std::max(cp, agg);
-  return result;
-}
-
-// ---- structure_key --------------------------------------------------------
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ bytes[i]) * kFnvPrime;
-  }
-  return h;
-}
-
-template <typename T>
-std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  h = fnv1a(h, v.data(), v.size() * sizeof(T));
-  // Fold in the length so adjacent arrays can't alias across boundaries.
-  const auto size = static_cast<std::uint64_t>(v.size());
-  return fnv1a(h, &size, sizeof(size));
-}
-
-}  // namespace
-
-std::uint64_t structure_key(const topo::Machine& machine,
-                            const std::vector<JobBinding>& jobs) {
-  const std::string fp = topo::machine_fingerprint(machine);
-  std::uint64_t h = fnv1a(kFnvOffset, fp.data(), fp.size());
-  for (const JobBinding& job : jobs) {
-    if (job.schedule == nullptr || job.exec == nullptr ||
-        job.core_of_rank == nullptr) {
-      // Defective bindings never cache; any stable value works.
-      h = fnv1a(h, "null", 4);
-      continue;
-    }
-    const simmpi::Schedule& sched = *job.schedule;
-    const simmpi::PlanExec& exec = *job.exec;
-    const std::int64_t scalars[3] = {
-        static_cast<std::int64_t>(sched.nranks),
-        static_cast<std::int64_t>(job.repetitions), 0};
-    h = fnv1a(h, scalars, sizeof(scalars));
-    h = fnv1a(h, &job.start_time, sizeof(job.start_time));
-    h = fnv1a_vec(h, *job.core_of_rank);
-    for (const simmpi::MsgInfo& info : sched.messages) {
-      const std::int32_t ends[2] = {info.src, info.dst};
-      h = fnv1a(h, ends, sizeof(ends));
-    }
-    h = fnv1a_vec(h, exec.rank_rounds_begin);
-    h = fnv1a_vec(h, exec.send_begin);
-    h = fnv1a_vec(h, exec.recv_begin);
-    h = fnv1a_vec(h, exec.send_msg);
-    h = fnv1a_vec(h, exec.recv_msg);
-  }
-  return h;
-}
-
-// ---- BoundCache -----------------------------------------------------------
 
 Result BoundCache::analyze(const topo::Machine& machine,
                            const std::vector<JobBinding>& jobs,
@@ -1273,94 +834,9 @@ Result BoundCache::analyze(const topo::Machine& machine,
   if (structure_reused != nullptr) {
     *structure_reused = false;
   }
-  const std::uint64_t key = structure_key(machine, jobs);
-  std::shared_ptr<const BoundStructure> cached;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.recency);
-      cached = it->second.structure;
-    }
-  }
-  // Evaluate outside the lock; the structure is immutable and shared_ptr
-  // keeps it alive across a concurrent eviction.
-  if (cached != nullptr && cached->compatible(machine, jobs)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++hits_;
-    }
-    if (structure_reused != nullptr) {
-      *structure_reused = true;
-    }
-    return cached->evaluate(machine, jobs);
-  }
-
-  // Miss (cold key, or a hash collision whose exact check failed): run the
-  // full analysis outside the lock; two threads racing the same key both
-  // build — both sound, last one lands in the cache.
-  auto built = std::make_shared<BoundStructure>();
-  Result fresh;
-  *built = BoundStructure::build(machine, jobs, fresh);
-  const bool cacheable = built->clean() && !jobs.empty();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    if (cacheable) {
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        it->second.structure = std::move(built);
-        lru_.splice(lru_.begin(), lru_, it->second.recency);
-      } else {
-        lru_.push_front(key);
-        map_.emplace(key, Entry{std::move(built), lru_.begin()});
-        enforce_capacity_locked();
-      }
-    }
-  }
-  return fresh;
-}
-
-BoundCache::Stats BoundCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = map_.size();
-  return s;
-}
-
-void BoundCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  lru_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
-}
-
-void BoundCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  enforce_capacity_locked();
-}
-
-std::size_t BoundCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void BoundCache::enforce_capacity_locked() {
-  if (capacity_ == 0) {
-    return;
-  }
-  while (map_.size() > capacity_) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    ++evictions_;
-  }
+  Options options;
+  options.load_report = false;
+  return analyze_jobs(machine, jobs, options);
 }
 
 }  // namespace mr::verify::binding

@@ -15,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/plan.hpp"
 #include "mixradix/simmpi/registry.hpp"
 #include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/simnet/path.hpp"
+#include "mixradix/simnet/route_table.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/thread_pool.hpp"
@@ -352,11 +354,10 @@ TEST(BindingPreverify, ThrowsOnBadBindingAndPassesGoodOne) {
   EXPECT_GT(simmpi::run_timed(m, {job}, options).makespan, 0.0);
 }
 
-// The analyzer's RouteCache derives routes from precomputed per-machine
-// tables instead of walking the hierarchy API per pair; this pins its
-// channel accounting against simnet::flow_channels — the simulator's
-// route derivation — across machines, mappings, and a rooted algorithm
-// whose traffic is asymmetric.
+// The analyzer's channel accounting, end to end through the shared
+// RouteTable, against simnet::flow_channels — the reference route
+// derivation — across machines, mappings, and a rooted algorithm whose
+// traffic is asymmetric.
 TEST(BindingLoad, ChannelAccountingMatchesFlowChannels) {
   const topo::Machine machines[] = {topo::testbox(), topo::hydra(4, 2),
                                     topo::lumi(2)};
@@ -403,61 +404,73 @@ TEST(BindingLoad, ChannelAccountingMatchesFlowChannels) {
   }
 }
 
-// ---- BoundCache: payload-invariant structures vs fresh analysis -----------
+// ---- Payload lanes vs per-payload analysis ----------------------------------
 //
-// The cache's contract is BIT-identity: evaluate() of a cached structure
-// must return the exact doubles a fresh analyze_jobs would — across the
-// registry, machines, payload sizes and mappings, serial and threaded.
+// analyze_lanes' contract is BIT-identity: lane l of one pass must equal
+// analyze_jobs on lane l's job list alone — bound fields and diagnostics —
+// across the registry, machines, payload sizes and mappings, serial and
+// threaded.
 
-/// Fresh analysis in the tuner's configuration (bound only, no load
-/// report) — the reference every cached result is compared against.
-Result fresh_bound(const topo::Machine& machine,
-                   const std::vector<JobBinding>& jobs) {
-  Options options;
-  options.load_report = false;
-  options.lower_bound = true;
-  return analyze_jobs(machine, jobs, options);
-}
-
-/// One cached-vs-fresh comparison; returns "" when bit-identical.
-std::string check_cached(BoundCache& cache, const topo::Machine& machine,
-                         const std::string& alg, std::int32_t p,
-                         std::int64_t count,
-                         const std::vector<std::int64_t>& cores) {
-  const simmpi::Plan plan = simmpi::compile_plan(alg, p, count, 0, 1);
-  const std::vector<JobBinding> jobs = {
-      {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}};
-  const Result want = fresh_bound(machine, jobs);
-  const Result got = cache.analyze(machine, jobs);
-  const std::string where = machine.name() + "/" + alg + "/count=" +
-                            std::to_string(count);
-  if (got.clean() != want.clean()) {
-    return where + ": clean() mismatch\n";
-  }
+/// Every bound field and diagnostic of `got` equals `want`; "" when so.
+std::string compare(const Result& got, const Result& want,
+                    const std::string& where) {
   std::string failures;
-  if (got.bound.lower_bound != want.bound.lower_bound) {
-    failures += where + ": lower_bound " +
-                std::to_string(got.bound.lower_bound) + " != " +
-                std::to_string(want.bound.lower_bound) + "\n";
+  if (got.bound.lower_bound != want.bound.lower_bound ||
+      got.bound.critical_path != want.bound.critical_path ||
+      got.bound.channel_serialization != want.bound.channel_serialization) {
+    failures += where + ": bound " + std::to_string(got.bound.lower_bound) +
+                " != " + std::to_string(want.bound.lower_bound) + "\n";
   }
-  if (got.bound.critical_path != want.bound.critical_path) {
-    failures += where + ": critical_path mismatch\n";
-  }
-  if (got.bound.channel_serialization != want.bound.channel_serialization) {
-    failures += where + ": channel_serialization mismatch\n";
+  if (got.report.to_string() != want.report.to_string() ||
+      got.machine != want.machine) {
+    failures += where + ": diagnostics differ\n";
   }
   return failures;
 }
 
-TEST(BoundCache, EvaluateMatchesFreshAnalysisBitExactly) {
-  // Registry x {hydra, lumi} x three payload sizes x {packed, spread}; the
-  // size axis straddles the eager threshold, so cached evaluation must
-  // re-derive eager flags, transfer floors and compute times — not reuse
-  // the build payload's.
-  const topo::Machine machines[] = {topo::hydra(4), topo::lumi(2)};
-  const std::int64_t counts[] = {64, 2048, 65536};
-  BoundCache cache;
+/// One lane pass over `counts` (one plan per count) of one algorithm,
+/// compared lane by lane against per-payload analyze_jobs. Counts whose
+/// plans differ in structure from the first count's are left out.
+std::string check_lanes(const topo::Machine& machine, const std::string& alg,
+                        std::int32_t p, const std::vector<std::int64_t>& counts,
+                        const std::vector<std::int64_t>& cores,
+                        int* lanes_run = nullptr) {
+  std::vector<simmpi::Plan> plans;
+  for (const std::int64_t count : counts) {
+    plans.push_back(simmpi::compile_plan(alg, p, count, 0, 1));
+  }
+  std::vector<std::vector<JobBinding>> lanes;
+  std::vector<std::int64_t> lane_count;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    std::vector<JobBinding> jobs = {{&plans[i].schedule, &plans[i].exec,
+                                     plans[i].repetitions, &cores, 0.0}};
+    if (lanes.empty() || same_structure(lanes.front(), jobs)) {
+      lanes.push_back(std::move(jobs));
+      lane_count.push_back(counts[i]);
+    }
+  }
+  Options options;
+  options.load_report = false;
+  const std::vector<Result> got = analyze_lanes(machine, lanes, options);
   std::string failures;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    failures += compare(got[l], analyze_jobs(machine, lanes[l], options),
+                        machine.name() + "/" + alg + "/count=" +
+                            std::to_string(lane_count[l]));
+  }
+  if (lanes_run != nullptr) *lanes_run += static_cast<int>(lanes.size());
+  return failures;
+}
+
+TEST(BindingLanes, EveryLaneMatchesPerPayloadAnalysisBitExactly) {
+  // Registry x {hydra, lumi} x three payload sizes x {packed, spread}; the
+  // size axis straddles the 16 KiB eager threshold, so every lane must
+  // carry its own eager flags, transfer floors and compute times.
+  const topo::Machine machines[] = {topo::hydra(4), topo::lumi(2)};
+  const std::vector<std::int64_t> counts = {64, 2048, 65536};
+  std::string failures;
+  int lanes = 0;
+  int passes = 0;
   for (const auto& machine : machines) {
     for (const auto& info : simmpi::algorithm_registry()) {
       const std::int32_t p = pick_p(info, machine.cores());
@@ -465,38 +478,93 @@ TEST(BoundCache, EvaluateMatchesFreshAnalysisBitExactly) {
       for (const bool spread : {false, true}) {
         const auto cores =
             spread ? spread_cores(p, machine.cores()) : packed_cores(p);
-        for (const std::int64_t count : counts) {
-          failures += check_cached(cache, machine, info.name, p, count, cores);
-        }
+        failures += check_lanes(machine, info.name, p, counts, cores, &lanes);
+        ++passes;
       }
     }
   }
   EXPECT_EQ(failures, "");
-  // The payload axis must have been served from cached structures: the
-  // three sizes of a (machine, algorithm, mapping) cell share one build
-  // whenever the algorithm's schedule shape is size-independent.
-  const BoundCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.misses, 0);
-  EXPECT_EQ(stats.evictions, 0);
+  // Most schedule shapes are size-independent: passes really carried
+  // several lanes.
+  EXPECT_GT(lanes, 2 * passes);
 }
 
-TEST(BoundCache, ThreadedEvaluateMatchesFresh) {
-  // TSan target: one shared cache, concurrent analyze() calls racing on
-  // the same keys — results must still be bit-identical to fresh analysis.
+TEST(BindingLanes, LoadReportsAndDiagnosticsFollowEachLane) {
+  // The load report is per lane too; a duplicate-core warning is shared.
+  const auto machine = topo::hydra(4);
+  const simmpi::Plan small = simmpi::compile_plan("allgather_ring", 4, 64);
+  const simmpi::Plan large = simmpi::compile_plan("allgather_ring", 4, 65536);
+  const std::vector<std::int64_t> cores = {0, 0, 17, 40};
+  const std::vector<std::vector<JobBinding>> lanes = {
+      {{&small.schedule, &small.exec, small.repetitions, &cores, 0.0}},
+      {{&large.schedule, &large.exec, large.repetitions, &cores, 0.0}}};
+  const std::vector<Result> got = analyze_lanes(machine, lanes);
+  ASSERT_EQ(got.size(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const Result want = analyze_jobs(machine, lanes[l]);
+    EXPECT_EQ(compare(got[l], want, "lane " + std::to_string(l)), "");
+    EXPECT_EQ(got[l].to_string(), want.to_string());
+    EXPECT_EQ(got[l].report.count(Severity::Warning), 1u);
+  }
+  EXPECT_LT(got[0].load.total_bytes, got[1].load.total_bytes);
+}
+
+TEST(BindingLanes, StructureChangesSplitPassesAndMismatchesAreRejected) {
+  // The alltoall selector picks Bruck for small counts and pairwise for
+  // large ones: their schedules differ in structure, so a grid crossing
+  // the switch is never merged into one pass.
+  const auto machine = topo::hydra(4);
+  const auto cores = packed_cores(16);
+  std::vector<simmpi::Plan> plans;
+  for (const std::int64_t count : {8, 65536}) {
+    plans.push_back(simmpi::compile_plan(
+        simmpi::selected_algorithm(simmpi::Collective::Alltoall, 16, count,
+                                   machine.costs().eager_threshold),
+        16, count, 0, 1));
+  }
+  ASSERT_NE(plans[0].algorithm, plans[1].algorithm);
+  const std::vector<JobBinding> a = {
+      {&plans[0].schedule, &plans[0].exec, plans[0].repetitions, &cores, 0.0}};
+  const std::vector<JobBinding> b = {
+      {&plans[1].schedule, &plans[1].exec, plans[1].repetitions, &cores, 0.0}};
+  EXPECT_FALSE(same_structure(a, b));
+  EXPECT_THROW(analyze_lanes(machine, {a, b}), invalid_argument);
+
+  // Same plan shape, but any other structural field differing rejects the
+  // lane too.
+  const simmpi::Plan ring = simmpi::compile_plan("allgather_ring", 4, 64);
+  const std::vector<std::int64_t> cores_a = {0, 1, 2, 3};
+  const std::vector<std::int64_t> cores_b = {0, 1, 2, 4};
+  const JobBinding base{&ring.schedule, &ring.exec, ring.repetitions, &cores_a,
+                        0.0};
+  JobBinding moved = base;
+  moved.core_of_rank = &cores_b;
+  JobBinding later = base;
+  later.start_time = 1e-6;
+  JobBinding repeated = base;
+  repeated.repetitions = 2;
+  for (const JobBinding& other : {moved, later, repeated}) {
+    EXPECT_FALSE(same_structure({base}, {other}));
+    EXPECT_THROW(analyze_lanes(machine, {{base}, {other}}), invalid_argument);
+  }
+  EXPECT_FALSE(same_structure({base}, {base, base}));
+  EXPECT_TRUE(same_structure({base}, {base}));
+  EXPECT_THROW(analyze_lanes(machine, {}), invalid_argument);
+}
+
+TEST(BindingLanes, ThreadedPassesMatchPerPayloadAnalysis) {
+  // TSan target: concurrent lane passes, each with its own route table,
+  // must still match per-payload analysis bit for bit.
   const auto machine = topo::hydra(4);
   const auto& registry = simmpi::algorithm_registry();
-  const std::int64_t counts[] = {64, 2048, 65536};
-  BoundCache cache;
   std::mutex mu;
   std::string failures;
   util::ThreadPool pool(4);
-  pool.parallel_for(registry.size() * 3, [&](std::size_t i) {
-    const auto& info = registry[i / 3];
-    const std::int64_t count = counts[i % 3];
+  pool.parallel_for(registry.size(), [&](std::size_t i) {
+    const auto& info = registry[i];
     const std::int32_t p = pick_p(info, machine.cores());
     const std::string f =
-        check_cached(cache, machine, info.name, p, count, packed_cores(p));
+        check_lanes(machine, info.name, p, {64, 2048, 65536}, packed_cores(p));
     if (!f.empty()) {
       const std::lock_guard<std::mutex> lock(mu);
       failures += f;
@@ -505,99 +573,75 @@ TEST(BoundCache, ThreadedEvaluateMatchesFresh) {
   EXPECT_EQ(failures, "");
 }
 
-TEST(BoundCache, ReusesStructureAcrossPayloadSizes) {
-  // Same schedule shape, different payload: the second call must be served
-  // by evaluate() on the first call's structure.
-  const auto machine = topo::hydra(4);
-  BoundCache cache;
-  const simmpi::Plan small = simmpi::compile_plan("allgather_ring", 4, 64);
-  const simmpi::Plan large = simmpi::compile_plan("allgather_ring", 4, 128);
-  const auto cores = packed_cores(4);
-  const std::vector<JobBinding> jsmall = {
-      {&small.schedule, &small.exec, small.repetitions, &cores, 0.0}};
-  const std::vector<JobBinding> jlarge = {
-      {&large.schedule, &large.exec, large.repetitions, &cores, 0.0}};
-  bool reused = true;
-  cache.analyze(machine, jsmall, &reused);
-  EXPECT_FALSE(reused);  // cold: built.
-  const Result got = cache.analyze(machine, jlarge, &reused);
-  EXPECT_TRUE(reused);  // same structure, new payload.
-  const Result want = fresh_bound(machine, jlarge);
-  EXPECT_EQ(got.bound.lower_bound, want.bound.lower_bound);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
+TEST(BindingLanes, WarmRouteTableGivesIdenticalResults) {
+  // A route table that outlives the call serves later calls from its
+  // interned routes without changing a bit.
+  const auto machine = topo::lumi(2);
+  simnet::RouteTable routes;
+  routes.bind(machine);
+  const simmpi::Plan plan = simmpi::compile_plan("alltoall_pairwise", 8, 4096);
+  const auto cores = spread_cores(8, machine.cores());
+  const std::vector<std::vector<JobBinding>> lanes = {
+      {{&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}}};
+  const Result cold = analyze_lanes(machine, lanes, {}, &routes).front();
+  const std::int64_t misses = routes.stats().misses;
+  const Result warm = analyze_lanes(machine, lanes, {}, &routes).front();
+  EXPECT_EQ(routes.stats().misses, misses);
+  EXPECT_GT(routes.stats().hits, 0);
+  EXPECT_EQ(compare(warm, cold, "warm"), "");
+  EXPECT_EQ(warm.to_string(), cold.to_string());
+  // A table bound to another Machine instance is refused.
+  const auto twin = topo::lumi(2);
+  simnet::RouteTable other;
+  other.bind(twin);
+  EXPECT_THROW(analyze_lanes(machine, lanes, {}, &other), invalid_argument);
 }
 
-TEST(BoundCache, LruEvictionClearAndCapacity) {
-  const auto machine = topo::hydra(4);
-  BoundCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  const auto cores = packed_cores(4);
-  std::vector<simmpi::Plan> plans;
-  for (const std::string alg :
-       {"allgather_ring", "alltoall_pairwise", "bcast_binomial"}) {
-    plans.push_back(simmpi::compile_plan(alg, 4, 256));
+TEST(BindingDiagnostics, TooDeepRouteIsALocatedError) {
+  // Seven levels with memory controllers everywhere: a route diverging at
+  // the top crosses 2*7 + 2*7 = 28 channels, above FlowSim's 24. The
+  // analyzer must report it with rank/round/message, not abort.
+  std::vector<topo::LevelSpec> levels(7, {"", 2, 1e-7, 1e10, 2e10});
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    levels[k].name = std::to_string(k);
   }
-  for (const auto& plan : plans) {
-    cache.analyze(machine,
-                  {{&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}});
-  }
-  // Three distinct structures through a 2-entry cache: one eviction.
-  EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1);
-  // The evicted (least-recent) structure must rebuild — correctly.
-  const std::vector<JobBinding> first = {{&plans[0].schedule, &plans[0].exec,
-                                          plans[0].repetitions, &cores, 0.0}};
-  bool reused = true;
-  const Result got = cache.analyze(machine, first, &reused);
-  EXPECT_FALSE(reused);
-  EXPECT_EQ(got.bound.lower_bound, fresh_bound(machine, first).bound.lower_bound);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0);
-  cache.set_capacity(0);  // unbounded.
-  EXPECT_EQ(cache.capacity(), 0u);
+  const topo::Machine deep("deep", std::move(levels));
+  simmpi::ScheduleBuilder b(2, 8);
+  b.exchange(0, 0, {0, 8}, 1, {0, 8});
+  const simmpi::Plan plan = simmpi::make_plan(std::move(b).build());
+  const Result r = analyze(plan, deep, {0, deep.cores() - 1});
+  EXPECT_FALSE(r.clean());
+  ASSERT_FALSE(r.report.diagnostics.empty());
+  const Diagnostic& d = r.report.diagnostics.front();
+  EXPECT_EQ(d.rank, 0);
+  EXPECT_EQ(d.round, 0);
+  EXPECT_EQ(d.msg, 0);
+  EXPECT_NE(d.text.find("28 channels"), std::string::npos) << d.text;
+  EXPECT_EQ(r.bound.lower_bound, 0.0);
+  // Inner routes stay within the limit and analyze clean.
+  EXPECT_TRUE(analyze(plan, deep, {0, 1}).clean());
+  // The simulator refuses the deep route with an error, not an abort.
+  PlanJob job;
+  job.plan = std::make_shared<const simmpi::Plan>(plan);
+  job.core_of_rank = {0, deep.cores() - 1};
+  EXPECT_THROW(simmpi::run_timed(deep, {job}, ExecOptions{}),
+               invalid_argument);
 }
 
-TEST(BoundCache, DefectiveBindingIsNeverCached) {
-  // An unclean analysis (core out of range) must not enter the cache, and
-  // must keep reporting its diagnostics on every call.
-  const auto machine = topo::testbox();
-  BoundCache cache;
-  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 16);
-  const std::vector<std::int64_t> bad = {0, 1, 2, 99};
+TEST(BindingCompat, BoundCacheForwardsToAnalyzeJobs) {
+  const auto machine = topo::hydra(4);
+  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 64);
+  const auto cores = packed_cores(4);
   const std::vector<JobBinding> jobs = {
-      {&plan.schedule, &plan.exec, plan.repetitions, &bad, 0.0}};
-  for (int i = 0; i < 2; ++i) {
-    const Result r = cache.analyze(machine, jobs);
-    EXPECT_FALSE(r.clean());
-    EXPECT_FALSE(r.report.diagnostics.empty());
-  }
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(BoundCache, SurvivesSourcePlanDestruction) {
-  // The structure deep-copies everything it needs at build time: evaluating
-  // through a DIFFERENT plan object after the build plan is destroyed (the
-  // PlanCache-eviction scenario) must still be safe and exact.
-  const auto machine = topo::hydra(4);
-  BoundCache cache;
-  const auto cores = packed_cores(4);
-  {
-    const simmpi::Plan doomed = simmpi::compile_plan("allgather_ring", 4, 64);
-    cache.analyze(machine, {{&doomed.schedule, &doomed.exec,
-                             doomed.repetitions, &cores, 0.0}});
-  }
-  const simmpi::Plan fresh_plan = simmpi::compile_plan("allgather_ring", 4, 64);
-  const std::vector<JobBinding> jobs = {{&fresh_plan.schedule, &fresh_plan.exec,
-                                         fresh_plan.repetitions, &cores, 0.0}};
-  bool reused = false;
-  const Result got = cache.analyze(machine, jobs, &reused);
-  EXPECT_TRUE(reused);
-  EXPECT_EQ(got.bound.lower_bound,
-            fresh_bound(machine, jobs).bound.lower_bound);
+      {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}};
+  bool reused = true;
+  const Result got = BoundCache::analyze(machine, jobs, &reused);
+  EXPECT_FALSE(reused);
+  Options options;
+  options.load_report = false;
+  EXPECT_EQ(compare(got, analyze_jobs(machine, jobs, options), "forwarder"),
+            "");
+  EXPECT_TRUE(got.load.rounds.empty());
 }
 
 TEST(BindingChannelName, NamesFollowLevelAndKind) {

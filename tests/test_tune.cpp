@@ -25,6 +25,7 @@
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/tune/report.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/binding.hpp"
 
 namespace mr::tune {
 namespace {
@@ -348,44 +349,63 @@ TEST(Tune, CollectiveNamesRoundTrip) {
   EXPECT_THROW(parse_collective(""), invalid_argument);
 }
 
-TEST(Tune, BoundCacheDoesNotChangeTheReport) {
-  // use_bound_cache routes stage-2 bounds through the engine's BoundCache
-  // (one payload-invariant structure per binding class, evaluated per
-  // payload point). The cached evaluate IS the uncached analysis bit for
-  // bit, so the canonical report must not change by a byte — bounds, visit
-  // order, prunes, scores, ranking.
+TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
+  // Stage 2 bounds a candidate's points in payload-lane passes, one per
+  // plan structure. Every candidate's lower_bound must still equal the sum
+  // over points, in point order, of that point's own analyze_jobs bound —
+  // bit for bit — and the report must not depend on the thread count.
   const auto machine = topo::hydra(2);
   TuneQuery query;
   query.comm_sizes = {16};
-  query.total_bytes = {256 << 10, 512 << 10, 1 << 20};
+  // 64 B selects alltoall_bruck, the other sizes alltoall_pairwise: two
+  // structure groups per candidate.
+  query.total_bytes = {256 << 10, 64, 512 << 10, 1 << 20};
   query.k = 2;
   query.threads = 1;
+  Engine engine;
+  const TuneReport report = tune(engine, machine, query);
 
-  Engine cached_engine;
-  query.use_bound_cache = true;
-  const TuneReport cached = tune(cached_engine, machine, query);
-  Engine fresh_engine;
-  query.use_bound_cache = false;
-  const TuneReport fresh = tune(fresh_engine, machine, query);
+  verify::binding::Options options;
+  options.load_report = false;
+  for (const TuneCandidate& c : report.candidates) {
+    double want = 0;
+    for (const QueryPoint& point : report.points) {
+      harness::MicrobenchConfig mb;
+      mb.order = c.order;
+      mb.comm_size = point.comm_size;
+      mb.collective = point.collective;
+      mb.total_bytes = point.total_bytes;
+      mb.all_comms = true;
+      mb.repetitions = query.repetitions;
+      const auto jobs = harness::protocol_jobs(engine, machine, mb);
+      std::vector<verify::binding::JobBinding> bindings;
+      for (const auto& job : jobs) {
+        bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                            job.plan->repetitions, &job.core_of_rank,
+                            job.start_time});
+      }
+      const auto result =
+          verify::binding::analyze_jobs(machine, bindings, options);
+      ASSERT_TRUE(result.clean()) << result.to_string();
+      want += result.bound.for_slack(query.completion_slack);
+    }
+    EXPECT_EQ(c.lower_bound, want) << order_to_string(c.order);
+  }
 
-  std::ostringstream cached_json, fresh_json;
-  write_json(cached_json, cached, /*candidates=*/true);
-  write_json(fresh_json, fresh, /*candidates=*/true);
-  EXPECT_EQ(cached_json.str(), fresh_json.str());
+  const auto npoints = static_cast<std::int64_t>(report.points.size());
+  EXPECT_EQ(report.stats.bound_structures_built +
+                report.stats.bound_structure_reuses,
+            report.stats.bounds_computed * npoints);
+  EXPECT_EQ(report.stats.bound_structures_built,
+            2 * report.stats.bounds_computed);
 
-  // Accounting: every (candidate, point) bound is either a build or a
-  // reuse; with the cache off, every one is a build.
-  const auto npoints = static_cast<std::int64_t>(cached.points.size());
-  EXPECT_EQ(cached.stats.bound_structures_built +
-                cached.stats.bound_structure_reuses,
-            cached.stats.bounds_computed * npoints);
-  EXPECT_GT(cached.stats.bound_structure_reuses, 0);
-  EXPECT_EQ(fresh.stats.bound_structure_reuses, 0);
-  EXPECT_EQ(fresh.stats.bound_structures_built,
-            fresh.stats.bounds_computed * npoints);
-  // The engine's cache saw the traffic; the uncached engine's did not.
-  EXPECT_GT(cached_engine.stats().bound_cache.hits, 0);
-  EXPECT_EQ(fresh_engine.stats().bound_cache.hits, 0);
+  Engine threaded_engine;
+  query.threads = 4;
+  std::ostringstream serial_json, threaded_json;
+  write_json(serial_json, report, /*candidates=*/true);
+  write_json(threaded_json, tune(threaded_engine, machine, query),
+             /*candidates=*/true);
+  EXPECT_EQ(serial_json.str(), threaded_json.str());
 }
 
 TEST(Tune, IncrementalReTuneMatchesColdTopK) {
