@@ -18,15 +18,13 @@
 namespace bench {
 
 /// Parse "--max-size=<bytes>" / "--reps=<n>" / "--threads=<n>" /
-/// "--csv=<path>" / "--no-plan-cache" / "--private-engine" flags; the
-/// defaults reproduce the paper's axes but can be shrunk for smoke runs.
-/// Threads defaults to 0 = auto (the MIXRADIX_THREADS environment variable
-/// when set, else hardware_concurrency); "--threads=1" forces the serial
-/// path. "--no-plan-cache" recompiles every (order, size) point instead of
-/// sharing plans through the engine's cache; "--private-engine" routes the
-/// bench through a non-shared mr::Engine (fresh plan cache and workspace
-/// pool). Output is identical for every thread count and for any
-/// combination of cache/engine settings.
+/// "--csv=<path>" / "--no-plan-cache" flags; the defaults reproduce the
+/// paper's axes but can be shrunk for smoke runs. Threads defaults to 0 =
+/// auto (the MIXRADIX_THREADS environment variable when set, else
+/// hardware_concurrency); "--threads=1" forces the serial path.
+/// "--no-plan-cache" recompiles every (order, size) point instead of
+/// sharing plans through the engine's cache. Output is identical for every
+/// thread count, with or without the cache.
 struct Options {
   std::int64_t max_size = 512ll << 20;
   int repetitions = 2;
@@ -36,10 +34,6 @@ struct Options {
   /// SweepConfig::tune_top_k, replacing the bench's fixed order list with
   /// the top-K orders mr::tune finds for the same workload. 0 = off.
   int tune_k = 0;
-  /// "--private-engine": run through a private mr::Engine instead of
-  /// Engine::shared() — CI uses this to assert the engine indirection
-  /// changes no output byte.
-  bool private_engine = false;
   std::string csv_path;
 
   /// Number of workers after resolving 0 = auto.
@@ -66,13 +60,11 @@ struct Options {
         o.tune_k = static_cast<int>(parse_int(arg, arg.substr(7), 1));
       } else if (arg == "--no-plan-cache") {
         o.no_plan_cache = true;
-      } else if (arg == "--private-engine") {
-        o.private_engine = true;
       } else {
         throw std::invalid_argument(
             "unknown flag: " + arg +
             " (known: --max-size=B --reps=N --threads=N --csv=PATH "
-            "--tune=K --no-plan-cache --private-engine)");
+            "--tune=K --no-plan-cache)");
       }
     }
     return o;
@@ -110,16 +102,6 @@ struct Options {
     return parsed;
   }
 };
-
-/// The engine a bench routes its work through: the process-wide
-/// Engine::shared() by default, or one process-lifetime private Engine
-/// under --private-engine (fresh plan cache and workspace pool; the worker
-/// threads are still the process pool's). Byte-identical output either way.
-inline mr::Engine& select_engine(const Options& opts) {
-  if (!opts.private_engine) return mr::Engine::shared();
-  static mr::Engine isolated;
-  return isolated;
-}
 
 /// Engine-counter line in the style of the plan-cache stats line: one run's
 /// executor instrumentation (events, queue/flow high-water marks, route
@@ -165,7 +147,10 @@ inline void print_kernel_counters(std::ostream& os, const std::string& label,
      << stats.hash_collisions << " hash collisions)\n";
 }
 
+/// Print the figure, the plan-cache line of the engine the sweeps ran on,
+/// and the CSV sidecar when --csv is set.
 inline void emit(const std::string& figure, const Options& opts,
+                 mr::Engine& engine,
                  const std::vector<mr::harness::SweepSeries>& single,
                  const std::vector<mr::harness::SweepSeries>& simultaneous,
                  const std::string& title) {
@@ -173,15 +158,11 @@ inline void emit(const std::string& figure, const Options& opts,
   if (opts.no_plan_cache) {
     std::cout << "plan cache: bypassed (--no-plan-cache)\n";
   } else {
-    const auto stats = select_engine(opts).plan_cache().stats();
+    const auto stats = engine.plan_cache().stats();
     std::cout << "plan cache: " << stats.entries << " plans, " << stats.hits
               << " hits / " << stats.misses << " compiles ("
               << static_cast<int>(stats.hit_rate() * 100.0 + 0.5)
-              << "% hit rate)";
-    if (stats.evictions > 0) {
-      std::cout << ", " << stats.evictions << " evictions";
-    }
-    std::cout << "\n";
+              << "% hit rate)\n";
   }
   if (!opts.csv_path.empty()) {
     std::ofstream csv(opts.csv_path);

@@ -146,8 +146,9 @@ int main(int argc, char** argv) {
   mb.collective = mr::simmpi::Collective::Alltoall;
   mb.total_bytes = 8ll << 20;
   mb.use_plan_cache = false;
+  mr::Engine engine;
   const double fig3_point = time_seconds(reps, [&] {
-    mr::harness::run_microbench(fig3_machine, mb);
+    mr::harness::run_microbench(engine, fig3_machine, mb);
   });
   const double sweep_point_ratio =
       fig3_point > 0 ? fig3_preverify / fig3_point : 0.0;

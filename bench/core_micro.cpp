@@ -4,6 +4,7 @@
 // reordering even a large MPI_COMM_WORLD is negligible next to job launch.
 #include <benchmark/benchmark.h>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/core_select.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/mr/metrics.hpp"
@@ -91,9 +92,10 @@ BENCHMARK(BM_SelectCores)->Arg(8)->Arg(64);
 
 void BM_ClassifyOrders(benchmark::State& state) {
   const Hierarchy h{4, 2, 2, 8};
+  Engine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        classify_orders(h, 16, Equivalence::SameSetsAndInternal));
+        classify_orders(engine, h, 16, Equivalence::SameSetsAndInternal));
   }
 }
 BENCHMARK(BM_ClassifyOrders);

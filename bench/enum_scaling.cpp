@@ -51,17 +51,19 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 EnumRun run_enumeration(const MachineCase& mc, const std::vector<mr::Order>& orders,
                         mr::MetricsImpl impl, int threads) {
   EnumRun run;
+  mr::Engine engine;
 
   const auto classify_start = std::chrono::steady_clock::now();
   const auto classes =
-      mr::classify_orders(mc.hierarchy, mc.comm_size,
+      mr::classify_orders(engine, mc.hierarchy, mc.comm_size,
                           mr::Equivalence::SameSetsAndInternal, threads, impl,
                           &run.stats);
   run.classify_seconds = seconds_since(classify_start);
 
   const auto characterize_start = std::chrono::steady_clock::now();
   const auto characters =
-      mr::characterize_orders(mc.hierarchy, orders, mc.comm_size, threads, impl);
+      mr::characterize_orders(engine, mc.hierarchy, orders, mc.comm_size,
+                              threads, impl);
   run.characterize_seconds = seconds_since(characterize_start);
 
   std::ostringstream csv;

@@ -90,7 +90,8 @@ int main() {
   // Each config is an independent simulation: fan them out across the
   // engine's pool and print in input order.
   std::vector<std::string> lines(configs.size());
-  mr::Engine::shared().thread_pool().parallel_for(
+  mr::Engine engine;
+  engine.thread_pool().parallel_for(
       configs.size(), [&](std::size_t c) {
         const auto& config = configs[c];
         std::vector<simmpi::PlanJob> jobs;

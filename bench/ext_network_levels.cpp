@@ -51,12 +51,13 @@ int main(int argc, char** argv) {
   config.threads = opts.threads;
   config.use_plan_cache = !opts.no_plan_cache;
 
+  mr::Engine engine;
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
 
-  bench::emit("ext-network", opts, single, simultaneous,
+  bench::emit("ext-network", opts, engine, single, simultaneous,
               "Extension — network levels in the hierarchy: 4 switches x 4 "
               "Hydra nodes (1:2 oversubscribed), MPI_Alltoall, 16 procs/comm");
   std::cout

@@ -27,12 +27,13 @@ int main(int argc, char** argv) {
   // for this exact workload (funnel survivors only; see mr::tune).
   config.tune_top_k = opts.tune_k;
 
+  mr::Engine engine;
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
 
-  bench::emit("fig4", opts, single, simultaneous,
+  bench::emit("fig4", opts, engine, single, simultaneous,
               "Fig. 4 — 16 Hydra nodes, 512 procs, MPI_Alltoall, "
               "128 procs/comm (1 vs 4 simultaneous)");
   return 0;

@@ -28,12 +28,13 @@ int main(int argc, char** argv) {
   // for this exact workload (funnel survivors only; see mr::tune).
   config.tune_top_k = opts.tune_k;
 
+  mr::Engine engine;
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
 
-  bench::emit("fig7", opts, single, simultaneous,
+  bench::emit("fig7", opts, engine, single, simultaneous,
               "Fig. 7 — 16 LUMI nodes, 2048 procs, MPI_Allgather, "
               "256 procs/comm (1 vs 8 simultaneous)");
   return 0;

@@ -57,12 +57,13 @@ int main(int argc, char** argv) {
   config.threads = opts.threads;
   config.use_plan_cache = !opts.no_plan_cache;
 
+  mr::Engine engine;
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
 
-  bench::emit("fig_depth8", opts, single, simultaneous,
+  bench::emit("fig_depth8", opts, engine, single, simultaneous,
               "Depth-8 tree, 256 procs, MPI_Alltoall, 16 procs/comm — "
               "top-" + std::to_string(config.tune_top_k) +
               " funnel survivors of 40320 orders (1 vs 16 simultaneous)");

@@ -62,13 +62,12 @@ int main(int argc, char** argv) {
   // Pass 1 — determinism + hit rate on the full Fig-3 sweep (both
   // scenarios). Bypass first so its private compiles cannot warm the
   // engine's cache.
-  mr::Engine& engine = bench::select_engine(opts);
+  mr::Engine engine;
   auto& cache = engine.plan_cache();
   config.use_plan_cache = false;
   const auto full_bypass_start = std::chrono::steady_clock::now();
   const std::string bypass_csv = sweep_csv(engine, machine, config);
   const double full_bypass_seconds = seconds_since(full_bypass_start);
-  cache.clear();  // measure this sweep's hit rate, not process history
   config.use_plan_cache = true;
   const auto full_cached_start = std::chrono::steady_clock::now();
   const std::string cached_csv = sweep_csv(engine, machine, config);

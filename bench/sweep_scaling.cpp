@@ -18,12 +18,12 @@
 
 namespace {
 
-std::string sweep_csv(const mr::topo::Machine& machine,
+std::string sweep_csv(mr::Engine& engine, const mr::topo::Machine& machine,
                       mr::harness::SweepConfig config) {
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
   std::ostringstream csv;
   mr::harness::write_figure_csv(csv, "sweep_scaling", single, simultaneous);
   return csv.str();
@@ -40,13 +40,14 @@ int main(int argc, char** argv) {
   auto opts = bench::Options::parse(argc, argv);
   if (opts.max_size == 512ll << 20) opts.max_size = 8ll << 20;  // bench default
   const auto machine = mr::topo::hydra(16);
+  mr::Engine engine;
 
   // The screening step a real enumeration starts with: classify the order
   // space once so the kernel counters sit next to the sweep timings
   // (bench/enum_scaling measures this phase in isolation and at depth 7/8).
   mr::ClassifyStats classify_stats;
   const auto classify_start = std::chrono::steady_clock::now();
-  (void)mr::classify_orders(machine.hierarchy(), 16,
+  (void)mr::classify_orders(engine, machine.hierarchy(), 16,
                             mr::Equivalence::SameSetsAndInternal, 0,
                             mr::MetricsImpl::Fast, &classify_stats);
   bench::print_kernel_counters(std::cout, "hydra16-classify", classify_stats,
@@ -78,13 +79,13 @@ int main(int argc, char** argv) {
 
   config.threads = 1;
   const auto serial_start = std::chrono::steady_clock::now();
-  const std::string serial_csv = sweep_csv(machine, config);
+  const std::string serial_csv = sweep_csv(engine, machine, config);
   const double serial_seconds = seconds_since(serial_start);
   std::cout << "  serial:   " << serial_seconds << " s\n";
 
   config.threads = threads;
   const auto parallel_start = std::chrono::steady_clock::now();
-  const std::string parallel_csv = sweep_csv(machine, config);
+  const std::string parallel_csv = sweep_csv(engine, machine, config);
   const double parallel_seconds = seconds_since(parallel_start);
   std::cout << "  parallel: " << parallel_seconds << " s\n";
 

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <string>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/mr/metrics.hpp"
@@ -40,6 +41,7 @@ void print_layout(const Hierarchy& h, const std::vector<std::int64_t>& new_rank,
 
 int main() {
   const Hierarchy h{2, 2, 4};
+  Engine engine;
 
   std::cout << "== Table 1 — orders applied to rank 10 on " << h.to_string()
             << " ==\n";
@@ -67,10 +69,10 @@ int main() {
   print_layout(h, reorder_all_ranks(h, {2, 1, 0}), 4);
 
   std::cout << "\n== Fig. 2 — all orders, subcommunicators of 4 (cN = comm id) ==\n";
-  // Characterize all h! orders in one batch chunked across the shared
+  // Characterize all h! orders in one batch chunked across the engine's
   // thread pool (output below stays in lexicographic order regardless).
   const auto orders = all_orders_lexicographic(h.depth());
-  const auto characters = characterize_orders(h, orders, 4);
+  const auto characters = characterize_orders(engine, h, orders, 4);
   for (std::size_t i = 0; i < orders.size(); ++i) {
     const auto dist = slurm::equivalent_distribution(h, orders[i]);
     std::cout << "order " << characters[i].to_string() << "  --distribution="
@@ -79,7 +81,8 @@ int main() {
   }
 
   std::cout << "\n== §3.3 — order equivalence classes (SameSetsOnly) ==\n";
-  for (const auto& cls : classify_orders(h, 4, Equivalence::SameSetsOnly)) {
+  for (const auto& cls :
+       classify_orders(engine, h, 4, Equivalence::SameSetsOnly)) {
     std::cout << "  class of " << cls.representative.to_string() << ": "
               << cls.members.size() << " order(s)\n";
   }

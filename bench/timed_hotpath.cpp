@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   auto opts = bench::Options::parse(argc, argv);
   if (opts.max_size == 512ll << 20) opts.max_size = 8ll << 20;  // bench default
   const auto machine = mr::topo::hydra(16);
-  mr::Engine& engine = bench::select_engine(opts);
+  mr::Engine engine;
 
   mr::harness::SweepConfig config;
   config.orders = {

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << " (tune_scaling also accepts --quick)\n";
     return 2;
   }
-  mr::Engine& engine = bench::select_engine(opts);
+  mr::Engine engine;
 
   // ---- Part A: funnel top-1 == exhaustive argmin, presets x paper sizes --
   struct Preset {

@@ -119,13 +119,14 @@ int main(int argc, char** argv) {
     volatile bool clean = mr::verify::analyze(fig3).clean();
     (void)clean;
   });
+  mr::Engine engine;
   mb.use_plan_cache = false;
   const double fig3_point = min_seconds(fig3_reps, [&] {
-    mr::harness::run_microbench(machine, mb);
+    mr::harness::run_microbench(engine, machine, mb);
   });
   mb.use_plan_cache = true;
   const double fig3_point_cached = min_seconds(fig3_reps, [&] {
-    mr::harness::run_microbench(machine, mb);
+    mr::harness::run_microbench(engine, machine, mb);
   });
   const double fig3_pipeline_ratio = fig3_analyze / fig3_point;
   std::cout << "  fig3 point (alltoall p=16, 8 MiB): analyze "

@@ -13,6 +13,7 @@
 #include <iostream>
 #include <string>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/util/strings.hpp"
 
@@ -37,9 +38,11 @@ int main(int argc, char** argv) {
   // (one signature per class, not per order) instead of re-classifying the
   // whole order space twice more. Output is identical to three
   // classify_orders calls — enforced by the equivalence test suite.
+  Engine engine;
   ClassifyStats stats;
-  const auto exact =
-      classify_orders(h, comm_size, Equivalence::ExactPlacement, 0, impl, &stats);
+  const auto exact = classify_orders(engine, h, comm_size,
+                                     Equivalence::ExactPlacement, 0, impl,
+                                     &stats);
   const auto internal =
       coarsen_classes(h, comm_size, exact, Equivalence::SameSetsAndInternal);
   const auto sets =

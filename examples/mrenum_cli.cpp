@@ -5,17 +5,22 @@
 //   $ ./mrenum rankfile --hierarchy 16:2:2:8 --order 1-3-2-0
 //   $ ./mrenum map_cpu --hierarchy 2:4:2:8 --order 2-1-0-3 --nprocs 16
 //   $ ./mrenum orders --hierarchy 2:2:4 --comm-size 4
-#include <cstring>
+//
+// Unknown flags and malformed values exit with status 2 and a message
+// naming the offending input.
 #include <iostream>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "cli_common.hpp"
 #include "mixradix/mr/core_select.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/mr/reorder.hpp"
 #include "mixradix/slurm/distribution.hpp"
-#include "mixradix/util/expect.hpp"
+#include "mixradix/util/strings.hpp"
 
 namespace {
 
@@ -42,18 +47,15 @@ int usage() {
 
 /// Parse "i/n" (e.g. "1/4") into {index, count}; throws on malformed specs.
 std::pair<long long, long long> parse_shard(const std::string& value) {
-  const auto slash = value.find('/');
-  long long index = -1, count = -1;
-  try {
-    if (slash != std::string::npos) {
-      index = std::stoll(value.substr(0, slash));
-      count = std::stoll(value.substr(slash + 1));
-    }
-  } catch (const std::exception&) {
+  const std::vector<std::string> parts = mr::util::split(value, '/');
+  if (parts.size() != 2) {
+    throw cli::InputError("--shard must be i/n, got '" + value + "'");
   }
+  const auto index = cli::number<long long>("--shard", parts[0]);
+  const auto count = cli::number<long long>("--shard", parts[1]);
   if (index < 0 || count < 1 || index >= count) {
-    throw mr::invalid_argument("--shard must be i/n with 0 <= i < n, got '" +
-                               value + "'");
+    throw cli::InputError("--shard must be i/n with 0 <= i < n, got '" +
+                          value + "'");
   }
   return {index, count};
 }
@@ -61,46 +63,48 @@ std::pair<long long, long long> parse_shard(const std::string& value) {
 mr::MetricsImpl parse_metrics_impl(const std::string& value) {
   if (value == "fast") return mr::MetricsImpl::Fast;
   if (value == "reference") return mr::MetricsImpl::Reference;
-  throw mr::invalid_argument("--metrics must be 'fast' or 'reference', got '" +
-                             value + "'");
+  throw cli::InputError("--metrics must be 'fast' or 'reference', got '" +
+                        value + "'");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mr;
+  using cli::number;
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"rank", {"hierarchy", "order", "rank"}},
+      {"rankfile", {"hierarchy", "order"}},
+      {"map_cpu", {"hierarchy", "order", "nprocs"}},
+      {"orders", {"hierarchy", "comm-size", "metrics", "shard"}},
+  };
   if (argc < 2) return usage();
   const std::string command = argv[1];
 
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  const auto flag = [&](const char* name, const char* fallback) {
-    const auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-
   try {
-    const Hierarchy h = Hierarchy::parse(flag("hierarchy", "2:2:4"));
+    const auto known = kFlags.find(command);
+    if (known == kFlags.end()) {
+      throw cli::InputError("unknown command " + command);
+    }
+    const cli::Flags flags(argc, argv, 2, known->second);
+    const Hierarchy h = Hierarchy::parse(flags.get("hierarchy", "2:2:4"));
     if (command == "rank") {
-      const Order order = parse_order(flag("order", "0-1-2"));
-      const std::int64_t rank = std::stoll(flag("rank", "0"));
+      const Order order = parse_order(flags.get("order", "0-1-2"));
+      const auto rank = number<std::int64_t>("--rank", flags.get("rank", "0"));
       std::cout << reorder_rank(h, rank, order) << "\n";
     } else if (command == "rankfile") {
-      const Order order = parse_order(flag("order", "0-1-2"));
+      const Order order = parse_order(flags.get("order", "0-1-2"));
       std::cout << ReorderPlan(h, order).rankfile();
     } else if (command == "map_cpu") {
-      const Order order = parse_order(flag("order", "0-1-2"));
-      const std::int64_t n = std::stoll(flag("nprocs", "1"));
+      const Order order = parse_order(flags.get("order", "0-1-2"));
+      const auto n = number<std::int64_t>("--nprocs", flags.get("nprocs", "1"));
       std::cout << "--cpu-bind=" << map_cpu_string(select_cores(h, order, n))
                 << "\n";
-    } else if (command == "orders") {
-      const std::int64_t comm_size =
-          std::stoll(flag("comm-size", std::to_string(h.total()).c_str()));
-      const MetricsImpl impl = parse_metrics_impl(flag("metrics", "fast"));
-      const auto [shard, nshards] = parse_shard(flag("shard", "0/1"));
+    } else {  // orders
+      const auto comm_size = number<std::int64_t>(
+          "--comm-size", flags.get("comm-size", std::to_string(h.total())));
+      const MetricsImpl impl = parse_metrics_impl(flags.get("metrics", "fast"));
+      const auto [shard, nshards] = parse_shard(flags.get("shard", "0/1"));
       // Unrank each of this shard's lexicographic positions directly — a
       // shard never materialises (or even iterates) the other n-1 shards,
       // so n workers splitting an h! enumeration each do 1/n of the work.
@@ -111,9 +115,10 @@ int main(int argc, char** argv) {
         std::cout << ch.to_string() << "  distribution="
                   << (dist ? dist->to_string() : "-") << "\n";
       }
-    } else {
-      return usage();
     }
+  } catch (const cli::InputError& e) {
+    std::cerr << "mrenum_cli: " << e.what() << "\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <vector>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/simmpi/world.hpp"
 #include "mixradix/topo/presets.hpp"
@@ -23,12 +24,13 @@ int main(int argc, char** argv) {
   const std::int64_t total_bytes = (argc > 2 ? std::stoll(argv[2]) : 1024) * 1024;
 
   const auto machine = topo::hydra(8);
-  const simmpi::World world(machine);
+  Engine engine;
+  const simmpi::World world(engine, machine);
   std::cout << machine.describe() << "\n";
 
   // Deduplicate the 4! = 24 orders: orders mapping communicators to the
   // same core sets with the same internal rank order are indistinguishable.
-  const auto orders = distinct_orders(machine.hierarchy(), comm_size,
+  const auto orders = distinct_orders(engine, machine.hierarchy(), comm_size,
                                       Equivalence::SameSetsAndInternal);
   std::cout << orders.size() << " performance-distinct orders (of "
             << factorial(machine.hierarchy().depth()) << ")\n\n";

@@ -11,15 +11,17 @@
 //   $ ./verify_cli bind --all 1 --report congestion_report.txt
 //
 // Exit status is 0 iff every analyzed schedule is clean (no Error-level
-// diagnostics), so the tool slots directly into CI.
-#include <cstring>
+// diagnostics), so the tool slots directly into CI; 1 when the analysis
+// found a defect or failed, 2 on bad input (unknown flags, missing values,
+// malformed numbers or machine specs), with a message naming the input.
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "cli_common.hpp"
 #include "mixradix/simmpi/plan.hpp"
 #include "mixradix/simmpi/registry.hpp"
 #include "mixradix/topo/presets.hpp"
@@ -52,26 +54,6 @@ int usage() {
   return 2;
 }
 
-mr::topo::Machine parse_machine(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ':')) parts.push_back(item);
-  MR_EXPECT(!parts.empty(), "empty machine spec");
-  const auto arg = [&](std::size_t i, int fallback) {
-    return i < parts.size() ? std::stoi(parts[i]) : fallback;
-  };
-  if (parts[0] == "testbox") return mr::topo::testbox();
-  if (parts[0] == "hydra") return mr::topo::hydra(arg(1, 4), arg(2, 1));
-  if (parts[0] == "hydra_node") return mr::topo::hydra_node(arg(1, 1));
-  if (parts[0] == "lumi") return mr::topo::lumi(arg(1, 2));
-  if (parts[0] == "lumi_node") return mr::topo::lumi_node();
-  if (parts[0] == "generic") {
-    return mr::topo::generic(arg(1, 2), arg(2, 2), arg(3, 8));
-  }
-  throw mr::invalid_argument("unknown machine spec: " + spec);
-}
-
 std::vector<mr::topo::Machine> preset_sweep() {
   return {mr::topo::testbox(), mr::topo::hydra(4), mr::topo::hydra(4, 2),
           mr::topo::lumi(2)};
@@ -83,15 +65,6 @@ std::vector<std::int64_t> make_mapping(const std::string& kind,
   std::vector<std::int64_t> out(static_cast<std::size_t>(p));
   const std::int64_t stride = kind == "spread" ? cores / p : 1;
   for (std::int32_t r = 0; r < p; ++r) out[static_cast<std::size_t>(r)] = r * stride;
-  return out;
-}
-
-std::vector<std::int64_t> parse_list(const std::string& spec) {
-  std::vector<std::int64_t> out;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
-  MR_EXPECT(!out.empty(), "empty list: " + spec);
   return out;
 }
 
@@ -108,31 +81,38 @@ void print_report(const mr::verify::Report& report, bool verbose) {
 
 int main(int argc, char** argv) {
   using namespace mr::verify;
+  using cli::number;
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"list", {}},
+      {"check", {"algo", "p", "count", "root", "verbose"}},
+      {"matrix", {"ranks", "counts"}},
+      {"topo", {"machine", "all"}},
+      {"bind",
+       {"machine", "algo", "p", "count", "root", "reps", "mapping", "top",
+        "all", "report"}},
+  };
   if (argc < 2) return usage();
   const std::string command = argv[1];
 
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  const auto flag = [&](const char* name, const char* fallback) {
-    const auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-
   try {
+    const auto known = kFlags.find(command);
+    if (known == kFlags.end()) {
+      throw cli::InputError("unknown command " + command);
+    }
+    const cli::Flags flags(argc, argv, 2, known->second);
     if (command == "list") {
       for (const std::string& name : algorithm_names()) {
         std::cout << name << "\n";
       }
     } else if (command == "check") {
-      const std::string algo = flag("algo", "");
-      if (algo.empty()) return usage();
-      const auto p = static_cast<std::int32_t>(std::stol(flag("p", "8")));
-      const std::int64_t count = std::stoll(flag("count", "1000"));
-      const auto root = static_cast<std::int32_t>(std::stol(flag("root", "0")));
-      const bool verbose = flag("verbose", "0") != "0";
+      const std::string algo = flags.get("algo", "");
+      if (algo.empty()) throw cli::InputError("--algo is required");
+      const auto p = number<std::int32_t>("--p", flags.get("p", "8"));
+      const auto count =
+          number<std::int64_t>("--count", flags.get("count", "1000"));
+      const auto root = number<std::int32_t>("--root", flags.get("root", "0"));
+      const bool verbose =
+          number<int>("--verbose", flags.get("verbose", "0")) != 0;
       const auto schedule = make_named(algo, p, count, root);
       Options options;
       options.report_inputs = verbose;
@@ -141,11 +121,10 @@ int main(int argc, char** argv) {
       print_report(report, verbose);
       return report.clean() ? 0 : 1;
     } else if (command == "matrix") {
-      std::vector<std::int32_t> ranks;
-      for (const std::int64_t p : parse_list(flag("ranks", "2,3,4,8"))) {
-        ranks.push_back(static_cast<std::int32_t>(p));
-      }
-      const std::vector<std::int64_t> counts = parse_list(flag("counts", "1,1000"));
+      const auto ranks = cli::number_list<std::int32_t>(
+          "--ranks", flags.get("ranks", "2,3,4,8"));
+      const auto counts = cli::number_list<std::int64_t>(
+          "--counts", flags.get("counts", "1,1000"));
       std::size_t failed = 0;
       const auto points = generator_matrix(ranks, counts);
       for (const MatrixPoint& point : points) {
@@ -161,28 +140,36 @@ int main(int argc, char** argv) {
       return failed == 0 ? 0 : 1;
     } else if (command == "topo") {
       std::vector<mr::topo::Machine> machines;
-      if (flag("all", "0") != "0") {
+      if (number<int>("--all", flags.get("all", "0")) != 0) {
         machines = preset_sweep();
       } else {
-        machines.push_back(parse_machine(flag("machine", "testbox")));
+        machines.push_back(
+            cli::parse_machine(flags.get("machine", "testbox")));
       }
       std::size_t failed = 0;
       for (const auto& m : machines) {
         const TopoReport report = analyze(m);
-        std::cout << report.to_string();
+        for (const auto& d : report.diagnostics) {
+          std::cout << d.to_string() << "\n";
+        }
+        std::cout << report.machine << ": " << report.summary() << "\n";
         if (!report.clean()) ++failed;
       }
       std::cout << machines.size() - failed << "/" << machines.size()
                 << " machines verified clean\n";
       return failed == 0 ? 0 : 1;
     } else if (command == "bind") {
-      const std::int64_t count = std::stoll(flag("count", "4096"));
-      const auto root = static_cast<std::int32_t>(std::stol(flag("root", "0")));
-      const int reps = std::stoi(flag("reps", "1"));
-      const std::string mapping = flag("mapping", "packed");
+      const auto count =
+          number<std::int64_t>("--count", flags.get("count", "4096"));
+      const auto root = number<std::int32_t>("--root", flags.get("root", "0"));
+      const int reps = number<int>("--reps", flags.get("reps", "1"));
+      const std::string mapping = flags.get("mapping", "packed");
+      if (mapping != "packed" && mapping != "spread") {
+        throw cli::InputError("--mapping must be 'packed' or 'spread'");
+      }
       binding::Options options;
-      options.top_k = std::stoi(flag("top", "8"));
-      const std::string report_path = flag("report", "");
+      options.top_k = number<int>("--top", flags.get("top", "8"));
+      const std::string report_path = flags.get("report", "");
       std::ofstream report_file;
       if (!report_path.empty()) {
         report_file.open(report_path);
@@ -207,8 +194,8 @@ int main(int argc, char** argv) {
       };
       std::size_t failed = 0;
       std::size_t analyzed = 0;
-      if (flag("all", "0") != "0") {
-        const auto p = static_cast<std::int32_t>(std::stol(flag("p", "8")));
+      if (number<int>("--all", flags.get("all", "0")) != 0) {
+        const auto p = number<std::int32_t>("--p", flags.get("p", "8"));
         for (const auto& m : preset_sweep()) {
           for (const auto& info : mr::simmpi::algorithm_registry()) {
             if (!info.supported(p)) continue;
@@ -217,11 +204,11 @@ int main(int argc, char** argv) {
           }
         }
       } else {
-        const std::string algo = flag("algo", "");
-        if (algo.empty()) return usage();
-        const auto m = parse_machine(flag("machine", "testbox"));
-        const auto p = static_cast<std::int32_t>(
-            std::stol(flag("p", std::to_string(m.cores()).c_str())));
+        const std::string algo = flags.get("algo", "");
+        if (algo.empty()) throw cli::InputError("--algo is required");
+        const auto m = cli::parse_machine(flags.get("machine", "testbox"));
+        const auto p = number<std::int32_t>(
+            "--p", flags.get("p", std::to_string(m.cores())));
         ++analyzed;
         const auto plan = mr::simmpi::compile_plan(algo, p, count, root, reps);
         const auto cores = make_mapping(mapping, p, m.cores());
@@ -233,9 +220,10 @@ int main(int argc, char** argv) {
       std::cout << analyzed - failed << "/" << analyzed
                 << " bindings verified clean\n";
       return failed == 0 ? 0 : 1;
-    } else {
-      return usage();
     }
+  } catch (const cli::InputError& e) {
+    std::cerr << "verify_cli: " << e.what() << "\n";
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

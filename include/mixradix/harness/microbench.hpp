@@ -59,12 +59,8 @@ struct MicrobenchResult {
 };
 
 /// Run one protocol instance on `machine` (one process per core), resolving
-/// plans and workspaces through `engine` and rolling the run's counters
-/// into Engine::Stats.
+/// plans and workspaces through `engine`.
 MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
-                                const MicrobenchConfig& config);
-/// Backward-compat shim: run_microbench through Engine::shared().
-MicrobenchResult run_microbench(const topo::Machine& machine,
                                 const MicrobenchConfig& config);
 
 /// Steps 1-2 of the protocol without running anything: the compiled plan
@@ -75,9 +71,6 @@ MicrobenchResult run_microbench(const topo::Machine& machine,
 /// simulation of the survivors.
 std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
                                            const topo::Machine& machine,
-                                           const MicrobenchConfig& config);
-/// Backward-compat shim: protocol_jobs through Engine::shared().
-std::vector<simmpi::PlanJob> protocol_jobs(const topo::Machine& machine,
                                            const MicrobenchConfig& config);
 
 /// One figure series: an order swept over message sizes.
@@ -121,12 +114,9 @@ struct SweepConfig {
 
 /// Run the sweep through `engine`: plans from its cache, point workspaces
 /// leased from its pool, points fanned over its thread pool. Output is
-/// byte-identical for every engine (shared or private) and thread count.
+/// byte-identical for every engine and thread count.
 std::vector<SweepSeries> run_sweep(Engine& engine,
                                    const topo::Machine& machine,
-                                   const SweepConfig& config);
-/// Backward-compat shim: run_sweep through Engine::shared().
-std::vector<SweepSeries> run_sweep(const topo::Machine& machine,
                                    const SweepConfig& config);
 
 /// The six x-tick sizes of the paper's figures: 16 KB ... 512 MB.

@@ -60,7 +60,7 @@ struct ClassifyStats {
 /// `threads`: 0 = util::ThreadPool::default_threads(), 1 = serial
 /// in-thread (the pool is never touched), N = at most N concurrent
 /// workers. The classification is identical for every thread count and
-/// every engine, and the run's counters are rolled into Engine::Stats.
+/// every engine.
 ///
 /// `impl` selects the grouping machinery (byte-identical results either
 /// way): MetricsImpl::Fast groups by a 128-bit signature hash computed
@@ -73,19 +73,10 @@ std::vector<OrderClass> classify_orders(Engine& engine, const Hierarchy& h,
                                         Equivalence granularity, int threads = 0,
                                         MetricsImpl impl = MetricsImpl::Fast,
                                         ClassifyStats* stats = nullptr);
-/// Backward-compat shim: classify_orders through Engine::shared().
-std::vector<OrderClass> classify_orders(const Hierarchy& h, std::int64_t comm_size,
-                                        Equivalence granularity, int threads = 0,
-                                        MetricsImpl impl = MetricsImpl::Fast,
-                                        ClassifyStats* stats = nullptr);
 
 /// Representatives only — the reduced set of orders worth benchmarking.
 std::vector<Order> distinct_orders(Engine& engine, const Hierarchy& h,
                                    std::int64_t comm_size,
-                                   Equivalence granularity, int threads = 0,
-                                   MetricsImpl impl = MetricsImpl::Fast);
-/// Backward-compat shim: distinct_orders through Engine::shared().
-std::vector<Order> distinct_orders(const Hierarchy& h, std::int64_t comm_size,
                                    Equivalence granularity, int threads = 0,
                                    MetricsImpl impl = MetricsImpl::Fast);
 

@@ -127,12 +127,6 @@ std::vector<OrderCharacter> characterize_orders(Engine& engine,
                                                 std::int64_t comm_size,
                                                 int threads = 0,
                                                 MetricsImpl impl = MetricsImpl::Fast);
-/// Backward-compat shim: characterize_orders through Engine::shared().
-std::vector<OrderCharacter> characterize_orders(const Hierarchy& h,
-                                                const std::vector<Order>& orders,
-                                                std::int64_t comm_size,
-                                                int threads = 0,
-                                                MetricsImpl impl = MetricsImpl::Fast);
 
 /// Scalar "spreadness" in [0, 1]: expected fraction of levels crossed per
 /// pair (0 = fully packed, 1 = every pair crosses every level). Handy for

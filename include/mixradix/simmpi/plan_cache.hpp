@@ -8,21 +8,15 @@
 // same key block on one compilation (promise/future under the map lock);
 // no key is ever compiled twice.
 //
-// The shared() singleton is what the harness and World use; constructing a
-// private PlanCache (tests, isolation) works too. Bypassing the cache
+// Each mr::Engine owns one; the harness, the tuner and World resolve plans
+// through their engine's cache. The cache is unbounded: a benchmark query
+// holds a handful of keys (one per message size). Bypassing the cache
 // (SweepConfig::use_plan_cache = false, bench --no-plan-cache) compiles
 // per point and must produce byte-identical sweep output.
-// An optional bounded mode (capacity > 0, or set_capacity()) turns the
-// cache into an LRU: when a miss would grow it past `capacity` entries,
-// the least-recently-requested entries are dropped (Stats::evictions).
-// Eviction only forgets — an evicted plan still in use stays alive through
-// its shared_ptr, and re-requesting its key simply recompiles. The default
-// capacity 0 keeps the original unbounded behaviour.
 #pragma once
 
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,7 +45,6 @@ class PlanCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;  ///< == number of compilations started.
-    std::uint64_t evictions = 0;  ///< entries dropped by the LRU bound.
     std::size_t entries = 0;
     double hit_rate() const {
       const std::uint64_t total = hits + misses;
@@ -59,10 +52,6 @@ class PlanCache {
                                     static_cast<double>(total);
     }
   };
-
-  /// Unbounded by default; `capacity > 0` bounds the cache to that many
-  /// entries with LRU eviction (see the header comment).
-  explicit PlanCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   /// The plan for `key`, compiling it on first request. Concurrent callers
   /// of the same key share one compilation. A compilation failure (unknown
@@ -73,34 +62,13 @@ class PlanCache {
   /// Drop every entry and reset the counters.
   void clear();
 
-  /// Change the LRU bound; 0 = unbounded. Shrinking below the current
-  /// entry count evicts the excess immediately (oldest first).
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
-  /// Process-wide cache used by the harness and World.
-  static PlanCache& shared();
-
  private:
-  struct Entry {
-    std::shared_future<std::shared_ptr<const Plan>> plan;
-    /// This key's position in lru_ (most recent at the front).
-    std::list<PlanKey>::iterator recency;
-  };
-
-  /// Precondition: mutex_ held. Drop least-recent entries until the bound
-  /// holds. In-flight compilations may be evicted too — their requesters
-  /// hold the shared_future, so the result (or exception) still reaches
-  /// every one of them; the cache merely forgets the key.
-  void enforce_capacity_locked();
-
   mutable std::mutex mutex_;
-  std::size_t capacity_ = 0;
-  std::unordered_map<PlanKey, Entry, PlanKeyHash> map_;
-  std::list<PlanKey> lru_;  ///< keys, most recently requested first.
+  std::unordered_map<PlanKey, std::shared_future<std::shared_ptr<const Plan>>,
+                     PlanKeyHash>
+      map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mr::simmpi

@@ -82,8 +82,6 @@ class World {
   /// A World whose collectives resolve plans through `engine`, which must
   /// outlive the World and every Communicator split from it.
   World(Engine& engine, topo::Machine machine);
-  /// Backward-compat shim: a World on Engine::shared().
-  explicit World(topo::Machine machine);
 
   std::int32_t size() const;
   const topo::Machine& machine() const noexcept { return *machine_; }

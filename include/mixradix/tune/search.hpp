@@ -190,7 +190,7 @@ struct TuneReport {
 
 /// Run the funnel through `engine`: plans from its cache, survivor
 /// simulations on workspaces leased from its pool, stages fanned over its
-/// thread pool, and the funnel's totals rolled into Engine::Stats. Throws
+/// thread pool. Throws
 /// mr::invalid_argument on malformed queries (empty point lists, comm sizes
 /// not dividing the core count, bad shard spec).
 ///
@@ -204,11 +204,7 @@ struct TuneReport {
 /// admissible cut — only the simulated-candidate count shrinks. An
 /// incompatible or null `previous` degenerates to a cold run byte for byte.
 TuneReport tune(Engine& engine, const topo::Machine& machine,
-                const TuneQuery& query, const TuneReport* previous);
-TuneReport tune(Engine& engine, const topo::Machine& machine,
-                const TuneQuery& query);
-/// Backward-compat shim: tune through Engine::shared().
-TuneReport tune(const topo::Machine& machine, const TuneQuery& query);
+                const TuneQuery& query, const TuneReport* previous = nullptr);
 
 /// Collective <-> name, for CLIs and reports: "alltoall", "allgather",
 /// "allreduce", "bcast", "reduce", "reduce_scatter", "gather", "scatter",

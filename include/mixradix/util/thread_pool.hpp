@@ -1,4 +1,5 @@
-// A small work-stealing thread pool shared by the evaluation layer.
+// A small work-stealing thread pool. The evaluation layers share one
+// process pool, reached through mr::Engine::thread_pool().
 //
 // The paper's workflow — characterize all h! orders, then simulate every
 // (order, message size) point of a figure sweep — is embarrassingly
@@ -65,9 +66,6 @@ class ThreadPool {
   void parallel_for_slots(
       std::size_t n, const std::function<void(unsigned, std::size_t)>& body,
       unsigned max_workers = 0);
-
-  /// The process-wide pool, lazily created with default_threads() workers.
-  static ThreadPool& shared();
 
   /// Thread count used when the caller does not pin one: the
   /// MIXRADIX_THREADS environment variable when set to a positive integer,

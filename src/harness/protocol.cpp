@@ -87,7 +87,6 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
     exec.workspace = lease.get();
   }
   const simmpi::TimedResult timed = simmpi::run_timed(machine, jobs, exec);
-  engine.record_run(timed);
 
   std::vector<double> bandwidths;
   bandwidths.reserve(jobs.size());
@@ -115,18 +114,6 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
   result.bw_p90 = decile(0.9);
   result.algorithm = jobs.front().plan->algorithm;
   return result;
-}
-
-// Backward-compat shims: the original singleton-era signatures, routed
-// through the process-wide engine (same cache, same pool, same output).
-std::vector<simmpi::PlanJob> protocol_jobs(const topo::Machine& machine,
-                                           const MicrobenchConfig& config) {
-  return protocol_jobs(Engine::shared(), machine, config);
-}
-
-MicrobenchResult run_microbench(const topo::Machine& machine,
-                                const MicrobenchConfig& config) {
-  return run_microbench(Engine::shared(), machine, config);
 }
 
 }  // namespace mr::harness

@@ -121,9 +121,4 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
   return out;
 }
 
-std::vector<SweepSeries> run_sweep(const topo::Machine& machine,
-                                   const SweepConfig& config) {
-  return run_sweep(Engine::shared(), machine, config);
-}
-
 }  // namespace mr::harness

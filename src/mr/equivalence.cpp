@@ -410,16 +410,8 @@ std::vector<OrderClass> classify_orders(Engine& engine, const Hierarchy& h,
           ? classify_hashed(engine, h, comm_size, granularity, workers, &local)
           : classify_reference(engine, h, comm_size, granularity, workers,
                                &local);
-  engine.record_classify(local);
   if (stats != nullptr) *stats = local;
   return classes;
-}
-
-std::vector<OrderClass> classify_orders(const Hierarchy& h, std::int64_t comm_size,
-                                        Equivalence granularity, int threads,
-                                        MetricsImpl impl, ClassifyStats* stats) {
-  return classify_orders(Engine::shared(), h, comm_size, granularity, threads,
-                         impl, stats);
 }
 
 std::vector<OrderClass> coarsen_classes(const Hierarchy& h,
@@ -466,13 +458,6 @@ std::vector<Order> distinct_orders(Engine& engine, const Hierarchy& h,
     out.push_back(cls.members.front());
   }
   return out;
-}
-
-std::vector<Order> distinct_orders(const Hierarchy& h, std::int64_t comm_size,
-                                   Equivalence granularity, int threads,
-                                   MetricsImpl impl) {
-  return distinct_orders(Engine::shared(), h, comm_size, granularity, threads,
-                         impl);
 }
 
 }  // namespace mr

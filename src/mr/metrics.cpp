@@ -246,14 +246,6 @@ std::vector<OrderCharacter> characterize_orders(Engine& engine,
   return out;
 }
 
-std::vector<OrderCharacter> characterize_orders(const Hierarchy& h,
-                                                const std::vector<Order>& orders,
-                                                std::int64_t comm_size,
-                                                int threads, MetricsImpl impl) {
-  return characterize_orders(Engine::shared(), h, orders, comm_size, threads,
-                             impl);
-}
-
 double spreadness(const Hierarchy& h, const std::vector<Coords>& members) {
   const auto pct = pair_percentages(h, members);
   // pct is lowest-first; a pair at lowest level crosses 0 extra levels,

@@ -30,15 +30,11 @@ std::shared_ptr<const Plan> PlanCache::get(const PlanKey& key) {
     const auto it = map_.find(key);
     if (it != map_.end()) {
       ++hits_;
-      future = it->second.plan;
-      // Touch: move to the recency front.
-      lru_.splice(lru_.begin(), lru_, it->second.recency);
+      future = it->second;
     } else {
       ++misses_;
       future = promise.get_future().share();
-      lru_.push_front(key);
-      map_.emplace(key, Entry{future, lru_.begin()});
-      enforce_capacity_locked();
+      map_.emplace(key, future);
       compile_here = true;
     }
   }
@@ -58,41 +54,14 @@ std::shared_ptr<const Plan> PlanCache::get(const PlanKey& key) {
 
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return Stats{hits_, misses_, evictions_, map_.size()};
+  return Stats{hits_, misses_, map_.size()};
 }
 
 void PlanCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   map_.clear();
-  lru_.clear();
   hits_ = 0;
   misses_ = 0;
-  evictions_ = 0;
-}
-
-void PlanCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  enforce_capacity_locked();
-}
-
-std::size_t PlanCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void PlanCache::enforce_capacity_locked() {
-  if (capacity_ == 0) return;
-  while (map_.size() > capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-PlanCache& PlanCache::shared() {
-  static PlanCache cache;
-  return cache;
 }
 
 }  // namespace mr::simmpi

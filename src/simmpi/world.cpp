@@ -101,17 +101,12 @@ double Communicator::time_concurrent(const std::vector<Communicator>& comms,
                 comm.size(), count, 0, 1});
     jobs.push_back(PlanJob{std::move(plan), comm.cores(), 0.0});
   }
-  const TimedResult timed = run_timed(machine, jobs);
-  engine.record_run(timed);
-  return timed.makespan;
+  return run_timed(machine, jobs).makespan;
 }
 
 World::World(Engine& engine, topo::Machine machine)
     : engine_(&engine),
       machine_(std::make_shared<const topo::Machine>(std::move(machine))) {}
-
-World::World(topo::Machine machine)
-    : World(Engine::shared(), std::move(machine)) {}
 
 std::int32_t World::size() const {
   return static_cast<std::int32_t>(machine_->cores());

@@ -289,7 +289,6 @@ void simulate_candidate(Engine& engine, const topo::Machine& machine,
     exec.completion_slack = query.completion_slack;
     exec.workspace = lease.get();
     const simmpi::TimedResult timed = simmpi::run_timed(machine, jobs, exec);
-    engine.record_run(timed);
     PointResult pr;
     pr.makespan = timed.makespan;
     double bw = 0;
@@ -670,19 +669,7 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   report.top.assign(simulated.begin(),
                     simulated.begin() + static_cast<std::ptrdiff_t>(keep));
   stats.elapsed_seconds = meter.elapsed_seconds();
-  engine.record_tune(stats.simulated, stats.sim_points);
   return report;
-}
-
-TuneReport tune(Engine& engine, const topo::Machine& machine,
-                const TuneQuery& query) {
-  return tune(engine, machine, query, nullptr);
-}
-
-// Backward-compat shim: the singleton-era signature, routed through the
-// process-wide engine (same cache, same pool, same report bytes).
-TuneReport tune(const topo::Machine& machine, const TuneQuery& query) {
-  return tune(Engine::shared(), machine, query, nullptr);
 }
 
 }  // namespace mr::tune

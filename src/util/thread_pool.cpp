@@ -140,11 +140,6 @@ void ThreadPool::parallel_for_slots(
   if (error) std::rethrow_exception(error);
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(default_threads());
-  return pool;
-}
-
 unsigned ThreadPool::default_threads() {
   if (const char* env = std::getenv("MIXRADIX_THREADS")) {
     char* end = nullptr;

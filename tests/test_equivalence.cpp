@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/util/expect.hpp"
 
 namespace mr {
@@ -15,9 +16,11 @@ namespace {
 // exchanging whole communicators); [0,1,2] and [1,0,2] share core sets but
 // differ in the internal rank order.
 TEST(Equivalence, PaperExamplesOnFig2) {
+  Engine engine;
   const Hierarchy h{2, 2, 4};
 
-  const auto same_sets = classify_orders(h, 4, Equivalence::SameSetsOnly);
+  const auto same_sets =
+      classify_orders(engine, h, 4, Equivalence::SameSetsOnly);
   const auto class_of = [&](const Order& order) -> const OrderClass* {
     for (const auto& cls : same_sets) {
       for (const auto& member : cls.members) {
@@ -33,7 +36,8 @@ TEST(Equivalence, PaperExamplesOnFig2) {
   // At the finer granularity, [0,1,2] and [1,0,2] separate (their ring
   // costs are 9 vs 7) while [2,0,1] and [2,1,0] stay together (each
   // communicator keeps its internal order; only the sockets swap).
-  const auto internal = classify_orders(h, 4, Equivalence::SameSetsAndInternal);
+  const auto internal =
+      classify_orders(engine, h, 4, Equivalence::SameSetsAndInternal);
   const auto class_of_internal = [&](const Order& order) -> const OrderClass* {
     for (const auto& cls : internal) {
       for (const auto& member : cls.members) {
@@ -47,12 +51,15 @@ TEST(Equivalence, PaperExamplesOnFig2) {
 }
 
 TEST(Equivalence, GranularitiesAreNested) {
+  Engine engine;
   const Hierarchy h{2, 2, 4};
   for (std::int64_t comm_size : {2, 4, 8}) {
-    const auto exact = classify_orders(h, comm_size, Equivalence::ExactPlacement);
+    const auto exact =
+        classify_orders(engine, h, comm_size, Equivalence::ExactPlacement);
     const auto internal =
-        classify_orders(h, comm_size, Equivalence::SameSetsAndInternal);
-    const auto sets = classify_orders(h, comm_size, Equivalence::SameSetsOnly);
+        classify_orders(engine, h, comm_size, Equivalence::SameSetsAndInternal);
+    const auto sets =
+        classify_orders(engine, h, comm_size, Equivalence::SameSetsOnly);
     EXPECT_GE(exact.size(), internal.size());
     EXPECT_GE(internal.size(), sets.size());
     // Every order appears in exactly one class at each granularity.
@@ -74,16 +81,19 @@ TEST(Equivalence, ExactPlacementMergesOrdersWithIdenticalMaps) {
   // radix patterns... with equal radices at two levels it can. Check a
   // hierarchy with repeated radices where swapping equal levels changes
   // the map anyway (levels are positional, not value-based).
+  Engine engine;
   const Hierarchy h{2, 2, 2};
-  const auto exact = classify_orders(h, 2, Equivalence::ExactPlacement);
+  const auto exact = classify_orders(engine, h, 2, Equivalence::ExactPlacement);
   std::size_t members = 0;
   for (const auto& cls : exact) members += cls.members.size();
   EXPECT_EQ(members, 6u);
 }
 
 TEST(Equivalence, DistinctOrdersReturnsRepresentatives) {
+  Engine engine;
   const Hierarchy h{16, 2, 2, 8};
-  const auto reps = distinct_orders(h, 16, Equivalence::SameSetsAndInternal);
+  const auto reps =
+      distinct_orders(engine, h, 16, Equivalence::SameSetsAndInternal);
   EXPECT_LT(reps.size(), 24u);  // must actually deduplicate
   EXPECT_GE(reps.size(), 6u);
   const std::set<Order> unique(reps.begin(), reps.end());
@@ -92,8 +102,10 @@ TEST(Equivalence, DistinctOrdersReturnsRepresentatives) {
 
 TEST(Equivalence, RepresentativeMetricsMatchMembers) {
   // Pair percentages are a class invariant at SameSetsOnly granularity.
+  Engine engine;
   const Hierarchy h{2, 2, 4};
-  for (const auto& cls : classify_orders(h, 4, Equivalence::SameSetsOnly)) {
+  for (const auto& cls :
+       classify_orders(engine, h, 4, Equivalence::SameSetsOnly)) {
     for (const auto& member : cls.members) {
       EXPECT_EQ(characterize_order(h, member, 4).pair_pct,
                 cls.representative.pair_pct)
@@ -103,9 +115,12 @@ TEST(Equivalence, RepresentativeMetricsMatchMembers) {
 }
 
 TEST(Equivalence, ValidatesCommSize) {
+  Engine engine;
   const Hierarchy h{2, 2, 4};
-  EXPECT_THROW(classify_orders(h, 3, Equivalence::SameSetsOnly), invalid_argument);
-  EXPECT_THROW(classify_orders(h, 0, Equivalence::SameSetsOnly), invalid_argument);
+  EXPECT_THROW(classify_orders(engine, h, 3, Equivalence::SameSetsOnly),
+               invalid_argument);
+  EXPECT_THROW(classify_orders(engine, h, 0, Equivalence::SameSetsOnly),
+               invalid_argument);
 }
 
 constexpr Equivalence kGranularities[] = {Equivalence::ExactPlacement,
@@ -129,6 +144,7 @@ void expect_same_classes(const std::vector<OrderClass>& a,
 // exactly — including on a depth-6 hierarchy with repeated radices (the
 // regime the hash path exists for) and for every granularity.
 TEST(HashedClassifier, MatchesReferenceClassifier) {
+  Engine engine;
   struct Case {
     Hierarchy hierarchy;
     std::vector<std::int64_t> comm_sizes;
@@ -142,11 +158,13 @@ TEST(HashedClassifier, MatchesReferenceClassifier) {
     for (const std::int64_t comm_size : c.comm_sizes) {
       for (const Equivalence granularity : kGranularities) {
         ClassifyStats fast_stats;
-        const auto fast = classify_orders(c.hierarchy, comm_size, granularity, 1,
-                                          MetricsImpl::Fast, &fast_stats);
+        const auto fast =
+            classify_orders(engine, c.hierarchy, comm_size, granularity, 1,
+                            MetricsImpl::Fast, &fast_stats);
         ClassifyStats ref_stats;
-        const auto ref = classify_orders(c.hierarchy, comm_size, granularity, 1,
-                                         MetricsImpl::Reference, &ref_stats);
+        const auto ref =
+            classify_orders(engine, c.hierarchy, comm_size, granularity, 1,
+                            MetricsImpl::Reference, &ref_stats);
         expect_same_classes(fast, ref);
 
         const long long orders = factorial(c.hierarchy.depth());
@@ -165,15 +183,16 @@ TEST(HashedClassifier, MatchesReferenceClassifier) {
 // out over the shared pool, yet the classification must be byte-identical
 // to the serial path for every granularity and both kernel impls.
 TEST(HashedClassifier, DeterministicAcrossThreadCounts) {
+  Engine engine;
   const Hierarchy h{2, 2, 2, 3, 3, 4};  // 720 orders
   for (const Equivalence granularity : kGranularities) {
     const auto serial =
-        classify_orders(h, 24, granularity, 1, MetricsImpl::Fast);
+        classify_orders(engine, h, 24, granularity, 1, MetricsImpl::Fast);
     const auto threaded =
-        classify_orders(h, 24, granularity, 4, MetricsImpl::Fast);
+        classify_orders(engine, h, 24, granularity, 4, MetricsImpl::Fast);
     expect_same_classes(serial, threaded);
     const auto ref_threaded =
-        classify_orders(h, 24, granularity, 4, MetricsImpl::Reference);
+        classify_orders(engine, h, 24, granularity, 4, MetricsImpl::Reference);
     expect_same_classes(serial, ref_threaded);
   }
 }
@@ -182,28 +201,31 @@ TEST(HashedClassifier, SingletonCommunicatorsClassify) {
   // comm_size 1: every communicator is one core, so the core-set multiset
   // is the whole machine for every order — a single class at both set
   // granularities — while exact placement still separates orders.
+  Engine engine;
   const Hierarchy h{2, 2, 4};
   for (const MetricsImpl impl : {MetricsImpl::Fast, MetricsImpl::Reference}) {
-    const auto sets = classify_orders(h, 1, Equivalence::SameSetsOnly, 0, impl);
+    const auto sets =
+        classify_orders(engine, h, 1, Equivalence::SameSetsOnly, 0, impl);
     ASSERT_EQ(sets.size(), 1u);
     EXPECT_EQ(sets[0].members.size(), 6u);
     EXPECT_EQ(sets[0].representative.ring_cost, 0);
     EXPECT_TRUE(sets[0].representative.pair_pct.empty());
-    const auto internal =
-        classify_orders(h, 1, Equivalence::SameSetsAndInternal, 0, impl);
+    const auto internal = classify_orders(
+        engine, h, 1, Equivalence::SameSetsAndInternal, 0, impl);
     EXPECT_EQ(internal.size(), 1u);
     const auto exact =
-        classify_orders(h, 1, Equivalence::ExactPlacement, 0, impl);
+        classify_orders(engine, h, 1, Equivalence::ExactPlacement, 0, impl);
     EXPECT_EQ(exact.size(), 6u);
   }
 }
 
 TEST(HashedClassifier, DistinctOrdersAgreesAcrossImpls) {
+  Engine engine;
   const Hierarchy h{16, 2, 2, 8};
   EXPECT_EQ(
-      distinct_orders(h, 16, Equivalence::SameSetsAndInternal, 0,
+      distinct_orders(engine, h, 16, Equivalence::SameSetsAndInternal, 0,
                       MetricsImpl::Fast),
-      distinct_orders(h, 16, Equivalence::SameSetsAndInternal, 0,
+      distinct_orders(engine, h, 16, Equivalence::SameSetsAndInternal, 0,
                       MetricsImpl::Reference));
 }
 
@@ -220,23 +242,25 @@ void expect_classes_equal(const std::vector<OrderClass>& got,
 }
 
 TEST(CoarsenClasses, MatchesDirectClassificationAtBothGranularities) {
+  Engine engine;
   for (const Hierarchy& h : {Hierarchy{2, 2, 4}, Hierarchy{2, 2, 2, 4}}) {
     for (const std::int64_t comm_size : {h.total() / 2, h.total()}) {
       const auto exact =
-          classify_orders(h, comm_size, Equivalence::ExactPlacement);
+          classify_orders(engine, h, comm_size, Equivalence::ExactPlacement);
       for (const Equivalence coarser :
            {Equivalence::SameSetsAndInternal, Equivalence::SameSetsOnly}) {
         expect_classes_equal(
             coarsen_classes(h, comm_size, exact, coarser),
-            classify_orders(h, comm_size, coarser));
+            classify_orders(engine, h, comm_size, coarser));
       }
     }
   }
 }
 
 TEST(CoarsenClasses, ExactGranularityIsIdentity) {
+  Engine engine;
   const Hierarchy h{2, 2, 4};
-  const auto exact = classify_orders(h, 4, Equivalence::ExactPlacement);
+  const auto exact = classify_orders(engine, h, 4, Equivalence::ExactPlacement);
   expect_classes_equal(
       coarsen_classes(h, 4, exact, Equivalence::ExactPlacement), exact);
 }

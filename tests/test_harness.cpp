@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
@@ -24,7 +25,8 @@ MicrobenchConfig base_config() {
 }
 
 TEST(Microbench, ProducesPositiveBandwidth) {
-  const auto result = run_microbench(small_hydra(), base_config());
+  Engine engine;
+  const auto result = run_microbench(engine, small_hydra(), base_config());
   EXPECT_GT(result.mean_bandwidth, 0);
   EXPECT_GT(result.mean_seconds_per_op, 0);
   EXPECT_NEAR(result.mean_bandwidth * result.mean_seconds_per_op,
@@ -35,18 +37,22 @@ TEST(Microbench, ProducesPositiveBandwidth) {
 
 TEST(Microbench, SingleCommIsNoSlowerThanAllComms) {
   // Running every subcommunicator at once can only add contention.
+  Engine engine;
   auto config = base_config();
   config.all_comms = false;
-  const double alone = run_microbench(small_hydra(), config).mean_seconds_per_op;
+  const double alone =
+      run_microbench(engine, small_hydra(), config).mean_seconds_per_op;
   config.all_comms = true;
-  const double together = run_microbench(small_hydra(), config).mean_seconds_per_op;
+  const double together =
+      run_microbench(engine, small_hydra(), config).mean_seconds_per_op;
   EXPECT_LE(alone, together * (1 + 1e-9));
 }
 
 TEST(Microbench, DecilesBracketTheMean) {
+  Engine engine;
   auto config = base_config();
   config.all_comms = true;
-  const auto result = run_microbench(small_hydra(), config);
+  const auto result = run_microbench(engine, small_hydra(), config);
   EXPECT_LE(result.bw_p10, result.mean_bandwidth * (1 + 1e-9));
   EXPECT_GE(result.bw_p90, result.mean_bandwidth * (1 - 1e-9));
 }
@@ -54,28 +60,32 @@ TEST(Microbench, DecilesBracketTheMean) {
 TEST(Microbench, PackedOrderIsContentionImmune) {
   // The paper's headline: packed mappings perform identically with 1 or
   // all communicators.
+  Engine engine;
   auto config = base_config();
   config.order = parse_order("3-2-1-0");
   config.all_comms = false;
-  const double alone = run_microbench(small_hydra(), config).mean_seconds_per_op;
+  const double alone =
+      run_microbench(engine, small_hydra(), config).mean_seconds_per_op;
   config.all_comms = true;
-  const double together = run_microbench(small_hydra(), config).mean_seconds_per_op;
+  const double together =
+      run_microbench(engine, small_hydra(), config).mean_seconds_per_op;
   EXPECT_NEAR(alone, together, alone * 0.05);
 }
 
 TEST(Microbench, ValidatesInputs) {
+  Engine engine;
   auto config = base_config();
   config.comm_size = 24;  // does not divide 64
-  EXPECT_THROW(run_microbench(small_hydra(), config), invalid_argument);
+  EXPECT_THROW(run_microbench(engine, small_hydra(), config), invalid_argument);
   config = base_config();
   config.total_bytes = 0;
-  EXPECT_THROW(run_microbench(small_hydra(), config), invalid_argument);
+  EXPECT_THROW(run_microbench(engine, small_hydra(), config), invalid_argument);
   config = base_config();
   config.repetitions = 0;
-  EXPECT_THROW(run_microbench(small_hydra(), config), invalid_argument);
+  EXPECT_THROW(run_microbench(engine, small_hydra(), config), invalid_argument);
   config = base_config();
   config.comm_size = 1;
-  EXPECT_THROW(run_microbench(small_hydra(), config), invalid_argument);
+  EXPECT_THROW(run_microbench(engine, small_hydra(), config), invalid_argument);
 }
 
 TEST(PaperSizes, MatchesTheFiguresAxes) {
@@ -104,13 +114,14 @@ TEST(PaperSizes, EdgeCasesAroundTheFirstTick) {
 }
 
 TEST(Sweep, SeriesCarryLegendsAndResults) {
+  Engine engine;
   SweepConfig config;
   config.orders = {parse_order("0-1-2-3"), parse_order("3-2-1-0")};
   config.sizes = {16 << 10, 128 << 10};
   config.comm_size = 16;
   config.collective = simmpi::Collective::Allgather;
   config.repetitions = 1;
-  const auto series = run_sweep(small_hydra(), config);
+  const auto series = run_sweep(engine, small_hydra(), config);
   ASSERT_EQ(series.size(), 2u);
   for (const auto& s : series) {
     EXPECT_EQ(s.sizes, config.sizes);
@@ -124,6 +135,7 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
   // The determinism guarantee of the parallel sweep engine: every (order,
   // size) point owns its simulator, results merge in input order, so the
   // thread count must not change a single bit — including the CSV bytes.
+  Engine engine;
   SweepConfig config;
   config.orders = {parse_order("0-1-2-3"), parse_order("1-3-2-0"),
                    parse_order("3-2-1-0")};
@@ -134,9 +146,9 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
   config.repetitions = 1;
 
   config.threads = 1;
-  const auto serial = run_sweep(small_hydra(), config);
+  const auto serial = run_sweep(engine, small_hydra(), config);
   config.threads = 4;
-  const auto parallel = run_sweep(small_hydra(), config);
+  const auto parallel = run_sweep(engine, small_hydra(), config);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t s = 0; s < serial.size(); ++s) {
@@ -166,15 +178,16 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
 TEST(Sweep, DefaultThreadCountMatchesTheForcedSerialPath) {
   // threads = 0 resolves to hardware_concurrency (or MIXRADIX_THREADS);
   // whatever it picks, the output must equal the serial path's.
+  Engine engine;
   SweepConfig config;
   config.orders = {parse_order("2-1-0-3")};
   config.sizes = {16 << 10, 128 << 10};
   config.comm_size = 16;
   config.repetitions = 1;
   config.threads = 0;
-  const auto auto_threads = run_sweep(small_hydra(), config);
+  const auto auto_threads = run_sweep(engine, small_hydra(), config);
   config.threads = 1;
-  const auto serial = run_sweep(small_hydra(), config);
+  const auto serial = run_sweep(engine, small_hydra(), config);
   ASSERT_EQ(auto_threads.size(), serial.size());
   for (std::size_t r = 0; r < serial[0].results.size(); ++r) {
     EXPECT_EQ(auto_threads[0].results[r].mean_bandwidth,
@@ -183,14 +196,15 @@ TEST(Sweep, DefaultThreadCountMatchesTheForcedSerialPath) {
 }
 
 TEST(Report, PrintFigureContainsLegendAndRows) {
+  Engine engine;
   SweepConfig config;
   config.orders = {parse_order("3-2-1-0")};
   config.sizes = {16 << 10};
   config.comm_size = 16;
   config.repetitions = 1;
-  const auto single = run_sweep(small_hydra(), config);
+  const auto single = run_sweep(engine, small_hydra(), config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(small_hydra(), config);
+  const auto simultaneous = run_sweep(engine, small_hydra(), config);
   std::ostringstream os;
   print_figure(os, "Test figure", single, simultaneous);
   const std::string text = os.str();
@@ -202,12 +216,13 @@ TEST(Report, PrintFigureContainsLegendAndRows) {
 }
 
 TEST(Report, CsvIsWellFormed) {
+  Engine engine;
   SweepConfig config;
   config.orders = {parse_order("0-1-2-3")};
   config.sizes = {16 << 10, 128 << 10};
   config.comm_size = 16;
   config.repetitions = 1;
-  const auto single = run_sweep(small_hydra(), config);
+  const auto single = run_sweep(engine, small_hydra(), config);
   std::ostringstream os;
   write_figure_csv(os, "figX", single, {});
   std::istringstream in(os.str());

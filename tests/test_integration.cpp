@@ -2,6 +2,7 @@
 // monotonicity properties of the timed simulation.
 #include <gtest/gtest.h>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/core_select.hpp"
 #include "mixradix/mr/equivalence.hpp"
@@ -18,9 +19,10 @@ namespace {
 // SameSetsAndInternal-equivalent must produce byte-identical simulated
 // performance — the justification for deduplicating before benchmarking.
 TEST(Integration, EquivalentOrdersTimeIdentically) {
+  Engine engine;
   const auto machine = topo::hydra(4);  // 128 procs
-  const auto classes =
-      classify_orders(machine.hierarchy(), 16, Equivalence::SameSetsAndInternal);
+  const auto classes = classify_orders(engine, machine.hierarchy(), 16,
+                                       Equivalence::SameSetsAndInternal);
   int checked = 0;
   for (const auto& cls : classes) {
     if (cls.members.size() < 2) continue;
@@ -31,9 +33,11 @@ TEST(Integration, EquivalentOrdersTimeIdentically) {
     config.all_comms = true;
     config.repetitions = 1;
     config.order = cls.members[0];
-    const double t0 = run_microbench(machine, config).mean_seconds_per_op;
+    const double t0 =
+        run_microbench(engine, machine, config).mean_seconds_per_op;
     config.order = cls.members[1];
-    const double t1 = run_microbench(machine, config).mean_seconds_per_op;
+    const double t1 =
+        run_microbench(engine, machine, config).mean_seconds_per_op;
     // Identical up to the simulator's fast-path tolerance: the deferred /
     // steal rate allocation (see FlowSim) trades < ~2% determinism under
     // event-order ties for an order of magnitude of simulation speed.
@@ -48,6 +52,7 @@ TEST(Integration, EquivalentOrdersTimeIdentically) {
 // pair percentages, different ring cost) behave identically for Alltoall
 // but can differ for ring-based Allgather — §4.1.3's observation.
 TEST(Integration, RankOrderMattersForAllgatherNotAlltoall) {
+  Engine engine;
   const auto machine = topo::hydra(16);
   // From Fig. 3's legend: [1,3,0,2] and [3,1,0,2] share percentages
   // (46.7, 0, 53.3, 0) but have ring costs 45 vs 17.
@@ -62,16 +67,20 @@ TEST(Integration, RankOrderMattersForAllgatherNotAlltoall) {
 
   config.collective = simmpi::Collective::Alltoall;
   config.order = high_ring;
-  const double a2a_high = run_microbench(machine, config).mean_seconds_per_op;
+  const double a2a_high =
+      run_microbench(engine, machine, config).mean_seconds_per_op;
   config.order = low_ring;
-  const double a2a_low = run_microbench(machine, config).mean_seconds_per_op;
+  const double a2a_low =
+      run_microbench(engine, machine, config).mean_seconds_per_op;
   EXPECT_NEAR(a2a_high, a2a_low, a2a_low * 0.02);
 
   config.collective = simmpi::Collective::Allgather;
   config.order = high_ring;
-  const double ag_high = run_microbench(machine, config).mean_seconds_per_op;
+  const double ag_high =
+      run_microbench(engine, machine, config).mean_seconds_per_op;
   config.order = low_ring;
-  const double ag_low = run_microbench(machine, config).mean_seconds_per_op;
+  const double ag_low =
+      run_microbench(engine, machine, config).mean_seconds_per_op;
   EXPECT_LT(ag_low, ag_high * 0.999)
       << "the sequential rank order (ring cost 17) must beat the "
          "round-robin one (ring cost 45) for the ring allgather";
@@ -94,8 +103,9 @@ TEST(Integration, SlurmDistributionAndOrderAgreeEndToEnd) {
 // Monotonicity: more bytes never finish faster; adding concurrent
 // communicators never helps the first one.
 TEST(Integration, TimedSimulationIsMonotone) {
+  Engine engine;
   const auto machine = topo::hydra(2);
-  const simmpi::World world(machine);
+  const simmpi::World world(engine, machine);
   const auto comms = world.reordered(parse_order("0-1-2-3")).split_blocks(8);
   double last = 0;
   for (std::int64_t count : {1 << 8, 1 << 12, 1 << 16, 1 << 20}) {

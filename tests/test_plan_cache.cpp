@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
@@ -142,7 +143,7 @@ TEST(PlanCache, ConcurrentDistinctKeysAllCompile) {
 
 // ---- Sweep determinism: cache on vs bypassed ------------------------------
 
-std::string sweep_csv(bool use_cache, int threads) {
+std::string sweep_csv(Engine& engine, bool use_cache, int threads) {
   harness::SweepConfig config;
   config.orders = {parse_order("0-1-2-3"), parse_order("3-2-1-0"),
                    parse_order("1-3-2-0")};
@@ -154,108 +155,51 @@ std::string sweep_csv(bool use_cache, int threads) {
   config.use_plan_cache = use_cache;
   const auto machine = topo::hydra(2);
   config.all_comms = false;
-  const auto single = run_sweep(machine, config);
+  const auto single = run_sweep(engine, machine, config);
   config.all_comms = true;
-  const auto simultaneous = run_sweep(machine, config);
+  const auto simultaneous = run_sweep(engine, machine, config);
   std::ostringstream csv;
   harness::write_figure_csv(csv, "determinism", single, simultaneous);
   return csv.str();
 }
 
 TEST(PlanCache, SweepCsvIdenticalWithAndWithoutCacheSerial) {
-  const std::string cached = sweep_csv(/*use_cache=*/true, /*threads=*/1);
-  const std::string bypass = sweep_csv(/*use_cache=*/false, /*threads=*/1);
+  Engine engine;
+  const std::string cached =
+      sweep_csv(engine, /*use_cache=*/true, /*threads=*/1);
+  const std::string bypass =
+      sweep_csv(engine, /*use_cache=*/false, /*threads=*/1);
   EXPECT_FALSE(cached.empty());
   EXPECT_EQ(cached, bypass);
 }
 
 TEST(PlanCache, SweepCsvIdenticalWithAndWithoutCacheThreaded) {
-  const std::string cached = sweep_csv(/*use_cache=*/true, /*threads=*/4);
-  const std::string bypass = sweep_csv(/*use_cache=*/false, /*threads=*/4);
-  const std::string serial = sweep_csv(/*use_cache=*/true, /*threads=*/1);
+  Engine engine;
+  const std::string cached =
+      sweep_csv(engine, /*use_cache=*/true, /*threads=*/4);
+  const std::string bypass =
+      sweep_csv(engine, /*use_cache=*/false, /*threads=*/4);
+  const std::string serial =
+      sweep_csv(engine, /*use_cache=*/true, /*threads=*/1);
   EXPECT_EQ(cached, bypass);
   EXPECT_EQ(cached, serial);
 }
 
-// Sweeping through the shared cache analyzes each distinct plan key at
+// Sweeping through an engine's cache analyzes each distinct plan key at
 // most once, no matter how many (order, size, scenario) points replay it.
 TEST(PlanCache, SharedSweepAnalyzesAtMostOncePerKey) {
-  PlanCache::shared().clear();
+  Engine engine;
   const std::uint64_t analyzes_before = verify::analyze_call_count();
-  (void)sweep_csv(/*use_cache=*/true, /*threads=*/4);
-  (void)sweep_csv(/*use_cache=*/true, /*threads=*/1);
+  (void)sweep_csv(engine, /*use_cache=*/true, /*threads=*/4);
+  (void)sweep_csv(engine, /*use_cache=*/true, /*threads=*/1);
   const std::uint64_t delta = verify::analyze_call_count() - analyzes_before;
-  const auto stats = PlanCache::shared().stats();
+  const auto stats = engine.plan_cache().stats();
   EXPECT_GE(stats.hits, 1u);
 #ifdef MIXRADIX_VERIFY_SCHEDULES
   EXPECT_LE(delta, stats.misses);  // one analysis per compile, none on hits
 #else
   EXPECT_EQ(delta, 0u);
 #endif
-}
-
-TEST(PlanCacheLru, EvictsLeastRecentlyRequestedAtCapacity) {
-  PlanCache cache(/*capacity=*/2);
-  const PlanKey a{"alltoall_bruck", 8, 64, 0, 1};
-  const PlanKey b{"allgather_ring", 8, 64, 0, 1};
-  const PlanKey c{"allreduce_ring", 8, 64, 0, 1};
-  (void)cache.get(a);
-  (void)cache.get(b);
-  (void)cache.get(a);  // touch: b is now the least recent.
-  (void)cache.get(c);  // evicts b.
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // a survived the eviction (it was touched), b did not.
-  (void)cache.get(a);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  (void)cache.get(b);  // recompiles — a fresh miss, evicting c.
-  stats = cache.stats();
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(PlanCacheLru, RecompiledPlanIsEquivalent) {
-  PlanCache cache(/*capacity=*/1);
-  const PlanKey a{"alltoall_bruck", 8, 128, 0, 2};
-  const PlanKey b{"allgather_ring", 8, 128, 0, 2};
-  const auto first = cache.get(a);
-  (void)cache.get(b);  // evicts a.
-  const auto second = cache.get(a);  // recompiled, not the same object...
-  EXPECT_NE(first.get(), second.get());
-  // ...but the evicted shared_ptr stays valid, and the recompile is
-  // byte-equivalent where it matters.
-  EXPECT_EQ(first->algorithm, second->algorithm);
-  EXPECT_EQ(first->nranks(), second->nranks());
-  EXPECT_EQ(first->repetitions, second->repetitions);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(PlanCacheLru, SetCapacityShrinksOldestFirstAndZeroUnbounds) {
-  PlanCache cache;
-  const PlanKey a{"alltoall_bruck", 8, 64, 0, 1};
-  const PlanKey b{"allgather_ring", 8, 64, 0, 1};
-  const PlanKey c{"allreduce_ring", 8, 64, 0, 1};
-  (void)cache.get(a);
-  (void)cache.get(b);
-  (void)cache.get(c);
-  EXPECT_EQ(cache.stats().entries, 3u);
-  cache.set_capacity(1);
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.evictions, 2u);
-  (void)cache.get(c);  // the most recent key survived.
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.set_capacity(0);  // back to unbounded: no further evictions.
-  (void)cache.get(a);
-  (void)cache.get(b);
-  stats = cache.stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 2u);
 }
 
 }  // namespace

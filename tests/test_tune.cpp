@@ -34,7 +34,8 @@ TuneReport exhaustive(const topo::Machine& machine, TuneQuery query) {
   query.dedup = false;
   query.prune = false;
   query.budget = Budget{};
-  return tune(machine, query);
+  Engine engine;
+  return tune(engine, machine, query);
 }
 
 /// The funnel's whole point: its ranking must equal brute force. The
@@ -46,7 +47,8 @@ TuneReport exhaustive(const topo::Machine& machine, TuneQuery query) {
 /// ties break lexicographically) before comparing rank for rank.
 void expect_matches_exhaustive(const topo::Machine& machine,
                                const TuneQuery& query) {
-  const TuneReport funnel = tune(machine, query);
+  Engine engine;
+  const TuneReport funnel = tune(engine, machine, query);
   TuneQuery all = query;
   all.k = 1 << 20;  // full exhaustive ranking, not just the top k.
   const TuneReport brute = exhaustive(machine, all);
@@ -154,6 +156,7 @@ TEST(Tune, MatchesExhaustiveAtNonzeroSlack) {
 }
 
 TEST(Tune, ReportIsByteIdenticalAcrossThreadCounts) {
+  Engine engine;
   const auto machine = topo::hydra(2);
   TuneQuery query;
   query.comm_sizes = {16};
@@ -163,7 +166,7 @@ TEST(Tune, ReportIsByteIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 2, 4}) {
     query.threads = threads;
     std::ostringstream os;
-    write_json(os, tune(machine, query));
+    write_json(os, tune(engine, machine, query));
     if (threads == 1) {
       baseline = os.str();
     } else {
@@ -173,6 +176,7 @@ TEST(Tune, ReportIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Tune, PointBudgetTruncatesDeterministically) {
+  Engine engine;
   const auto machine = topo::hydra(2);
   TuneQuery query;
   query.comm_sizes = {16};
@@ -188,7 +192,7 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
   std::string baseline;
   for (const int threads : {1, 4}) {
     query.threads = threads;
-    const TuneReport report = tune(machine, query);
+    const TuneReport report = tune(engine, machine, query);
     EXPECT_FALSE(report.stats.exhausted);
     EXPECT_GT(report.stats.budget_skipped, 0);
     EXPECT_LE(report.stats.sim_points, query.budget.max_points);
@@ -206,13 +210,14 @@ TEST(Tune, PruningIsSound) {
   // Every pruned candidate's true (exhaustively simulated) score must be
   // strictly worse than the k-th best, and every class member must score
   // exactly its representative — the two invariants exactness rests on.
+  Engine engine;
   const auto machine = topo::lumi(2);
   TuneQuery query;
   query.comm_sizes = {32};
   query.total_bytes = {1 << 20};
   query.k = 2;
   query.threads = 4;
-  const TuneReport funnel = tune(machine, query);
+  const TuneReport funnel = tune(engine, machine, query);
   const TuneReport brute = exhaustive(machine, query);
 
   std::map<Order, double> score_of;
@@ -245,20 +250,21 @@ TEST(Tune, PruningIsSound) {
 }
 
 TEST(Tune, ShardsPartitionTheCandidateClasses) {
+  Engine engine;
   const auto machine = topo::hydra(2);
   TuneQuery query;
   query.comm_sizes = {16};
   query.total_bytes = {64 << 10};
   query.k = 1;
   query.threads = 1;
-  const TuneReport whole = tune(machine, query);
+  const TuneReport whole = tune(engine, machine, query);
 
   std::vector<Order> sharded;
   std::int64_t total_classes = 0;
   query.shard_count = 3;
   for (int shard = 0; shard < query.shard_count; ++shard) {
     query.shard_index = shard;
-    const TuneReport part = tune(machine, query);
+    const TuneReport part = tune(engine, machine, query);
     total_classes += part.stats.shard_classes;
     for (const TuneCandidate& c : part.candidates) sharded.push_back(c.order);
   }
@@ -276,7 +282,7 @@ TEST(Tune, ShardsPartitionTheCandidateClasses) {
   query.k = 1;
   for (int shard = 0; shard < query.shard_count; ++shard) {
     query.shard_index = shard;
-    const TuneReport part = tune(machine, query);
+    const TuneReport part = tune(engine, machine, query);
     if (!part.top.empty() &&
         part.candidates[part.top.front()].order == best) {
       ++holders;
@@ -286,6 +292,7 @@ TEST(Tune, ShardsPartitionTheCandidateClasses) {
 }
 
 TEST(Tune, ScreenKeepCapsTheCandidateStream) {
+  Engine engine;
   const auto machine = topo::hydra(2);
   TuneQuery query;
   query.comm_sizes = {16};
@@ -293,7 +300,7 @@ TEST(Tune, ScreenKeepCapsTheCandidateStream) {
   query.k = 1;
   query.threads = 1;
   query.screen_keep = 4;
-  const TuneReport report = tune(machine, query);
+  const TuneReport report = tune(engine, machine, query);
   EXPECT_EQ(report.stats.screened_out,
             report.stats.shard_classes - query.screen_keep);
   EXPECT_LE(report.stats.simulated, query.screen_keep);
@@ -305,34 +312,35 @@ TEST(Tune, ScreenKeepCapsTheCandidateStream) {
 }
 
 TEST(Tune, ValidatesQueries) {
+  Engine engine;
   const auto machine = topo::testbox();
   TuneQuery query;
   query.comm_sizes = {4};
   {
     TuneQuery bad = query;
     bad.comm_sizes = {};
-    EXPECT_THROW(tune(machine, bad), invalid_argument);
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
   {
     TuneQuery bad = query;
     bad.comm_sizes = {5};  // does not divide 16 cores.
-    EXPECT_THROW(tune(machine, bad), invalid_argument);
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
   {
     TuneQuery bad = query;
     bad.k = 0;
-    EXPECT_THROW(tune(machine, bad), invalid_argument);
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
   {
     TuneQuery bad = query;
     bad.shard_index = 2;
     bad.shard_count = 2;
-    EXPECT_THROW(tune(machine, bad), invalid_argument);
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
   {
     TuneQuery bad = query;
     bad.completion_slack = -0.1;
-    EXPECT_THROW(tune(machine, bad), invalid_argument);
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
 }
 
@@ -481,6 +489,7 @@ TEST(Tune, IncompatiblePreviousReportDegeneratesToColdRun) {
 TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
   // SweepConfig::tune_top_k: the sweep runs exactly the tuner's top-k, in
   // ranked order, and its curves match sweeping those orders directly.
+  Engine engine;
   const auto machine = topo::testbox();
   TuneQuery query;
   query.comm_sizes = {4};
@@ -488,7 +497,7 @@ TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
   query.concurrency = Concurrency::AllComms;
   query.k = 2;
   query.threads = 1;
-  const TuneReport report = tune(machine, query);
+  const TuneReport report = tune(engine, machine, query);
 
   harness::SweepConfig sweep;
   sweep.sizes = {64 << 10, 1 << 20};
@@ -497,7 +506,7 @@ TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
   sweep.threads = 1;
   sweep.completion_slack = 0.0;
   sweep.tune_top_k = 2;
-  const auto tuned = run_sweep(machine, sweep);
+  const auto tuned = run_sweep(engine, machine, sweep);
   ASSERT_EQ(tuned.size(), 2u);
   for (std::size_t rank = 0; rank < tuned.size(); ++rank) {
     EXPECT_EQ(tuned[rank].character.order,
@@ -506,7 +515,7 @@ TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
 
   sweep.tune_top_k = 0;
   sweep.orders = {tuned[0].character.order, tuned[1].character.order};
-  const auto direct = run_sweep(machine, sweep);
+  const auto direct = run_sweep(engine, machine, sweep);
   for (std::size_t rank = 0; rank < tuned.size(); ++rank) {
     ASSERT_EQ(tuned[rank].results.size(), direct[rank].results.size());
     for (std::size_t si = 0; si < tuned[rank].results.size(); ++si) {

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
@@ -12,7 +13,8 @@ namespace mr::simmpi {
 namespace {
 
 TEST(World, CommWorldIsIdentity) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   EXPECT_EQ(world.size(), 16);
   const Communicator comm = world.comm_world();
   for (std::int32_t r = 0; r < comm.size(); ++r) {
@@ -21,7 +23,8 @@ TEST(World, CommWorldIsIdentity) {
 }
 
 TEST(World, ReorderedMatchesPlacement) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const Order order = parse_order("0-2-1");
   const Communicator comm = world.reordered(order);
   const auto placement =
@@ -32,7 +35,8 @@ TEST(World, ReorderedMatchesPlacement) {
 }
 
 TEST(Communicator, SplitBlocksMatchesFig2Coloring) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   // Order [2,1,0] is the identity: blocks of 4 are the Fig. 2f comms.
   const auto comms = world.reordered(parse_order("2-1-0")).split_blocks(4);
   ASSERT_EQ(comms.size(), 4u);
@@ -44,7 +48,8 @@ TEST(Communicator, SplitBlocksMatchesFig2Coloring) {
 }
 
 TEST(Communicator, SplitHonorsColorsAndKeys) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const Communicator comm = world.comm_world();
   std::vector<std::int64_t> colors(16), keys(16);
   for (std::int32_t r = 0; r < 16; ++r) {
@@ -61,14 +66,16 @@ TEST(Communicator, SplitHonorsColorsAndKeys) {
 }
 
 TEST(Communicator, SplitValidatesSizes) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const Communicator comm = world.comm_world();
   EXPECT_THROW(comm.split({0, 1}, {0, 1}), invalid_argument);
   EXPECT_THROW(comm.split_blocks(3), invalid_argument);
 }
 
 TEST(Communicator, TimeCollectiveIsPositiveAndScales) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const auto comms = world.comm_world().split_blocks(4);
   const double small =
       comms[0].time_collective(Collective::Allreduce, 1024);
@@ -79,7 +86,8 @@ TEST(Communicator, TimeCollectiveIsPositiveAndScales) {
 }
 
 TEST(Communicator, ConcurrentIsSlowerOrEqual) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   // Spread communicators (one rank per socket): concurrency must cost.
   const auto comms = world.reordered(parse_order("0-1-2")).split_blocks(4);
   const double alone = comms[0].time_collective(Collective::Alltoall, 1 << 14);
@@ -89,7 +97,8 @@ TEST(Communicator, ConcurrentIsSlowerOrEqual) {
 }
 
 TEST(Communicator, DisjointCoresAcrossSplit) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const auto comms = world.reordered(parse_order("1-2-0")).split_blocks(4);
   std::set<std::int64_t> all;
   for (const auto& comm : comms) {
@@ -102,7 +111,8 @@ TEST(Communicator, DisjointCoresAcrossSplit) {
 
 
 TEST(Communicator, SplitByLevelGroupsByComponent) {
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   // Socket level (1): four communicators of four cores each.
   const auto sockets = world.comm_world().split_by_level(1);
   ASSERT_EQ(sockets.size(), 4u);
@@ -121,7 +131,8 @@ TEST(Communicator, SplitByLevelAfterReordering) {
   // After a cyclic reordering, a block of consecutive new ranks spans both
   // nodes; split_by_level(0) recovers the per-node halves — the MPI-4
   // guided-mode pattern the paper cites for hierarchy discovery.
-  const World world(topo::testbox());
+  Engine engine;
+  const World world(engine, topo::testbox());
   const auto comms = world.reordered(parse_order("0-1-2")).split_blocks(8);
   const auto per_node = comms[0].split_by_level(0);
   ASSERT_EQ(per_node.size(), 2u);
