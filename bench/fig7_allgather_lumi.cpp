@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   config.collective = mr::simmpi::Collective::Allgather;
   config.repetitions = opts.repetitions;
   config.threads = opts.threads;
-  config.use_plan_cache = !opts.no_plan_cache;
   // --tune=K: replace the fixed legend with the autotuner's top-K orders
   // for this exact workload (funnel survivors only; see mr::tune).
   config.tune_top_k = opts.tune_k;

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   config.collective = mr::simmpi::Collective::Alltoall;
   config.repetitions = opts.repetitions;
   config.threads = opts.threads;
-  config.use_plan_cache = !opts.no_plan_cache;
 
   mr::Engine engine;
   config.all_comms = false;

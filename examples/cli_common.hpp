@@ -1,9 +1,11 @@
-// Strict command-line parsing shared by the example CLIs (mrtune_cli,
-// mrenum_cli, verify_cli). Every flag is "--name value"; an unknown flag,
-// a flag without its value, a malformed number or an unknown machine spec
-// throws cli::InputError naming the input. The CLIs report it with status
-// 2 ("bad input"); status 1 keeps meaning the run itself failed or, for
-// verify_cli, that the analysis found a defect.
+// Strict command-line parsing shared by the example programs and the
+// figure benches. The CLIs (mrtune_cli, mrenum_cli, verify_cli) take
+// "--name value" flags; the small examples take positional arguments. An
+// unknown flag, a flag without its value, a surplus argument, a malformed
+// number or a bad machine spec throws cli::InputError naming the input.
+// The programs report it with status 2 ("bad input"); status 1 keeps
+// meaning the run itself failed or, for verify_cli, that the analysis
+// found a defect.
 #pragma once
 
 #include <charconv>
@@ -12,9 +14,11 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "mixradix/topo/presets.hpp"
+#include "mixradix/util/expect.hpp"
 #include "mixradix/util/strings.hpp"
 
 namespace cli {
@@ -71,23 +75,75 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-/// A preset machine: testbox | hydra:N[:nics] | hydra_node[:nics] |
-/// lumi:N | lumi_node | generic:n:s:c.
-inline mr::topo::Machine parse_machine(const std::string& spec) {
-  const std::vector<std::string> parts = mr::util::split(spec, ':');
-  const std::string where = "--machine " + spec;
-  const auto arg = [&](std::size_t i, int fallback) {
-    return i < parts.size() ? number<int>(where, parts[i]) : fallback;
-  };
-  if (parts[0] == "testbox") return mr::topo::testbox();
-  if (parts[0] == "hydra") return mr::topo::hydra(arg(1, 4), arg(2, 1));
-  if (parts[0] == "hydra_node") return mr::topo::hydra_node(arg(1, 1));
-  if (parts[0] == "lumi") return mr::topo::lumi(arg(1, 2));
-  if (parts[0] == "lumi_node") return mr::topo::lumi_node();
-  if (parts[0] == "generic") {
-    return mr::topo::generic(arg(1, 2), arg(2, 2), arg(3, 8));
+/// The positional arguments argv[1, argc) of a program that takes at most
+/// `names.size()` of them; `names` label them in messages.
+class Args {
+ public:
+  Args(int argc, char** argv, std::vector<std::string> names)
+      : names_(std::move(names)), values_(argv + 1, argv + argc) {
+    if (values_.size() > names_.size()) {
+      throw InputError("unexpected argument '" + values_[names_.size()] + "'");
+    }
   }
-  throw InputError("unknown machine spec '" + spec + "'");
+
+  /// Argument i (0-based), else `fallback`.
+  std::string get(std::size_t i, const std::string& fallback) const {
+    return i < values_.size() ? values_[i] : fallback;
+  }
+
+  /// Argument i parsed strictly as T, else `fallback`.
+  template <typename T>
+  T number(std::size_t i, T fallback) const {
+    return i < values_.size() ? cli::number<T>(names_[i], values_[i])
+                              : fallback;
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<std::string> values_;
+};
+
+/// A preset machine: testbox | hydra:N[:nics] | hydra_node[:nics] |
+/// lumi:N | lumi_node | generic:n:s:c. Fields beyond the preset's and
+/// values the preset rejects are input errors too.
+inline mr::topo::Machine parse_machine(const std::string& spec) {
+  using Fields = std::vector<int>;
+  // One entry per preset: the defaults of its fields (so also how many it
+  // takes) and its builder.
+  struct Preset {
+    Fields defaults;
+    mr::topo::Machine (*build)(const Fields&);
+  };
+  static const std::map<std::string, Preset> kPresets = {
+      {"testbox", {{}, [](const Fields&) { return mr::topo::testbox(); }}},
+      {"hydra",
+       {{4, 1}, [](const Fields& f) { return mr::topo::hydra(f[0], f[1]); }}},
+      {"hydra_node",
+       {{1}, [](const Fields& f) { return mr::topo::hydra_node(f[0]); }}},
+      {"lumi", {{2}, [](const Fields& f) { return mr::topo::lumi(f[0]); }}},
+      {"lumi_node", {{}, [](const Fields&) { return mr::topo::lumi_node(); }}},
+      {"generic", {{2, 2, 8}, [](const Fields& f) {
+                     return mr::topo::generic(f[0], f[1], f[2]);
+                   }}}};
+  const std::vector<std::string> parts = mr::util::split(spec, ':');
+  const auto preset = kPresets.find(parts[0]);
+  if (preset == kPresets.end()) {
+    throw InputError("unknown machine spec '" + spec + "'");
+  }
+  const std::string where = "--machine " + spec;
+  Fields fields = preset->second.defaults;
+  if (parts.size() - 1 > fields.size()) {
+    throw InputError("too many fields in " + where + " (" + parts[0] +
+                     " takes at most " + std::to_string(fields.size()) + ")");
+  }
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    fields[i - 1] = number<int>(where, parts[i]);
+  }
+  try {
+    return preset->second.build(fields);
+  } catch (const mr::invalid_argument&) {
+    throw InputError("out-of-range value in " + where);
+  }
 }
 
 }  // namespace cli

@@ -6,10 +6,13 @@
 // processes on one LUMI node, prints the Slurm --cpu-bind=map_cpu option
 // for each, and simulates the CG proxy to rank them — demonstrating that
 // the selected core *set* dominates performance and that one core per L3
-// wins for this memory-bound benchmark.
+// wins for this memory-bound benchmark. A malformed or out-of-range
+// argument exits with status 2 and a message naming it.
 #include <algorithm>
 #include <iostream>
+#include <string>
 
+#include "cli_common.hpp"
 #include "mixradix/apps/cg.hpp"
 #include "mixradix/mr/core_select.hpp"
 #include "mixradix/topo/presets.hpp"
@@ -18,10 +21,29 @@
 int main(int argc, char** argv) {
   using namespace mr;
 
-  const std::int64_t nprocs = argc > 1 ? std::stoll(argv[1]) : 8;
-  const char klass_name = argc > 2 ? argv[2][0] : 'B';
-
   const auto machine = topo::lumi_node();
+  std::int64_t nprocs = 8;
+  char klass_name = 'B';
+  try {
+    const cli::Args args(argc, argv, {"nprocs", "class"});
+    nprocs = args.number<std::int64_t>(0, 8);
+    // The CG proxy runs on a power-of-two process count.
+    if (nprocs < 1 || nprocs > machine.cores() ||
+        (nprocs & (nprocs - 1)) != 0) {
+      throw cli::InputError("nprocs must be a power of two in 1.." +
+                            std::to_string(machine.cores()) + ", got " +
+                            std::to_string(nprocs));
+    }
+    const std::string klass = args.get(1, "B");
+    if (klass != "S" && klass != "A" && klass != "B" && klass != "C") {
+      throw cli::InputError("class must be S, A, B or C, got '" + klass + "'");
+    }
+    klass_name = klass[0];
+  } catch (const cli::InputError& e) {
+    std::cerr << "core_selection: " << e.what() << "\n";
+    return 2;
+  }
+
   const auto klass = apps::cg::cg_class(klass_name);
   std::cout << machine.describe() << "\nCG class " << klass.name << ", "
             << nprocs << " processes; serial estimate "

@@ -9,10 +9,13 @@
 // representative — the screening step before any expensive benchmarking.
 // The optional third argument selects the classifier: the hashed
 // closed-form fast path (default) or the map-based reference; the classes
-// printed are identical, only the kernel counters differ.
+// printed are identical, only the kernel counters differ. A malformed or
+// out-of-range argument exits with status 2 and a message naming it.
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "cli_common.hpp"
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/util/strings.hpp"
@@ -20,12 +23,40 @@
 int main(int argc, char** argv) {
   using namespace mr;
 
-  const Hierarchy h =
-      argc > 1 ? Hierarchy::parse(argv[1]) : Hierarchy{16, 2, 2, 8};
-  const std::int64_t comm_size = argc > 2 ? std::stoll(argv[2]) : 16;
-  const MetricsImpl impl = argc > 3 && std::string(argv[3]) == "reference"
-                               ? MetricsImpl::Reference
-                               : MetricsImpl::Fast;
+  std::optional<Hierarchy> parsed;
+  std::int64_t comm_size = 16;
+  MetricsImpl impl = MetricsImpl::Fast;
+  try {
+    const cli::Args args(argc, argv, {"hierarchy", "comm_size", "kernels"});
+    const std::string spec = args.get(0, "16:2:2:8");
+    try {
+      parsed.emplace(Hierarchy::parse(spec));
+    } catch (const mr::invalid_argument&) {
+      throw cli::InputError("malformed hierarchy '" + spec + "'");
+    }
+    // The classifier materialises all h! orders, which it caps at 12!.
+    if (parsed->depth() > 12) {
+      throw cli::InputError("hierarchy '" + spec + "' has " +
+                            std::to_string(parsed->depth()) +
+                            " levels; at most 12 can be enumerated");
+    }
+    comm_size = args.number<std::int64_t>(1, 16);
+    if (comm_size < 1 || parsed->total() % comm_size != 0) {
+      throw cli::InputError("comm_size must divide the hierarchy's " +
+                            std::to_string(parsed->total()) +
+                            " processes, got " + std::to_string(comm_size));
+    }
+    const std::string kernels = args.get(2, "fast");
+    if (kernels != "fast" && kernels != "reference") {
+      throw cli::InputError("kernels must be 'fast' or 'reference', got '" +
+                            kernels + "'");
+    }
+    if (kernels == "reference") impl = MetricsImpl::Reference;
+  } catch (const cli::InputError& e) {
+    std::cerr << "explore_orders: " << e.what() << "\n";
+    return 2;
+  }
+  const Hierarchy& h = *parsed;
 
   std::cout << "hierarchy " << h.to_string() << ", " << h.total()
             << " processes, subcommunicators of " << comm_size << "\n";

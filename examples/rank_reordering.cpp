@@ -6,11 +6,13 @@
 // equal subcommunicators and runs MPI_Alltoall in all of them
 // simultaneously, on an 8-node Hydra-like cluster — then ranks all
 // performance-distinct orders. This is the experiment you would run to
-// choose a mapping for a real subcommunicator-heavy code.
+// choose a mapping for a real subcommunicator-heavy code. A malformed or
+// out-of-range argument exits with status 2 and a message naming it.
 #include <algorithm>
 #include <iostream>
 #include <vector>
 
+#include "cli_common.hpp"
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/simmpi/world.hpp"
@@ -20,10 +22,28 @@
 int main(int argc, char** argv) {
   using namespace mr;
 
-  const std::int64_t comm_size = argc > 1 ? std::stoll(argv[1]) : 16;
-  const std::int64_t total_bytes = (argc > 2 ? std::stoll(argv[2]) : 1024) * 1024;
-
   const auto machine = topo::hydra(8);
+  std::int64_t comm_size = 16;
+  std::int64_t total_bytes = 1024 * 1024;
+  try {
+    const cli::Args args(argc, argv, {"comm_size", "total_kb"});
+    comm_size = args.number<std::int64_t>(0, 16);
+    if (comm_size < 1 || machine.cores() % comm_size != 0) {
+      throw cli::InputError("comm_size must divide the machine's " +
+                            std::to_string(machine.cores()) + " cores, got " +
+                            std::to_string(comm_size));
+    }
+    const auto total_kb = args.number<std::int64_t>(1, 1024);
+    if (total_kb < 1 || total_kb > (std::int64_t{1} << 40)) {
+      throw cli::InputError("total_kb must be 1..2^40, got " +
+                            std::to_string(total_kb));
+    }
+    total_bytes = total_kb * 1024;
+  } catch (const cli::InputError& e) {
+    std::cerr << "rank_reordering: " << e.what() << "\n";
+    return 2;
+  }
+
   Engine engine;
   const simmpi::World world(engine, machine);
   std::cout << machine.describe() << "\n";

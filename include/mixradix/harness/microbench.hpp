@@ -34,17 +34,8 @@ struct MicrobenchConfig {
   std::int64_t total_bytes = 0;
   bool all_comms = false;  ///< false: first subcommunicator only.
   int repetitions = 2;     ///< back-to-back operations per communicator.
-  /// Resolve the compiled plan through the engine's plan cache (one
-  /// compile — and, in verifying builds, one static analysis — per
-  /// distinct (algorithm, p, count, root, repetitions) key across
-  /// everything the engine serves). false compiles privately per call;
-  /// the results must be byte-identical either way.
-  bool use_plan_cache = true;
   /// Forwarded to simmpi::ExecOptions::completion_slack.
   double completion_slack = simmpi::kDefaultCompletionSlack;
-  /// Run the pre-overhaul reference engine (bench baseline; bit-identical
-  /// timing, see simmpi::ExecOptions::reference).
-  bool reference_engine = false;
   /// Explicit engine scratch to reuse (one per thread); nullptr = lease a
   /// workspace from the Engine's pool for the duration of the run.
   simmpi::SimWorkspace* workspace = nullptr;
@@ -64,7 +55,8 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
                                 const MicrobenchConfig& config);
 
 /// Steps 1-2 of the protocol without running anything: the compiled plan
-/// and per-communicator core bindings run_microbench would execute
+/// (from the engine's plan cache) and per-communicator core bindings
+/// run_microbench would execute
 /// (timing-affecting fields of `config` beyond the binding — slack, engine,
 /// workspace — are ignored). Shared with mr::tune, whose funnel needs the
 /// same jobs twice: once for the static lower bound and once for the
@@ -93,14 +85,8 @@ struct SweepConfig {
   /// Results are merged in input order, so the output is bit-identical
   /// for every thread count.
   int threads = 0;
-  /// Forwarded to MicrobenchConfig::use_plan_cache: h! orders share one
-  /// compiled plan per size instead of recompiling per (order, size) point.
-  bool use_plan_cache = true;
   /// Forwarded to MicrobenchConfig::completion_slack.
   double completion_slack = simmpi::kDefaultCompletionSlack;
-  /// Forwarded to MicrobenchConfig::reference_engine. The sweep's point
-  /// workspaces are disabled too (the reference engine allocates fresh).
-  bool reference_engine = false;
   /// Opt-in tuner screening (bench `--tune=K`): when > 0, `orders` is
   /// REPLACED by the top-K orders mr::tune finds for this sweep's
   /// (collective, comm_size, sizes, all_comms) workload — the multi-fidelity

@@ -40,8 +40,8 @@ struct OrderClass {
   OrderCharacter representative;  ///< metrics of members.front().
 };
 
-/// Kernel counters of one classification run, reported by the enumeration
-/// benches (bench::print_kernel_counters). The hashed fast path hashes one
+/// Kernel counters of one classification run (explore_orders prints them;
+/// perfbench records them per layer). The hashed fast path hashes one
 /// 128-bit signature per order and then proves every hash group sound by
 /// comparing real signatures (collision_checks); hash_collisions counts
 /// groups that had to be split because distinct signatures shared a hash —

@@ -36,7 +36,8 @@ class Engine;  // mixradix/engine/engine.hpp
 /// and pair percentages an O(h^2) digit DP — no placement vector, no
 /// O(s^2) pair scan. Reference kernels walk the materialised placement;
 /// they are the ground truth for differential tests (the same pattern as
-/// simmpi::ExecOptions::reference). Both produce bit-identical results.
+/// FlowSim's reference completion scan). Both produce bit-identical
+/// results.
 enum class MetricsImpl {
   Fast,       ///< closed-form kernels (default).
   Reference,  ///< brute-force O(s^2 h) kernels over explicit coordinates.
@@ -110,7 +111,7 @@ struct OrderCharacter {
 };
 
 /// Both implementations produce bit-identical characters (enforced by the
-/// property tests and bench/enum_scaling); Fast is O(h^2) per order,
+/// ClosedForm and HashedClassifier tests); Fast is O(h^2) per order,
 /// Reference materialises the placement and scans all pairs.
 OrderCharacter characterize_order(const Hierarchy& h, const Order& order,
                                   std::int64_t comm_size,

@@ -81,8 +81,10 @@ struct Plan {
   }
 };
 
-/// Wrap an already-generated schedule (validated by its builder) into a
-/// plan: derives the execution structure, no verification, no cache.
+/// Wrap an already-generated schedule into a plan: checks it is well formed
+/// (Schedule::validate, mr::invalid_argument otherwise) and derives the
+/// execution structure; no static verification, no cache. The one door
+/// through which a raw Schedule becomes runnable.
 Plan make_plan(Schedule schedule, int repetitions = 1,
                std::string algorithm = {});
 

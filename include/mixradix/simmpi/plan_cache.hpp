@@ -10,9 +10,7 @@
 //
 // Each mr::Engine owns one; the harness, the tuner and World resolve plans
 // through their engine's cache. The cache is unbounded: a benchmark query
-// holds a handful of keys (one per message size). Bypassing the cache
-// (SweepConfig::use_plan_cache = false, bench --no-plan-cache) compiles
-// per point and must produce byte-identical sweep output.
+// holds a handful of keys (one per message size).
 #pragma once
 
 #include <cstdint>

@@ -22,10 +22,7 @@
 // flow completions come from FlowSim's lazy deadline heap, and all engine
 // scratch (message/rank state, the event heap, the flow simulator itself)
 // lives in a SimWorkspace that sweeps reuse across points — one workspace
-// per pool thread. ExecOptions::reference selects the pre-overhaul cost
-// model (per-message route derivation, O(active-flows) completion scans,
-// fresh allocations per run) with bit-identical timing, which is what
-// bench/timed_hotpath measures the overhaul against.
+// per pool thread.
 #pragma once
 
 #include <cstdint>
@@ -51,16 +48,7 @@ struct PlanJob {
   double start_time = 0;
 };
 
-/// Legacy binding of a raw schedule (no repetition loop); run_timed wraps
-/// it in an ad-hoc single-repetition plan. Prefer PlanJob — compiled plans
-/// amortize the execution-structure derivation across jobs.
-struct JobSpec {
-  const Schedule* schedule = nullptr;
-  std::vector<std::int64_t> core_of_rank;
-  double start_time = 0;
-};
-
-/// Engine instrumentation for one run (bench `--cache-stats`-style output).
+/// Engine instrumentation for one run.
 struct EngineStats {
   std::int64_t events_processed = 0;   ///< PostRound + StartFlow events popped.
   std::int64_t peak_event_queue = 0;   ///< high-water mark of the event heap.
@@ -118,11 +106,6 @@ class SimWorkspace {
 /// Tuning knobs for run_timed.
 struct ExecOptions {
   double completion_slack = kDefaultCompletionSlack;
-  /// Run the pre-overhaul reference engine: routes derived per message,
-  /// O(active-flows) completion scans, private scratch (ignores
-  /// `workspace`). Timing is bit-identical to the optimized engine — this
-  /// exists so bench/timed_hotpath can measure the overhaul end to end.
-  bool reference = false;
   /// Scratch arena to reuse across runs; nullptr = a private arena per run.
   SimWorkspace* workspace = nullptr;
   /// Run the static binding analyzer (mixradix/verify/binding.hpp) over the
@@ -160,34 +143,10 @@ struct Event {
 
 /// Run all plan jobs to completion; deterministic for identical inputs.
 /// Timing is bit-identical to executing the materialized repeat() of each
-/// plan's schedule.
+/// plan's schedule. This is the simulator's one entry point: an ad-hoc
+/// schedule runs as a PlanJob around make_plan (mixradix/simmpi/plan.hpp).
 TimedResult run_timed(const topo::Machine& machine,
                       const std::vector<PlanJob>& jobs,
-                      const ExecOptions& options);
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<PlanJob>& jobs,
-                      double completion_slack = kDefaultCompletionSlack);
-
-/// Legacy schedule-pointer entry point; validates each schedule and wraps
-/// it in a single-repetition plan.
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<JobSpec>& jobs,
-                      const ExecOptions& options);
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<JobSpec>& jobs,
-                      double completion_slack = kDefaultCompletionSlack);
-
-/// Convenience: duration of a single collective on `machine` with the given
-/// rank->core binding.
-double run_timed_single(const topo::Machine& machine, const Schedule& schedule,
-                        std::vector<std::int64_t> core_of_rank,
-                        double completion_slack = kDefaultCompletionSlack);
-
-/// Plan flavour of run_timed_single. The plan is borrowed for the call —
-/// no shared_ptr needed (both overload families feed one non-owning
-/// internal entry point).
-double run_timed_plan_single(const topo::Machine& machine, const Plan& plan,
-                             std::vector<std::int64_t> core_of_rank,
-                             double completion_slack = kDefaultCompletionSlack);
+                      const ExecOptions& options = {});
 
 }  // namespace mr::simmpi

@@ -20,8 +20,8 @@
 // actually changes, so advance_to() never touches per-flow state and the
 // next completion comes from a lazy min-heap over deadlines instead of an
 // O(active-flows) scan per event. A reference mode (incremental = false)
-// keeps the scan for benchmarking; both modes evaluate the exact same
-// floating-point expressions and are bit-identical.
+// keeps the scan as the test oracle for the heap; both modes evaluate the
+// exact same floating-point expressions and are bit-identical.
 #pragma once
 
 #include <array>
@@ -86,7 +86,7 @@ class FlowSim {
   /// internal buffer (no per-run allocation churn when the channel count is
   /// unchanged). `incremental = false` selects the reference completion
   /// tracker: an O(active-flows) scan per event instead of the lazy
-  /// deadline heap, with bit-identical output (bench baseline).
+  /// deadline heap, with bit-identical output (the heap's test oracle).
   void reset(const std::vector<double>& capacities, double completion_slack = 0.0,
              bool incremental = true);
 

@@ -1,6 +1,6 @@
 // Rendering of TuneReports: a human-readable ranking table and a
-// machine-readable JSON document (mrtune --json, BENCH_tune.json inputs,
-// the byte-identity oracle of the determinism tests).
+// machine-readable JSON document (mrtune --json, the byte-identity oracle
+// of the determinism tests).
 //
 // write_json is canonical: doubles are printed with max_digits10 so equal
 // doubles render equally, and wall-clock fields are excluded — two

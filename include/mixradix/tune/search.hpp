@@ -100,7 +100,6 @@ struct TuneQuery {
   std::int64_t screen_keep = 0;
   bool dedup = true;   ///< stage 1; off = every order its own candidate.
   bool prune = true;   ///< stage 2; off = simulate every candidate.
-  bool use_plan_cache = true;  ///< resolve plans through the engine's cache.
   /// Shard `shard_index` of `shard_count` over the candidate stream: after
   /// dedup, candidate i (in representative-lexicographic order) belongs to
   /// shard i % shard_count. Shards partition the candidates exactly.

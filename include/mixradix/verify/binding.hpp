@@ -88,7 +88,7 @@ struct LoadReport {
 /// The static lower bound and its ingredients.
 struct Bound {
   /// max(critical_path, channel_serialization); sound for completion
-  /// slack 0 in both engine modes.
+  /// slack 0.
   double lower_bound = 0;
   /// Longest happens-before chain: round CPU serialisation plus per-message
   /// max-min transfer floors.
@@ -125,7 +125,7 @@ struct Options {
 };
 
 /// One plan bound to machine cores — a non-owning mirror of
-/// simmpi::PlanJob that also fits ad-hoc schedules (the JobSpec path).
+/// simmpi::PlanJob.
 struct JobBinding {
   const simmpi::Schedule* schedule = nullptr;
   const simmpi::PlanExec* exec = nullptr;

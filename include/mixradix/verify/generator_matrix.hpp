@@ -5,10 +5,9 @@
 // The per-algorithm table lives in the simmpi algorithm registry
 // (mixradix/simmpi/registry.hpp) — the same single source of truth the
 // selector and plan compiler use; this header adds only the composition
-// shapes on top. The matrix feeds three consumers: the verifier test suite
-// (every point must analyze clean), bench/verify_overhead (analyzer cost vs
-// generation cost per point), and the verify_cli example (ad-hoc inspection
-// of any point).
+// shapes on top. The matrix feeds two consumers: the verifier test suite
+// (every point must analyze clean) and the verify_cli example (ad-hoc
+// inspection of any point).
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <memory>
 
 #include "mixradix/apps/cg.hpp"
 #include "mixradix/simmpi/timed_executor.hpp"
@@ -119,10 +120,11 @@ CgResult simulate_cg(const topo::Machine& machine, const CgClass& klass,
   // structure per iteration, so the plan repetition count reproduces
   // cg_schedule(..., sim_inner_iters) exactly without materializing it.
   MR_EXPECT(sim_inner_iters >= 1, "need at least one iteration");
-  const simmpi::Plan plan = simmpi::make_plan(
-      cg_schedule(klass, p, compute, 1), sim_inner_iters, "npb_cg_inner");
-  const double simulated =
-      simmpi::run_timed_plan_single(machine, plan, core_list);
+  const simmpi::PlanJob job{
+      std::make_shared<const simmpi::Plan>(simmpi::make_plan(
+          cg_schedule(klass, p, compute, 1), sim_inner_iters, "npb_cg_inner")),
+      core_list};
+  const double simulated = simmpi::run_timed(machine, {job}).makespan;
   result.seconds = simulated * total_inner / sim_inner_iters;
   result.comm_seconds = std::max(0.0, result.seconds - result.compute_seconds);
   return result;

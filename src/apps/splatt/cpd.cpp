@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <memory>
 
 #include "mixradix/apps/splatt.hpp"
 #include "mixradix/mr/decompose.hpp"
@@ -148,23 +149,23 @@ CpdResult simulate_cpd_placement(const topo::Machine& machine,
 
   // One compiled mode block, looped sim_iterations times by the executor —
   // no materialized repeat() copies of the IR.
-  const simmpi::Plan run =
-      simmpi::make_plan(cpd_iteration_schedule(machine, spec, grid, config),
-                        config.sim_iterations, "cpd_mode_block");
+  simmpi::PlanJob job{
+      std::make_shared<const simmpi::Plan>(simmpi::make_plan(
+          cpd_iteration_schedule(machine, spec, grid, config),
+          config.sim_iterations, "cpd_mode_block")),
+      std::move(core_of_rank)};
   // 3 mode blocks per iteration, `iterations` iterations.
   const double scale =
       3.0 * static_cast<double>(config.iterations) / config.sim_iterations;
 
   CpdResult result;
-  result.seconds =
-      simmpi::run_timed_plan_single(machine, run, core_of_rank) * scale;
+  result.seconds = simmpi::run_timed(machine, {job}).makespan * scale;
 
   // The 16-process-layer alltoallv portion alone, for the §4.2 correlation.
-  const simmpi::Plan comm_plan = simmpi::make_plan(
+  job.plan = std::make_shared<const simmpi::Plan>(simmpi::make_plan(
       mode_alltoallv(spec, grid, 0, config.factor_rank), config.sim_iterations,
-      "cpd_mode_alltoallv");
-  result.alltoallv_seconds =
-      simmpi::run_timed_plan_single(machine, comm_plan, core_of_rank) * scale;
+      "cpd_mode_alltoallv"));
+  result.alltoallv_seconds = simmpi::run_timed(machine, {job}).makespan * scale;
 
   result.compute_seconds =
       3.0 * mttkrp_seconds(machine, spec, grid.nprocs(), config.factor_rank) *

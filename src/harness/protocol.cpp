@@ -36,16 +36,11 @@ std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
   // The plan depends only on (algorithm, p, count, repetitions) — never on
   // the order — so every h! enumeration order of a sweep shares one cached
   // compile. Repetitions are a plan loop count, not a materialized repeat().
-  const simmpi::PlanKey key{
-      simmpi::selected_algorithm(config.collective, p, count,
-                                 machine.costs().eager_threshold),
-      p, count, /*root=*/0, config.repetitions};
   const std::shared_ptr<const simmpi::Plan> plan =
-      config.use_plan_cache
-          ? engine.plan_cache().get(key)
-          : std::make_shared<const simmpi::Plan>(simmpi::compile_plan(
-                key.algorithm, key.nranks, key.count, key.root,
-                key.repetitions));
+      engine.plan_cache().get(simmpi::PlanKey{
+          simmpi::selected_algorithm(config.collective, p, count,
+                                     machine.costs().eager_threshold),
+          p, count, /*root=*/0, config.repetitions});
 
   // Step 1+2 of the protocol: reorder, then carve consecutive blocks of
   // reordered ranks; communicator k's rank j sits on the core that carries
@@ -76,13 +71,11 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
 
   simmpi::ExecOptions exec;
   exec.completion_slack = config.completion_slack;
-  exec.reference = config.reference_engine;
   exec.workspace = config.workspace;
   // No explicit workspace: lease one from the engine's pool for this run
-  // (reused across runs, reclaimed with the engine). The reference engine
-  // allocates fresh by contract and ignores workspaces.
+  // (reused across runs, reclaimed with the engine).
   Engine::WorkspaceLease lease;
-  if (config.workspace == nullptr && !config.reference_engine) {
+  if (config.workspace == nullptr) {
     lease = engine.workspace();
     exec.workspace = lease.get();
   }

@@ -26,7 +26,6 @@ std::vector<Order> tuned_orders(Engine& engine, const topo::Machine& machine,
   query.repetitions = config.repetitions;
   query.completion_slack = config.completion_slack;
   query.threads = config.threads;
-  query.use_plan_cache = config.use_plan_cache;
   query.budget.max_points = config.tune_budget_points;
   const tune::TuneReport report = tune::tune(engine, machine, query);
   std::vector<Order> orders;
@@ -80,8 +79,8 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
     if (si == 0) {
       // Legend characterization goes through the closed-form kernels: for
       // an h! enumeration the O(s^2) reference pair scan would rival the
-      // simulations themselves (bit-identical either way, see
-      // bench/enum_scaling).
+      // simulations themselves (bit-identical either way, see the
+      // ClosedForm and HashedClassifier tests).
       out[oi].character =
           characterize_order(machine.hierarchy(), config.orders[oi],
                              config.comm_size, MetricsImpl::Fast);
@@ -94,7 +93,7 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
     // function-scoped thread_local, the memory is reclaimed when the
     // engine dies and never shared across engines. Results are
     // independent of reuse by construction (bit-identity is enforced by
-    // the determinism tests and bench/timed_hotpath).
+    // the Sweep and TimedExecutor determinism tests).
     MicrobenchConfig mb;
     mb.order = config.orders[oi];
     mb.comm_size = config.comm_size;
@@ -102,9 +101,7 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
     mb.total_bytes = config.sizes[si];
     mb.all_comms = config.all_comms;
     mb.repetitions = config.repetitions;
-    mb.use_plan_cache = config.use_plan_cache;
     mb.completion_slack = config.completion_slack;
-    mb.reference_engine = config.reference_engine;
     out[oi].results[si] = run_microbench(engine, machine, mb);
   };
 

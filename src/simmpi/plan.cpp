@@ -46,7 +46,9 @@ PlanExec derive_exec(const Schedule& schedule) {
   return exec;
 }
 
-Plan make_plan(Schedule schedule, int repetitions, std::string algorithm) {
+namespace {
+
+Plan wrap(Schedule schedule, int repetitions, std::string algorithm) {
   MR_EXPECT(repetitions >= 1, "repetition count must be >= 1");
   Plan plan;
   plan.schedule = std::move(schedule);
@@ -54,6 +56,14 @@ Plan make_plan(Schedule schedule, int repetitions, std::string algorithm) {
   plan.algorithm = std::move(algorithm);
   plan.exec = derive_exec(plan.schedule);
   return plan;
+}
+
+}  // namespace
+
+Plan make_plan(Schedule schedule, int repetitions, std::string algorithm) {
+  const std::string error = schedule.validate();
+  MR_EXPECT(error.empty(), "malformed schedule: " + error);
+  return wrap(std::move(schedule), repetitions, std::move(algorithm));
 }
 
 Plan compile_plan(const std::string& algorithm, std::int32_t p,
@@ -66,7 +76,9 @@ Plan compile_plan(const std::string& algorithm, std::int32_t p,
     detail::PlanCompileScope scope;
     schedule = make_algorithm(algorithm, p, count, root);
   }
-  Plan plan = make_plan(std::move(schedule), repetitions, algorithm);
+  // Generators emit schedules already checked by ScheduleBuilder::build (or
+  // by concat/merge), so the compile does not validate a second time.
+  Plan plan = wrap(std::move(schedule), repetitions, algorithm);
 #ifdef MIXRADIX_VERIFY_SCHEDULES
   auto report = std::make_shared<verify::Report>(verify::analyze(plan.schedule));
   MR_EXPECT(report->clean(), "plan " + algorithm +

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "mixradix/simnet/flow_sim.hpp"
-#include "mixradix/simnet/path.hpp"
 #include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/binding.hpp"
@@ -18,17 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTimeEps = 1e-15;
-
-/// One job as the engine sees it: schedule IR + precomputed CSR + loop
-/// count. Built from PlanJobs directly or derived on the fly for legacy
-/// JobSpecs.
-struct JobView {
-  const Schedule* schedule = nullptr;
-  const PlanExec* exec = nullptr;
-  int repetitions = 1;
-  const std::vector<std::int64_t>* core_of_rank = nullptr;
-  double start_time = 0;
-};
 
 /// Global (job, virtual message) key for flow cookies. Virtual message ids
 /// enumerate repetitions: v = rep * messages_per_rep + base_msg, exactly
@@ -106,15 +94,11 @@ namespace {
 
 class Engine {
  public:
-  Engine(const topo::Machine& machine, std::vector<JobView> jobs,
+  Engine(const topo::Machine& machine, const std::vector<PlanJob>& jobs,
          const ExecOptions& options, SimWorkspace::Impl& ws)
-      : machine_(machine),
-        jobs_(std::move(jobs)),
-        ws_(ws),
-        reference_(options.reference) {
+      : machine_(machine), jobs_(jobs), ws_(ws) {
     ws_.bind(machine);
-    ws_.flows.reset(ws_.routes.capacities(), options.completion_slack,
-                    !reference_);
+    ws_.flows.reset(ws_.routes.capacities(), options.completion_slack);
     ws_.events.clear();
     const std::size_t njobs = jobs_.size();
     ws_.msg_state.resize(njobs);
@@ -124,40 +108,37 @@ class Engine {
     route_hits_before_ = ws_.routes.stats().hits;
     route_misses_before_ = ws_.routes.stats().misses;
     for (std::size_t j = 0; j < njobs; ++j) {
-      const JobView& job = jobs_[j];
-      MR_EXPECT(job.repetitions >= 1, "repetition count must be >= 1");
-      MR_EXPECT(static_cast<std::int32_t>(job.core_of_rank->size()) ==
-                    job.schedule->nranks,
+      const PlanJob& job = jobs_[j];
+      const Plan& plan = *job.plan;
+      MR_EXPECT(plan.repetitions >= 1, "repetition count must be >= 1");
+      MR_EXPECT(static_cast<std::int32_t>(job.core_of_rank.size()) ==
+                    plan.nranks(),
                 "core binding size must equal the plan's nranks");
-      for (std::int64_t core : *job.core_of_rank) {
+      for (std::int64_t core : job.core_of_rank) {
         MR_EXPECT(core >= 0 && core < machine.cores(), "core id out of range");
       }
-      const std::int64_t virtual_msgs =
-          static_cast<std::int64_t>(job.schedule->messages.size()) *
-          job.repetitions;
+      const std::int64_t virtual_msgs = plan.total_messages();
       MR_EXPECT(virtual_msgs <= std::numeric_limits<std::int32_t>::max(),
                 "repetitions * messages overflows the message id space");
       ws_.msg_state[j].assign(static_cast<std::size_t>(virtual_msgs),
                               MsgState{});
-      ws_.rank_state[j].assign(static_cast<std::size_t>(job.schedule->nranks),
+      ws_.rank_state[j].assign(static_cast<std::size_t>(plan.nranks()),
                                RankState{});
       // Pre-resolve every base message's route once per (plan, binding) —
       // repetitions and StartFlow events then index straight into the
-      // interned table (the reference engine re-derives per message).
+      // interned table.
       auto& routes = ws_.msg_route[j];
       routes.clear();
-      if (!reference_) {
-        routes.reserve(job.schedule->messages.size());
-        for (const MsgInfo& m : job.schedule->messages) {
-          routes.push_back(ws_.routes.route(
-              (*job.core_of_rank)[static_cast<std::size_t>(m.src)],
-              (*job.core_of_rank)[static_cast<std::size_t>(m.dst)]));
-          MR_EXPECT(!ws_.routes.too_deep(routes.back()),
-                    "a route crosses more channels than the flow simulator "
-                    "carries (kMaxChannelsPerFlow)");
-        }
+      routes.reserve(plan.schedule.messages.size());
+      for (const MsgInfo& m : plan.schedule.messages) {
+        routes.push_back(ws_.routes.route(
+            job.core_of_rank[static_cast<std::size_t>(m.src)],
+            job.core_of_rank[static_cast<std::size_t>(m.dst)]));
+        MR_EXPECT(!ws_.routes.too_deep(routes.back()),
+                  "a route crosses more channels than the flow simulator "
+                  "carries (kMaxChannelsPerFlow)");
       }
-      for (std::int32_t r = 0; r < job.schedule->nranks; ++r) {
+      for (std::int32_t r = 0; r < plan.nranks(); ++r) {
         push({job.start_time, detail::EventKind::PostRound,
               static_cast<std::int32_t>(j), r});
       }
@@ -219,15 +200,17 @@ class Engine {
     return e;
   }
 
+  const Plan& plan_of(std::int32_t job) const {
+    return *jobs_[static_cast<std::size_t>(job)].plan;
+  }
+
   std::int64_t messages_per_rep(std::int32_t job) const {
-    return static_cast<std::int64_t>(
-        jobs_[static_cast<std::size_t>(job)].schedule->messages.size());
+    return plan_of(job).messages_per_rep();
   }
 
   /// Message metadata of a virtual message id (repetitions share it).
   const MsgInfo& msg_info(std::int32_t job, std::int32_t msg) const {
-    const JobView& j = jobs_[static_cast<std::size_t>(job)];
-    return j.schedule->messages[static_cast<std::size_t>(
+    return plan_of(job).schedule.messages[static_cast<std::size_t>(
         msg % messages_per_rep(job))];
   }
 
@@ -238,14 +221,8 @@ class Engine {
   }
 
   bool is_eager(std::int32_t job, std::int32_t msg) const {
-    const JobView& j = jobs_[static_cast<std::size_t>(job)];
-    return j.exec->msg_bytes[static_cast<std::size_t>(
+    return plan_of(job).exec.msg_bytes[static_cast<std::size_t>(
                msg % messages_per_rep(job))] <= machine_.costs().eager_threshold;
-  }
-
-  std::int64_t core_of(std::int32_t job, std::int32_t rank) const {
-    return (*jobs_[static_cast<std::size_t>(job)]
-                 .core_of_rank)[static_cast<std::size_t>(rank)];
   }
 
   /// CPU-serial portion of a round, from the plan's precomputed cost
@@ -265,11 +242,11 @@ class Engine {
 
   void post_round(std::int32_t job, std::int32_t rank, double t) {
     const auto j = static_cast<std::size_t>(job);
-    const JobView& view = jobs_[j];
-    const PlanExec& exec = *view.exec;
+    const Plan& plan = plan_of(job);
+    const PlanExec& exec = plan.exec;
     auto& state = ws_.rank_state[j][static_cast<std::size_t>(rank)];
     const std::int64_t rounds_per_rep = exec.rounds_of(rank);
-    const std::int64_t total_rounds = rounds_per_rep * view.repetitions;
+    const std::int64_t total_rounds = rounds_per_rep * plan.repetitions;
     if (state.round >= total_rounds) {
       state.finished = true;
       state.last_time = t;
@@ -328,25 +305,14 @@ class Engine {
                             [static_cast<std::size_t>(msg)];
     MR_ASSERT_INTERNAL(!ms.flow_scheduled);
     ms.flow_scheduled = true;
-    const double latency =
-        reference_
-            ? machine_.path_latency(core_of(job, msg_info(job, msg).src),
-                                    core_of(job, msg_info(job, msg).dst))
-            : ws_.routes.latency(route_of(job, msg));
-    push({post_time + latency, detail::EventKind::StartFlow, job, msg});
+    push({post_time + ws_.routes.latency(route_of(job, msg)),
+          detail::EventKind::StartFlow, job, msg});
   }
 
   void start_flow(std::int32_t job, std::int32_t msg) {
-    const MsgInfo& m = msg_info(job, msg);
-    if (reference_) {
-      ws_.flows.add_flow(
-          simnet::flow_channels(machine_, core_of(job, m.src),
-                                core_of(job, m.dst)),
-          static_cast<double>(m.bytes()), encode({job, msg}));
-    } else {
-      ws_.flows.add_flow(ws_.routes.channels(route_of(job, msg)),
-                         static_cast<double>(m.bytes()), encode({job, msg}));
-    }
+    ws_.flows.add_flow(ws_.routes.channels(route_of(job, msg)),
+                       static_cast<double>(msg_info(job, msg).bytes()),
+                       encode({job, msg}));
   }
 
   void on_transfer_done(MsgKey key, double t) {
@@ -390,28 +356,29 @@ class Engine {
   }
 
   const topo::Machine& machine_;
-  std::vector<JobView> jobs_;
+  const std::vector<PlanJob>& jobs_;
   SimWorkspace::Impl& ws_;
-  bool reference_ = false;
   std::int64_t route_hits_before_ = 0;
   std::int64_t route_misses_before_ = 0;
   TimedResult result_;
 };
 
-/// Non-owning internal entry point: every public overload lands here with
-/// borrowed schedule/exec/binding pointers. A private workspace backs the
-/// run when the caller supplied none — and always in reference mode, whose
-/// contract is fresh allocations and a cold route path.
-TimedResult run_timed_views(const topo::Machine& machine,
-                            std::vector<JobView> views,
-                            const ExecOptions& options) {
+}  // namespace
+
+TimedResult run_timed(const topo::Machine& machine,
+                      const std::vector<PlanJob>& jobs,
+                      const ExecOptions& options) {
+  MR_EXPECT(!jobs.empty(), "need at least one job");
+  for (const PlanJob& job : jobs) {
+    MR_EXPECT(job.plan != nullptr, "job without plan");
+  }
   if (options.preverify_binding) {
     std::vector<verify::binding::JobBinding> bindings;
-    bindings.reserve(views.size());
-    for (const JobView& view : views) {
+    bindings.reserve(jobs.size());
+    for (const PlanJob& job : jobs) {
       bindings.push_back(verify::binding::JobBinding{
-          view.schedule, view.exec, view.repetitions, view.core_of_rank,
-          view.start_time});
+          &job.plan->schedule, &job.plan->exec, job.plan->repetitions,
+          &job.core_of_rank, job.start_time});
     }
     // Diagnostics are all we need; skip the load report and bound.
     verify::binding::Options opts;
@@ -426,87 +393,9 @@ TimedResult run_timed_views(const topo::Machine& machine,
   }
   std::optional<SimWorkspace> local;
   SimWorkspace* ws = options.workspace;
-  if (ws == nullptr || options.reference) {
-    local.emplace();
-    ws = &*local;
-  }
-  Engine engine(machine, std::move(views), options, ws->impl());
+  if (ws == nullptr) ws = &local.emplace();
+  Engine engine(machine, jobs, options, ws->impl());
   return engine.run();
-}
-
-}  // namespace
-
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<PlanJob>& jobs,
-                      const ExecOptions& options) {
-  MR_EXPECT(!jobs.empty(), "need at least one job");
-  std::vector<JobView> views;
-  views.reserve(jobs.size());
-  for (const PlanJob& job : jobs) {
-    MR_EXPECT(job.plan != nullptr, "job without plan");
-    views.push_back(JobView{&job.plan->schedule, &job.plan->exec,
-                            job.plan->repetitions, &job.core_of_rank,
-                            job.start_time});
-  }
-  return run_timed_views(machine, std::move(views), options);
-}
-
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<PlanJob>& jobs,
-                      double completion_slack) {
-  ExecOptions options;
-  options.completion_slack = completion_slack;
-  return run_timed(machine, jobs, options);
-}
-
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<JobSpec>& jobs,
-                      const ExecOptions& options) {
-  MR_EXPECT(!jobs.empty(), "need at least one job");
-  // Ad-hoc schedules have not been through plan compilation; validate here
-  // (plans are validated by their builders at compile time).
-  std::vector<PlanExec> execs;
-  execs.reserve(jobs.size());
-  std::vector<JobView> views;
-  views.reserve(jobs.size());
-  for (const JobSpec& job : jobs) {
-    MR_EXPECT(job.schedule != nullptr, "job without schedule");
-    MR_EXPECT(job.schedule->validate().empty(), "malformed schedule");
-    execs.push_back(derive_exec(*job.schedule));
-    views.push_back(JobView{job.schedule, &execs.back(), 1, &job.core_of_rank,
-                            job.start_time});
-  }
-  return run_timed_views(machine, std::move(views), options);
-}
-
-TimedResult run_timed(const topo::Machine& machine,
-                      const std::vector<JobSpec>& jobs,
-                      double completion_slack) {
-  ExecOptions options;
-  options.completion_slack = completion_slack;
-  return run_timed(machine, jobs, options);
-}
-
-double run_timed_single(const topo::Machine& machine, const Schedule& schedule,
-                        std::vector<std::int64_t> core_of_rank,
-                        double completion_slack) {
-  JobSpec job;
-  job.schedule = &schedule;
-  job.core_of_rank = std::move(core_of_rank);
-  const TimedResult result = run_timed(machine, std::vector<JobSpec>{job},
-                                       completion_slack);
-  return result.makespan;
-}
-
-double run_timed_plan_single(const topo::Machine& machine, const Plan& plan,
-                             std::vector<std::int64_t> core_of_rank,
-                             double completion_slack) {
-  ExecOptions options;
-  options.completion_slack = completion_slack;
-  std::vector<JobView> views;
-  views.push_back(JobView{&plan.schedule, &plan.exec, plan.repetitions,
-                          &core_of_rank, 0.0});
-  return run_timed_views(machine, std::move(views), options).makespan;
 }
 
 }  // namespace mr::simmpi

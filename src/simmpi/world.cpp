@@ -78,11 +78,12 @@ std::vector<Communicator> Communicator::split_by_level(int level) const {
 
 double Communicator::time_collective(Collective kind, std::int64_t count,
                                      std::int32_t root) const {
-  const auto plan = engine_->plan_cache().get(
+  auto plan = engine_->plan_cache().get(
       PlanKey{selected_algorithm(kind, size(), count,
                                  machine_->costs().eager_threshold),
               size(), count, root, 1});
-  return run_timed_plan_single(*machine_, *plan, cores_);
+  return run_timed(*machine_, {PlanJob{std::move(plan), cores_, 0.0}})
+      .makespan;
 }
 
 double Communicator::time_concurrent(const std::vector<Communicator>& comms,

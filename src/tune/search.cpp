@@ -76,7 +76,6 @@ harness::MicrobenchConfig point_config(const TuneQuery& query,
   mb.total_bytes = point.total_bytes;
   mb.all_comms = query.concurrency == Concurrency::AllComms;
   mb.repetitions = query.repetitions;
-  mb.use_plan_cache = query.use_plan_cache;
   mb.completion_slack = query.completion_slack;
   return mb;
 }

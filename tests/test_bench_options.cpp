@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace bench {
 namespace {
 
@@ -25,34 +23,25 @@ TEST(BenchOptions, ParsesEveryFlag) {
   EXPECT_EQ(o.csv_path, "out.csv");
 }
 
-TEST(BenchOptions, ResolvedThreadsHonoursExplicitValueAndAuto) {
-  Options o;
-  o.threads = 7;
-  EXPECT_EQ(o.resolved_threads(), 7);
-  o.threads = 0;
-  EXPECT_EQ(o.resolved_threads(),
-            static_cast<int>(mr::util::ThreadPool::default_threads()));
-}
-
 TEST(BenchOptions, RejectsUnknownFlags) {
-  EXPECT_THROW(Options::parse_args({"--frobnicate=1"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"extra"}), std::invalid_argument);
+  EXPECT_THROW(Options::parse_args({"--frobnicate=1"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"extra"}), cli::InputError);
 }
 
 TEST(BenchOptions, RejectsMalformedIntegers) {
-  EXPECT_THROW(Options::parse_args({"--threads=four"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--threads=4x"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--threads="}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--reps=2.5"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--max-size=1e6"}), std::invalid_argument);
+  EXPECT_THROW(Options::parse_args({"--threads=four"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--threads=4x"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--threads="}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--reps=2.5"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--max-size=1e6"}), cli::InputError);
 }
 
 TEST(BenchOptions, RejectsOutOfRangeValues) {
-  EXPECT_THROW(Options::parse_args({"--threads=0"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--threads=-2"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--reps=0"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--max-size=0"}), std::invalid_argument);
-  EXPECT_THROW(Options::parse_args({"--max-size=-1"}), std::invalid_argument);
+  EXPECT_THROW(Options::parse_args({"--threads=0"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--threads=-2"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--reps=0"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--max-size=0"}), cli::InputError);
+  EXPECT_THROW(Options::parse_args({"--max-size=-1"}), cli::InputError);
 }
 
 TEST(BenchOptions, LastFlagWins) {

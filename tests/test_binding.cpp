@@ -1,8 +1,7 @@
 // Binding-analyzer tests. The load-bearing property: the static
 // critical-path lower bound NEVER exceeds the TimedExecutor's simulated
-// makespan — checked across the full registry x preset x size x engine
-// matrix, in exact (slack 0) and slack-merged timing, serial and from a
-// thread pool.
+// makespan — checked across the full registry x preset x size matrix, in
+// exact (slack 0) and slack-merged timing, serial and from a thread pool.
 #include "mixradix/verify/binding.hpp"
 
 #include <gtest/gtest.h>
@@ -61,18 +60,16 @@ std::int32_t pick_p(const simmpi::AlgorithmInfo& info, std::int64_t ncores) {
 }
 
 double run_sim(const topo::Machine& machine, const simmpi::Plan& plan,
-               const std::vector<std::int64_t>& cores, double slack,
-               bool reference) {
+               const std::vector<std::int64_t>& cores, double slack) {
   PlanJob job;
   job.plan = std::make_shared<const simmpi::Plan>(plan);
   job.core_of_rank = cores;
   ExecOptions options;
   options.completion_slack = slack;
-  options.reference = reference;
   return simmpi::run_timed(machine, {job}, options).makespan;
 }
 
-/// One matrix point: analyze + simulate in all four engine configurations,
+/// One matrix point: analyze, then simulate exactly and slack-merged,
 /// returning a description of every violated bound ("" = all held).
 std::string check_point(const topo::Machine& machine, const std::string& alg,
                         std::int32_t p, std::int64_t count, int repetitions,
@@ -84,17 +81,14 @@ std::string check_point(const topo::Machine& machine, const std::string& alg,
     return alg + ": analysis not clean:\n" + analysis.to_string();
   }
   std::string failures;
-  for (const bool reference : {false, true}) {
-    for (const double slack : {0.0, simmpi::kDefaultCompletionSlack}) {
-      const double sim = run_sim(machine, plan, cores, slack, reference);
-      const double lb = analysis.bound.for_slack(slack);
-      if (!(lb <= sim * kFpSlop)) {
-        failures += alg + " on " + machine.name() + " count=" +
-                    std::to_string(count) + " slack=" + std::to_string(slack) +
-                    (reference ? " reference" : " optimized") +
-                    ": lower bound " + std::to_string(lb) +
-                    " exceeds simulated " + std::to_string(sim) + "\n";
-      }
+  for (const double slack : {0.0, simmpi::kDefaultCompletionSlack}) {
+    const double sim = run_sim(machine, plan, cores, slack);
+    const double lb = analysis.bound.for_slack(slack);
+    if (!(lb <= sim * kFpSlop)) {
+      failures += alg + " on " + machine.name() + " count=" +
+                  std::to_string(count) + " slack=" + std::to_string(slack) +
+                  ": lower bound " + std::to_string(lb) +
+                  " exceeds simulated " + std::to_string(sim) + "\n";
     }
   }
   return failures;
@@ -166,7 +160,7 @@ TEST(BindingBound, ExactlyTightOnSerializedNicContention) {
   const std::vector<std::int64_t> cores = {0, 8, 1, 9};
   const Result r = analyze(plan, m, cores);
   ASSERT_TRUE(r.clean()) << r.report.to_string();
-  const double sim = run_sim(m, plan, cores, 0.0, false);
+  const double sim = run_sim(m, plan, cores, 0.0);
   EXPECT_NEAR(sim, 2 * 8e6 / 1e9, 1e-12);
   EXPECT_NEAR(r.bound.lower_bound, sim, 1e-12);
   EXPECT_NEAR(r.bound.channel_serialization, sim, 1e-12);
@@ -235,7 +229,7 @@ TEST(BindingDiagnostics, DuplicateCoreIsWarningOnly) {
   // Rank 0 -> rank 1 traffic stays off the network.
   EXPECT_GT(r.load.self_bytes, 0);
   // The bound still holds on the degenerate mapping.
-  const double sim = run_sim(m, plan, {0, 0, 1, 2}, 0.0, false);
+  const double sim = run_sim(m, plan, {0, 0, 1, 2}, 0.0);
   EXPECT_LE(r.bound.lower_bound, sim * kFpSlop);
 }
 
@@ -352,6 +346,52 @@ TEST(BindingPreverify, ThrowsOnBadBindingAndPassesGoodOne) {
   }
   job.core_of_rank = {0, 1, 2, 3};
   EXPECT_GT(simmpi::run_timed(m, {job}, options).makespan, 0.0);
+}
+
+// The preverify configuration (diagnostics only: no load report, no
+// bound) walks each base message once — its route resolution does not
+// grow with the repetition count — and on the Fig-3 sweep point (16-rank
+// pairwise alltoall, one rank per Hydra node) that walk is at most a
+// quarter of the events one simulated 2-repetition point processes. The
+// check compares work counts, not wall-clock time, so it holds on any
+// host.
+TEST(BindingPreverify, WalksEachBaseMessageOnce) {
+  const auto machine = topo::hydra(16);
+  constexpr std::int32_t kP = 16;
+  std::vector<std::int64_t> cores(kP);
+  for (std::int32_t r = 0; r < kP; ++r) {
+    cores[static_cast<std::size_t>(r)] = r * (machine.cores() / kP);
+  }
+  Options preverify;
+  preverify.load_report = false;
+  preverify.lower_bound = false;
+  simnet::RouteTable routes;
+  routes.bind(machine);
+  std::int64_t lookups = 0;
+  for (const int reps : {1, 2, 8}) {
+    const simmpi::Plan plan =
+        simmpi::compile_plan("alltoall_pairwise", kP, 1 << 20, 0, reps);
+    const JobBinding job{&plan.schedule, &plan.exec, plan.repetitions,
+                         &cores, 0.0};
+    const simnet::RouteTable::Stats before = routes.stats();
+    const std::vector<Result> results =
+        analyze_lanes(machine, {{job}}, preverify, &routes);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].clean()) << results[0].report.to_string();
+    EXPECT_EQ(results[0].bound.lower_bound, 0.0) << "reps=" << reps;
+    EXPECT_EQ(results[0].bound.critical_path, 0.0) << "reps=" << reps;
+    lookups = routes.stats().hits + routes.stats().misses - before.hits -
+              before.misses;
+    EXPECT_EQ(lookups, plan.messages_per_rep()) << "reps=" << reps;
+    EXPECT_EQ(lookups, kP * (kP - 1)) << "reps=" << reps;
+  }
+
+  PlanJob point;
+  point.plan = std::make_shared<const simmpi::Plan>(
+      simmpi::compile_plan("alltoall_pairwise", kP, 1 << 20, 0, 2));
+  point.core_of_rank = cores;
+  const simmpi::TimedResult timed = simmpi::run_timed(machine, {point});
+  EXPECT_LE(4 * lookups, timed.engine_stats.events_processed);
 }
 
 // The analyzer's channel accounting, end to end through the shared

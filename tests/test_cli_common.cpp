@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mixradix/topo/presets.hpp"
@@ -96,6 +97,11 @@ TEST(CliMachine, BuildsEveryPreset) {
   EXPECT_TRUE(same(parse_machine("lumi_node"), mr::topo::lumi_node()));
   EXPECT_TRUE(
       same(parse_machine("generic:2:4:8"), mr::topo::generic(2, 4, 8)));
+  // Omitted trailing fields take the preset's defaults.
+  EXPECT_TRUE(same(parse_machine("hydra_node"), mr::topo::hydra_node()));
+  EXPECT_TRUE(same(parse_machine("lumi"), mr::topo::lumi(2)));
+  EXPECT_TRUE(same(parse_machine("generic"), mr::topo::generic(2, 2, 8)));
+  EXPECT_TRUE(same(parse_machine("generic:3"), mr::topo::generic(3, 2, 8)));
   EXPECT_FALSE(same(parse_machine("hydra:2:2"), mr::topo::hydra(2)));
 }
 
@@ -110,6 +116,41 @@ TEST(CliMachine, RejectsMalformedAndUnknownSpecs) {
             "unknown machine spec 'hydar:4'");
   EXPECT_EQ(input_error([] { (void)parse_machine(""); }),
             "unknown machine spec ''");
+}
+
+TEST(CliMachine, RejectsSurplusFieldsAndOutOfRangeValues) {
+  EXPECT_EQ(input_error([] { (void)parse_machine("hydra:4:1:9"); }),
+            "too many fields in --machine hydra:4:1:9 (hydra takes at most 2)");
+  EXPECT_EQ(input_error([] { (void)parse_machine("lumi:2:3:4:5"); }),
+            "too many fields in --machine lumi:2:3:4:5 (lumi takes at most 1)");
+  EXPECT_EQ(input_error([] { (void)parse_machine("testbox:1"); }),
+            "too many fields in --machine testbox:1 (testbox takes at most 0)");
+  // The preset's own precondition surfaces as input naming the spec, with
+  // no library source location.
+  EXPECT_EQ(input_error([] { (void)parse_machine("hydra:0"); }),
+            "out-of-range value in --machine hydra:0");
+  EXPECT_EQ(input_error([] { (void)parse_machine("generic:2:0:8"); }),
+            "out-of-range value in --machine generic:2:0:8");
+}
+
+// Args over `args` as if they followed the program name.
+Args args_of(std::vector<std::string> args,
+             std::vector<std::string> names) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Args(static_cast<int>(argv.size()), argv.data(), std::move(names));
+}
+
+TEST(CliArgs, ReadsPositionalsStrictlyWithFallbacks) {
+  const Args args = args_of({"16", "1x"}, {"comm_size", "total_kb", "mode"});
+  EXPECT_EQ(args.number<std::int64_t>(0, 8), 16);
+  EXPECT_EQ(args.get(2, "fast"), "fast");
+  EXPECT_EQ(args.number<int>(2, 7), 7);
+  EXPECT_EQ(input_error([&] { (void)args.number<std::int64_t>(1, 1024); }),
+            "malformed number '1x' in total_kb");
+  EXPECT_EQ(input_error([] { args_of({"16", "2", "x"}, {"a", "b"}); }),
+            "unexpected argument 'x'");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/util/expect.hpp"
@@ -181,19 +183,35 @@ TEST(HashedClassifier, MatchesReferenceClassifier) {
 
 // Determinism guarantee under TSan: the pass-1 hash and pass-2 verify fan
 // out over the shared pool, yet the classification must be byte-identical
-// to the serial path for every granularity and both kernel impls.
+// to the serial path for every granularity and both kernel impls — up to
+// depth 7 at the granularity the tuner dedups all-comms queries by.
 TEST(HashedClassifier, DeterministicAcrossThreadCounts) {
   Engine engine;
-  const Hierarchy h{2, 2, 2, 3, 3, 4};  // 720 orders
-  for (const Equivalence granularity : kGranularities) {
-    const auto serial =
-        classify_orders(engine, h, 24, granularity, 1, MetricsImpl::Fast);
-    const auto threaded =
-        classify_orders(engine, h, 24, granularity, 4, MetricsImpl::Fast);
-    expect_same_classes(serial, threaded);
-    const auto ref_threaded =
-        classify_orders(engine, h, 24, granularity, 4, MetricsImpl::Reference);
-    expect_same_classes(serial, ref_threaded);
+  struct Input {
+    Hierarchy h;
+    std::int64_t comm_size;
+    std::vector<Equivalence> granularities;
+  };
+  const Input inputs[] = {
+      {Hierarchy{2, 2, 2, 3, 3, 4},  // 720 orders
+       24,
+       {std::begin(kGranularities), std::end(kGranularities)}},
+      {Hierarchy{4, 2, 2, 2, 2, 2, 8},  // 5040 orders, 1024 processes
+       64,
+       {Equivalence::SameSetsAndInternal}},
+  };
+  for (const Input& in : inputs) {
+    for (const Equivalence granularity : in.granularities) {
+      const auto serial = classify_orders(engine, in.h, in.comm_size,
+                                          granularity, 1, MetricsImpl::Fast);
+      const auto threaded = classify_orders(engine, in.h, in.comm_size,
+                                            granularity, 4, MetricsImpl::Fast);
+      expect_same_classes(serial, threaded);
+      const auto ref_threaded =
+          classify_orders(engine, in.h, in.comm_size, granularity, 4,
+                          MetricsImpl::Reference);
+      expect_same_classes(serial, ref_threaded);
+    }
   }
 }
 

@@ -134,7 +134,8 @@ TEST(Sweep, SeriesCarryLegendsAndResults) {
 TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
   // The determinism guarantee of the parallel sweep engine: every (order,
   // size) point owns its simulator, results merge in input order, so the
-  // thread count must not change a single bit — including the CSV bytes.
+  // thread count must not change a single bit — including the CSV bytes —
+  // with completion slack (the default) and in exact timing alike.
   Engine engine;
   SweepConfig config;
   config.orders = {parse_order("0-1-2-3"), parse_order("1-3-2-0"),
@@ -145,34 +146,38 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
   config.all_comms = true;
   config.repetitions = 1;
 
-  config.threads = 1;
-  const auto serial = run_sweep(engine, small_hydra(), config);
-  config.threads = 4;
-  const auto parallel = run_sweep(engine, small_hydra(), config);
+  for (const double slack : {simmpi::kDefaultCompletionSlack, 0.0}) {
+    config.completion_slack = slack;
+    config.threads = 1;
+    const auto serial = run_sweep(engine, small_hydra(), config);
+    config.threads = 4;
+    const auto parallel = run_sweep(engine, small_hydra(), config);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t s = 0; s < serial.size(); ++s) {
-    EXPECT_EQ(serial[s].character.order, parallel[s].character.order);
-    EXPECT_EQ(serial[s].character.ring_cost, parallel[s].character.ring_cost);
-    EXPECT_EQ(serial[s].character.pair_pct, parallel[s].character.pair_pct);
-    EXPECT_EQ(serial[s].sizes, parallel[s].sizes);
-    ASSERT_EQ(serial[s].results.size(), parallel[s].results.size());
-    for (std::size_t r = 0; r < serial[s].results.size(); ++r) {
-      const auto& a = serial[s].results[r];
-      const auto& b = parallel[s].results[r];
-      // EXPECT_EQ, not NEAR: identical inputs must give identical bits.
-      EXPECT_EQ(a.mean_seconds_per_op, b.mean_seconds_per_op);
-      EXPECT_EQ(a.mean_bandwidth, b.mean_bandwidth);
-      EXPECT_EQ(a.bw_p10, b.bw_p10);
-      EXPECT_EQ(a.bw_p90, b.bw_p90);
-      EXPECT_EQ(a.algorithm, b.algorithm);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t s = 0; s < serial.size(); ++s) {
+      EXPECT_EQ(serial[s].character.order, parallel[s].character.order);
+      EXPECT_EQ(serial[s].character.ring_cost,
+                parallel[s].character.ring_cost);
+      EXPECT_EQ(serial[s].character.pair_pct, parallel[s].character.pair_pct);
+      EXPECT_EQ(serial[s].sizes, parallel[s].sizes);
+      ASSERT_EQ(serial[s].results.size(), parallel[s].results.size());
+      for (std::size_t r = 0; r < serial[s].results.size(); ++r) {
+        const auto& a = serial[s].results[r];
+        const auto& b = parallel[s].results[r];
+        // EXPECT_EQ, not NEAR: identical inputs must give identical bits.
+        EXPECT_EQ(a.mean_seconds_per_op, b.mean_seconds_per_op) << slack;
+        EXPECT_EQ(a.mean_bandwidth, b.mean_bandwidth) << slack;
+        EXPECT_EQ(a.bw_p10, b.bw_p10) << slack;
+        EXPECT_EQ(a.bw_p90, b.bw_p90) << slack;
+        EXPECT_EQ(a.algorithm, b.algorithm);
+      }
     }
-  }
 
-  std::ostringstream serial_csv, parallel_csv;
-  write_figure_csv(serial_csv, "det", serial, {});
-  write_figure_csv(parallel_csv, "det", parallel, {});
-  EXPECT_EQ(serial_csv.str(), parallel_csv.str());
+    std::ostringstream serial_csv, parallel_csv;
+    write_figure_csv(serial_csv, "det", serial, {});
+    write_figure_csv(parallel_csv, "det", parallel, {});
+    EXPECT_EQ(serial_csv.str(), parallel_csv.str()) << "slack " << slack;
+  }
 }
 
 TEST(Sweep, DefaultThreadCountMatchesTheForcedSerialPath) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
@@ -18,6 +19,14 @@
 
 namespace mr::simmpi {
 namespace {
+
+/// `schedule` as a plan of `repetitions` bound to `cores`.
+PlanJob job_of(Schedule schedule, int repetitions,
+               std::vector<std::int64_t> cores) {
+  return PlanJob{std::make_shared<const Plan>(
+                     make_plan(std::move(schedule), repetitions)),
+                 std::move(cores), 0.0};
+}
 
 TEST(Registry, EveryEntryHasNamePredicateAndGenerator) {
   const auto& reg = algorithm_registry();
@@ -157,11 +166,10 @@ TEST(Plan, RepetitionLoopMatchesMaterializedRepeat) {
         "allgather_bruck", "reduce_scatter_ring"}) {
     for (const int reps : {1, 2, 5}) {
       const Schedule once = make_algorithm(name, 8, 300);
-      const Schedule materialized = repeat(once, reps);
       const double expect =
-          run_timed_single(machine, materialized, cores);
-      const Plan plan = make_plan(once, reps, name);
-      const double got = run_timed_plan_single(machine, plan, cores);
+          run_timed(machine, {job_of(repeat(once, reps), 1, cores)}).makespan;
+      const double got =
+          run_timed(machine, {job_of(once, reps, cores)}).makespan;
       EXPECT_EQ(got, expect) << name << " reps=" << reps;
     }
   }
@@ -170,18 +178,17 @@ TEST(Plan, RepetitionLoopMatchesMaterializedRepeat) {
 TEST(Plan, RepetitionLoopMatchesRepeatUnderContention) {
   const auto machine = topo::testbox();
   const Schedule once = make_algorithm("alltoall_pairwise", 4, 2048);
-  const Schedule materialized = repeat(once, 3);
   const auto plan = std::make_shared<const Plan>(make_plan(once, 3));
   const std::vector<std::vector<std::int64_t>> bindings = {
       {0, 1, 2, 3}, {8, 9, 10, 11}};
 
-  std::vector<JobSpec> legacy;
+  std::vector<PlanJob> materialized;
   std::vector<PlanJob> jobs;
   for (const auto& cores : bindings) {
-    legacy.push_back(JobSpec{&materialized, cores, 0.0});
+    materialized.push_back(job_of(repeat(once, 3), 1, cores));
     jobs.push_back(PlanJob{plan, cores, 0.0});
   }
-  const TimedResult a = run_timed(machine, legacy);
+  const TimedResult a = run_timed(machine, materialized);
   const TimedResult b = run_timed(machine, jobs);
   EXPECT_EQ(a.makespan, b.makespan);
   ASSERT_EQ(a.job_finish.size(), b.job_finish.size());
@@ -196,10 +203,34 @@ TEST(Plan, EmptyRankProgramsFinishImmediately) {
   // repetition arithmetic (rounds_per_rep == 0).
   ScheduleBuilder b(3, 4);
   b.exchange(0, 0, Region{0, 4}, 2, Region{0, 4});  // rank 1 idle
-  const Plan plan = make_plan(std::move(b).build(), 4);
   const auto machine = topo::testbox();
-  const double t = run_timed_plan_single(machine, plan, {0, 1, 2});
+  const double t =
+      run_timed(machine, {job_of(std::move(b).build(), 4, {0, 1, 2})})
+          .makespan;
   EXPECT_GT(t, 0.0);
+}
+
+// make_plan is the one door from a raw Schedule to the simulator, so it
+// must refuse a malformed one (generated schedules pass by construction).
+TEST(Plan, MakePlanRejectsMalformedSchedule) {
+  ScheduleBuilder b(2, 8);
+  b.exchange(0, 0, Region{0, 4}, 1, Region{4, 4});
+  Schedule bad = std::move(b).build();
+  bad.programs[1].rounds[0].recvs.clear();  // message 0 never received
+  const std::string reason = bad.validate();
+  ASSERT_FALSE(reason.empty());
+  try {
+    (void)make_plan(bad);
+    FAIL() << "malformed schedule became a plan";
+  } catch (const invalid_argument& e) {
+    // The message carries validate()'s reason, as build()'s does.
+    EXPECT_NE(std::string(e.what()).find("malformed schedule: " + reason),
+              std::string::npos)
+        << e.what();
+  }
+  bad.programs[1].rounds.clear();
+  bad.messages[0].dst = 5;  // endpoint outside the schedule
+  EXPECT_THROW(make_plan(bad, 2), invalid_argument);
 }
 
 TEST(Plan, DataExecutorRunsPlansWithRepetitions) {

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "mixradix/simmpi/collectives.hpp"
+#include "mixradix/simmpi/plan.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
@@ -26,24 +28,31 @@ Schedule one_message(std::int64_t count) {
   return std::move(b).build();
 }
 
+/// `schedule` as a single-repetition plan bound to `cores`.
+PlanJob job_of(const Schedule& schedule, std::vector<std::int64_t> cores,
+               double start_time = 0.0) {
+  return PlanJob{std::make_shared<const Plan>(make_plan(schedule)),
+                 std::move(cores), start_time};
+}
+
 TEST(TimedExecutor, IntraSocketRate) {
   const auto m = topo::testbox();
   // Cores 0 -> 1 share a socket: bottleneck 4 GB/s core channels.
-  const double t = run_timed_single(m, one_message(kBig), {0, 1});
+  const double t = run_timed(m, {job_of(one_message(kBig), {0, 1})}).makespan;
   EXPECT_NEAR(t, 8e6 / 4e9, 1e-12);
 }
 
 TEST(TimedExecutor, CrossSocketRate) {
   const auto m = topo::testbox();
   // Cores 0 -> 4: socket uplinks (2 GB/s) bottleneck.
-  const double t = run_timed_single(m, one_message(kBig), {0, 4});
+  const double t = run_timed(m, {job_of(one_message(kBig), {0, 4})}).makespan;
   EXPECT_NEAR(t, 8e6 / 2e9, 1e-12);
 }
 
 TEST(TimedExecutor, CrossNodeRate) {
   const auto m = topo::testbox();
   // Cores 0 -> 8: node uplinks (1 GB/s) bottleneck.
-  const double t = run_timed_single(m, one_message(kBig), {0, 8});
+  const double t = run_timed(m, {job_of(one_message(kBig), {0, 8})}).makespan;
   EXPECT_NEAR(t, 8e6 / 1e9, 1e-12);
 }
 
@@ -51,8 +60,8 @@ TEST(TimedExecutor, NicContentionHalvesThroughput) {
   const auto m = topo::testbox();
   // Two concurrent cross-node messages share node 0's egress NIC.
   const Schedule s = one_message(kBig);
-  JobSpec j1{&s, {0, 8}, 0.0};
-  JobSpec j2{&s, {1, 9}, 0.0};
+  const PlanJob j1 = job_of(s, {0, 8});
+  const PlanJob j2 = job_of(s, {1, 9});
   const auto result = run_timed(m, {j1, j2});
   EXPECT_NEAR(result.makespan, 2 * 8e6 / 1e9, 1e-12);
   EXPECT_EQ(result.total_messages, 2);
@@ -62,8 +71,8 @@ TEST(TimedExecutor, OppositeDirectionsDoNotContend) {
   const auto m = topo::testbox();
   // Full-duplex: node0->node1 and node1->node0 use different channels.
   const Schedule s = one_message(kBig);
-  JobSpec j1{&s, {0, 8}, 0.0};
-  JobSpec j2{&s, {8, 0}, 0.0};
+  const PlanJob j1 = job_of(s, {0, 8});
+  const PlanJob j2 = job_of(s, {8, 0});
   const auto result = run_timed(m, {j1, j2});
   EXPECT_NEAR(result.makespan, 8e6 / 1e9, 1e-12);
 }
@@ -75,8 +84,9 @@ TEST(TimedExecutor, LatencyAddsPerLevel) {
   topo::MessagingCosts costs = m.costs();
   costs.base_latency = 1e-6;
   m = m.with_costs(costs);
-  const double t_socket = run_timed_single(m, one_message(1), {0, 1});
-  const double t_node = run_timed_single(m, one_message(1), {0, 8});
+  const Schedule s = one_message(1);
+  const double t_socket = run_timed(m, {job_of(s, {0, 1})}).makespan;
+  const double t_node = run_timed(m, {job_of(s, {0, 8})}).makespan;
   // testbox level latencies are zero, so only base latency differs... both
   // should include exactly one base latency.
   EXPECT_NEAR(t_socket, 1e-6 + 8.0 / 4e9, 1e-12);
@@ -99,7 +109,7 @@ TEST(TimedExecutor, HopLatenciesAccumulate) {
   EXPECT_NEAR(m.path_latency(0, 1), 2e-9, 1e-15);
   EXPECT_NEAR(m.path_latency(0, 4), 22e-9, 1e-15);
   EXPECT_NEAR(m.path_latency(0, 8), 222e-9, 1e-15);
-  const double t = run_timed_single(m, one_message(1), {0, 8});
+  const double t = run_timed(m, {job_of(one_message(1), {0, 8})}).makespan;
   EXPECT_NEAR(t, 222e-9 + 8.0 / 1e9, 1e-15);
 }
 
@@ -111,7 +121,7 @@ TEST(TimedExecutor, SendRecvOverheadsSerialise) {
   m = m.with_costs(costs);
   // One message: sender round pays 5 us, receiver round 3 us; the transfer
   // starts once both posted (rendezvous) = 5 us, takes 2 ms.
-  const double t = run_timed_single(m, one_message(kBig), {0, 1});
+  const double t = run_timed(m, {job_of(one_message(kBig), {0, 1})}).makespan;
   EXPECT_NEAR(t, 5e-6 + 8e6 / 4e9, 1e-12);
 }
 
@@ -126,7 +136,7 @@ TEST(TimedExecutor, EagerSenderDoesNotWaitForReceiver) {
   b.message(0, 0, Region{0, 16}, 1, 1, Region{0, 16});
   b.compute(0, 1, 1e-3);
   const Schedule s = std::move(b).build();
-  const auto result = run_timed(m, {JobSpec{&s, {0, 1}, 0.0}});
+  const auto result = run_timed(m, {job_of(s, {0, 1})});
   // The transfer (128 B at 4 GB/s = 32 ns) happened during rank 1's
   // compute; total time is the compute, not compute + transfer.
   EXPECT_NEAR(result.makespan, 1e-3, 1e-9);
@@ -138,7 +148,7 @@ TEST(TimedExecutor, RendezvousWaitsForReceiver) {
   b.message(0, 0, Region{0, kBig}, 1, 1, Region{0, kBig});
   b.compute(0, 1, 1e-3);
   const Schedule s = std::move(b).build();
-  const auto result = run_timed(m, {JobSpec{&s, {0, 1}, 0.0}});
+  const auto result = run_timed(m, {job_of(s, {0, 1})});
   // Transfer cannot start before the receiver posts at t = 1 ms.
   EXPECT_NEAR(result.makespan, 1e-3 + 8e6 / 4e9, 1e-9);
 }
@@ -150,14 +160,15 @@ TEST(TimedExecutor, ComputeRoundsChainSequentially) {
   b.compute(1, 0, 2e-3);
   b.compute(2, 0, 3e-3);
   const Schedule s = std::move(b).build();
-  EXPECT_NEAR(run_timed_single(m, s, {0}), 6e-3, 1e-12);
+  EXPECT_NEAR(run_timed(m, {job_of(s, {0})}).makespan, 6e-3, 1e-12);
 }
 
 TEST(TimedExecutor, StaggeredJobStartTimes) {
   const auto m = topo::testbox();
   const Schedule s = one_message(kBig);
-  JobSpec j1{&s, {0, 8}, 0.0};
-  JobSpec j2{&s, {1, 9}, 8e-3};  // starts exactly when j1 finishes
+  const PlanJob j1 = job_of(s, {0, 8});
+  // j2 starts exactly when j1 finishes.
+  const PlanJob j2 = job_of(s, {1, 9}, 8e-3);
   const auto result = run_timed(m, {j1, j2});
   ASSERT_EQ(result.job_finish.size(), 2u);
   EXPECT_NEAR(result.job_finish[0], 8e-3, 1e-12);
@@ -167,11 +178,10 @@ TEST(TimedExecutor, StaggeredJobStartTimes) {
 TEST(TimedExecutor, ValidatesJobs) {
   const auto m = topo::testbox();
   const Schedule s = one_message(4);
-  EXPECT_THROW(run_timed(m, std::vector<JobSpec>{}), invalid_argument);
   EXPECT_THROW(run_timed(m, std::vector<PlanJob>{}), invalid_argument);
-  EXPECT_THROW(run_timed(m, {JobSpec{&s, {0}, 0.0}}), invalid_argument);
-  EXPECT_THROW(run_timed(m, {JobSpec{&s, {0, 99}, 0.0}}), invalid_argument);
-  EXPECT_THROW(run_timed(m, {JobSpec{nullptr, {0, 1}, 0.0}}), invalid_argument);
+  EXPECT_THROW(run_timed(m, {job_of(s, {0})}), invalid_argument);
+  EXPECT_THROW(run_timed(m, {job_of(s, {0, 99})}), invalid_argument);
+  EXPECT_THROW(run_timed(m, {PlanJob{nullptr, {0, 1}, 0.0}}), invalid_argument);
 }
 
 // Integration: collective schedules complete and scale sensibly.
@@ -179,16 +189,15 @@ TEST(TimedExecutor, AlltoallSpreadSlowerThanPackedUnderLoad) {
   const auto m = topo::testbox();  // [2, 2, 4], 16 cores
   const Schedule coll = alltoall_pairwise(4, 4096);  // 4 ranks, 32 KB blocks
   // Packed: 4 communicators, each inside one socket.
-  std::vector<JobSpec> packed;
+  std::vector<PlanJob> packed;
   for (int c = 0; c < 4; ++c) {
-    packed.push_back(JobSpec{&coll,
-                             {4 * c + 0, 4 * c + 1, 4 * c + 2, 4 * c + 3},
-                             0.0});
+    packed.push_back(
+        job_of(coll, {4 * c + 0, 4 * c + 1, 4 * c + 2, 4 * c + 3}));
   }
   // Spread: each communicator has one rank per socket.
-  std::vector<JobSpec> spread;
+  std::vector<PlanJob> spread;
   for (int c = 0; c < 4; ++c) {
-    spread.push_back(JobSpec{&coll, {c, 4 + c, 8 + c, 12 + c}, 0.0});
+    spread.push_back(job_of(coll, {c, 4 + c, 8 + c, 12 + c}));
   }
   const double t_packed = run_timed(m, packed).makespan;
   const double t_spread = run_timed(m, spread).makespan;
@@ -199,8 +208,9 @@ TEST(TimedExecutor, SingleSpreadCommBeatsNothingButIsValid) {
   const auto m = topo::testbox();
   const Schedule coll = alltoall_pairwise(4, 4096);
   const double t_alone_spread =
-      run_timed_single(m, coll, {0, 4, 8, 12});
-  const double t_alone_packed = run_timed_single(m, coll, {0, 1, 2, 3});
+      run_timed(m, {job_of(coll, {0, 4, 8, 12})}).makespan;
+  const double t_alone_packed =
+      run_timed(m, {job_of(coll, {0, 1, 2, 3})}).makespan;
   EXPECT_GT(t_alone_spread, 0);
   EXPECT_GT(t_alone_packed, 0);
   // Alone, the packed mapping still wins on this machine because intra-
@@ -214,8 +224,8 @@ TEST(TimedExecutor, DeterministicAcrossRuns) {
   const auto m = topo::testbox();
   const Schedule coll = allgather_ring(8, 1024);
   const std::vector<std::int64_t> cores{0, 2, 4, 6, 8, 10, 12, 14};
-  const double t1 = run_timed_single(m, coll, cores);
-  const double t2 = run_timed_single(m, coll, cores);
+  const double t1 = run_timed(m, {job_of(coll, cores)}).makespan;
+  const double t2 = run_timed(m, {job_of(coll, cores)}).makespan;
   EXPECT_EQ(t1, t2);
 }
 
@@ -225,18 +235,23 @@ TEST(TimedExecutor, CompletionSlackIsATunableParameter) {
   const std::vector<std::int64_t> cores{0, 1, 2, 3, 4, 5, 6, 7};
   // Exact timing (slack 0) and the default 2% slack must agree to within
   // the documented per-hop error bound, scaled by the rounds in flight.
-  const double exact = run_timed_single(m, coll, cores, 0.0);
-  const double slack = run_timed_single(m, coll, cores);
+  const PlanJob job = job_of(coll, cores);
+  ExecOptions options;
+  options.completion_slack = 0.0;
+  const double exact = run_timed(m, {job}, options).makespan;
+  const double slack = run_timed(m, {job}).makespan;
   EXPECT_GT(exact, 0);
   EXPECT_NEAR(slack, exact, exact * 0.1);
-  EXPECT_THROW(run_timed_single(m, coll, cores, -0.1), invalid_argument);
-  EXPECT_THROW(run_timed_single(m, coll, cores, 0.5), invalid_argument);
+  options.completion_slack = -0.1;
+  EXPECT_THROW(run_timed(m, {job}, options), invalid_argument);
+  options.completion_slack = 0.5;
+  EXPECT_THROW(run_timed(m, {job}, options), invalid_argument);
 }
 
 TEST(TimedExecutor, ReportsFlowSimStats) {
   const auto m = topo::testbox();
   const Schedule coll = alltoall_pairwise(8, 16384);
-  JobSpec job{&coll, {0, 1, 2, 3, 4, 5, 6, 7}, 0.0};
+  const PlanJob job = job_of(coll, {0, 1, 2, 3, 4, 5, 6, 7});
   const TimedResult result = run_timed(m, {job});
   EXPECT_GE(result.flow_stats.full_recomputes, 1);
   EXPECT_GE(result.flow_stats.pop_batches, 1);
@@ -307,35 +322,10 @@ TEST(TimedExecutorEvent, PopOrderIndependentOfPushOrder) {
   }
 }
 
-TEST(TimedExecutor, ReferenceEngineIsBitIdentical) {
-  const auto m = topo::testbox();
-  const Schedule coll = alltoall_pairwise(8, 16384);
-  std::vector<JobSpec> jobs;
-  for (int c = 0; c < 2; ++c) {
-    jobs.push_back(JobSpec{&coll, {8 * c, 8 * c + 1, 8 * c + 2, 8 * c + 3,
-                                   8 * c + 4, 8 * c + 5, 8 * c + 6, 8 * c + 7},
-                           0.0});
-  }
-  for (const double slack : {kDefaultCompletionSlack, 0.0}) {
-    ExecOptions optimized;
-    optimized.completion_slack = slack;
-    ExecOptions reference = optimized;
-    reference.reference = true;
-    const TimedResult fast = run_timed(m, jobs, optimized);
-    const TimedResult exact = run_timed(m, jobs, reference);
-    EXPECT_EQ(fast.makespan, exact.makespan);  // exact, not NEAR
-    ASSERT_EQ(fast.job_finish.size(), exact.job_finish.size());
-    for (std::size_t j = 0; j < fast.job_finish.size(); ++j) {
-      EXPECT_EQ(fast.job_finish[j], exact.job_finish[j]);
-    }
-    EXPECT_EQ(fast.total_flow_events, exact.total_flow_events);
-  }
-}
-
 TEST(TimedExecutor, WorkspaceReuseIsBitIdenticalAndKeepsRoutes) {
   const auto m = topo::testbox();
   const Schedule coll = alltoall_pairwise(8, 16384);
-  JobSpec job{&coll, {0, 2, 4, 6, 8, 10, 12, 14}, 0.0};
+  const PlanJob job = job_of(coll, {0, 2, 4, 6, 8, 10, 12, 14});
   const TimedResult fresh = run_timed(m, {job});
 
   SimWorkspace workspace;
@@ -354,7 +344,7 @@ TEST(TimedExecutor, WorkspaceReuseIsBitIdenticalAndKeepsRoutes) {
 
 TEST(TimedExecutor, WorkspaceSurvivesEquivalentAndChangedMachines) {
   const Schedule coll = alltoall_pairwise(4, 4096);
-  JobSpec job{&coll, {0, 1, 2, 3}, 0.0};
+  const PlanJob job = job_of(coll, {0, 1, 2, 3});
   SimWorkspace workspace;
   ExecOptions options;
   options.workspace = &workspace;
@@ -384,7 +374,7 @@ TEST(TimedExecutor, WorkspaceSurvivesEquivalentAndChangedMachines) {
 TEST(TimedExecutor, ReportsEngineStats) {
   const auto m = topo::testbox();
   const Schedule coll = alltoall_pairwise(8, 16384);
-  JobSpec job{&coll, {0, 1, 2, 3, 4, 5, 6, 7}, 0.0};
+  const PlanJob job = job_of(coll, {0, 1, 2, 3, 4, 5, 6, 7});
   const TimedResult result = run_timed(m, {job});
   EXPECT_GT(result.engine_stats.events_processed, 0);
   EXPECT_GT(result.engine_stats.peak_event_queue, 0);

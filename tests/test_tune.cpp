@@ -18,6 +18,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "mixradix/engine/engine.hpp"
@@ -36,6 +37,35 @@ TuneReport exhaustive(const topo::Machine& machine, TuneQuery query) {
   query.budget = Budget{};
   Engine engine;
   return tune(engine, machine, query);
+}
+
+/// Depth-6 variant of Hydra — node/socket/numa/half/l3/core, 256 cores —
+/// whose 6! = 720 orders are past what exhaustive sweeps comfortably
+/// enumerate, yet small enough to enumerate once as a test oracle.
+topo::Machine deep6() {
+  std::vector<topo::LevelSpec> levels = {
+      {"node", 4, 1.0e-6, 12.5e9, 0.0},
+      {"socket", 2, 4.0e-7, 20.0e9, 85.0e9},
+      {"numa", 2, 2.5e-7, 30.0e9, 60.0e9},
+      {"half", 2, 1.5e-7, 40.0e9, 48.0e9},
+      {"l3", 2, 1.2e-7, 25.0e9, 30.0e9},
+      {"core", 2, 1.0e-7, 9.0e9, 12.0e9},
+  };
+  return topo::Machine("deep6", std::move(levels));
+}
+
+/// The deep6 payload grid: six payloads in one algorithm regime, so every
+/// candidate's points share one plan structure. A wide first wave is where
+/// incremental seeding pays.
+TuneQuery deep6_grid() {
+  TuneQuery query;
+  query.comm_sizes = {16};
+  query.total_bytes = {256 << 10, 384 << 10, 512 << 10,
+                       768 << 10, 1024 << 10, 1536 << 10};
+  query.k = 3;
+  query.wave_size = 32;
+  query.threads = 1;
+  return query;
 }
 
 /// The funnel's whole point: its ranking must equal brute force. The
@@ -206,17 +236,18 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
   }
 }
 
-TEST(Tune, PruningIsSound) {
-  // Every pruned candidate's true (exhaustively simulated) score must be
-  // strictly worse than the k-th best, and every class member must score
-  // exactly its representative — the two invariants exactness rests on.
+struct FunnelVsExhaustive {
+  TuneReport funnel;
+  Order argmin;  ///< the exhaustive run's top-1.
+};
+
+/// Runs `query` through the funnel and exhaustively, and checks the two
+/// invariants exactness rests on: every pruned candidate's true
+/// (exhaustively simulated) score is strictly worse than the k-th best, and
+/// every class member scores exactly its representative.
+FunnelVsExhaustive expect_sound_pruning(const topo::Machine& machine,
+                                        const TuneQuery& query) {
   Engine engine;
-  const auto machine = topo::lumi(2);
-  TuneQuery query;
-  query.comm_sizes = {32};
-  query.total_bytes = {1 << 20};
-  query.k = 2;
-  query.threads = 4;
   const TuneReport funnel = tune(engine, machine, query);
   const TuneReport brute = exhaustive(machine, query);
 
@@ -247,6 +278,37 @@ TEST(Tune, PruningIsSound) {
   EXPECT_EQ(funnel.stats.simulated + funnel.stats.pruned +
                 funnel.stats.screened_out + funnel.stats.budget_skipped,
             funnel.stats.shard_classes);
+  return {funnel, brute.candidates[brute.top.front()].order};
+}
+
+TEST(Tune, PruningIsSound) {
+  TuneQuery query;
+  query.comm_sizes = {32};
+  query.total_bytes = {1 << 20};
+  query.k = 2;
+  query.threads = 4;
+  const FunnelVsExhaustive run = expect_sound_pruning(topo::lumi(2), query);
+  EXPECT_EQ(run.funnel.candidates[run.funnel.top.front()].order, run.argmin);
+}
+
+TEST(Tune, PrunesSoundlyAtDepthSixWithFiveTimesFewerSims) {
+  // The funnel's reason to exist: on a depth-6 machine it simulates at
+  // least 5x fewer points than exhaustive enumeration (24 of 720 here),
+  // with the same top-1 and without pruning a true top-k order.
+  TuneQuery query;
+  query.comm_sizes = {16};
+  query.total_bytes = {256 << 10};
+  query.k = 3;
+  query.threads = 4;
+  const FunnelVsExhaustive run = expect_sound_pruning(deep6(), query);
+  const Order& top1 = run.funnel.candidates[run.funnel.top.front()].order;
+  EXPECT_EQ(top1, run.argmin) << order_to_string(top1) << " vs "
+                              << order_to_string(run.argmin);
+  const TuneStats& stats = run.funnel.stats;
+  EXPECT_EQ(stats.orders, 720);
+  EXPECT_GT(stats.pruned, 0);
+  EXPECT_GE(stats.exhaustive_points, 5 * stats.sim_points)
+      << stats.sim_points << " of " << stats.exhaustive_points;
 }
 
 TEST(Tune, ShardsPartitionTheCandidateClasses) {
@@ -362,89 +424,104 @@ TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
   // plan structure. Every candidate's lower_bound must still equal the sum
   // over points, in point order, of that point's own analyze_jobs bound —
   // bit for bit — and the report must not depend on the thread count.
-  const auto machine = topo::hydra(2);
-  TuneQuery query;
-  query.comm_sizes = {16};
+  struct Input {
+    topo::Machine machine;
+    TuneQuery query;
+    std::int64_t passes_per_candidate;  ///< distinct plan structures.
+  };
+  TuneQuery mixed;
+  mixed.comm_sizes = {16};
   // 64 B selects alltoall_bruck, the other sizes alltoall_pairwise: two
   // structure groups per candidate.
-  query.total_bytes = {256 << 10, 64, 512 << 10, 1 << 20};
-  query.k = 2;
-  query.threads = 1;
-  Engine engine;
-  const TuneReport report = tune(engine, machine, query);
+  mixed.total_bytes = {256 << 10, 64, 512 << 10, 1 << 20};
+  mixed.k = 2;
+  mixed.threads = 1;
+  // All six deep6 payloads select alltoall_pairwise: one pass, six lanes.
+  const Input inputs[] = {{topo::hydra(2), mixed, 2},
+                          {deep6(), deep6_grid(), 1}};
 
   verify::binding::Options options;
   options.load_report = false;
-  for (const TuneCandidate& c : report.candidates) {
-    double want = 0;
-    for (const QueryPoint& point : report.points) {
-      harness::MicrobenchConfig mb;
-      mb.order = c.order;
-      mb.comm_size = point.comm_size;
-      mb.collective = point.collective;
-      mb.total_bytes = point.total_bytes;
-      mb.all_comms = true;
-      mb.repetitions = query.repetitions;
-      const auto jobs = harness::protocol_jobs(engine, machine, mb);
-      std::vector<verify::binding::JobBinding> bindings;
-      for (const auto& job : jobs) {
-        bindings.push_back({&job.plan->schedule, &job.plan->exec,
-                            job.plan->repetitions, &job.core_of_rank,
-                            job.start_time});
+  for (const Input& in : inputs) {
+    const topo::Machine& machine = in.machine;
+    TuneQuery query = in.query;
+    Engine engine;
+    const TuneReport report = tune(engine, machine, query);
+
+    for (const TuneCandidate& c : report.candidates) {
+      double want = 0;
+      for (const QueryPoint& point : report.points) {
+        harness::MicrobenchConfig mb;
+        mb.order = c.order;
+        mb.comm_size = point.comm_size;
+        mb.collective = point.collective;
+        mb.total_bytes = point.total_bytes;
+        mb.all_comms = true;
+        mb.repetitions = query.repetitions;
+        const auto jobs = harness::protocol_jobs(engine, machine, mb);
+        std::vector<verify::binding::JobBinding> bindings;
+        for (const auto& job : jobs) {
+          bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                              job.plan->repetitions, &job.core_of_rank,
+                              job.start_time});
+        }
+        const auto result =
+            verify::binding::analyze_jobs(machine, bindings, options);
+        ASSERT_TRUE(result.clean()) << result.to_string();
+        want += result.bound.for_slack(query.completion_slack);
       }
-      const auto result =
-          verify::binding::analyze_jobs(machine, bindings, options);
-      ASSERT_TRUE(result.clean()) << result.to_string();
-      want += result.bound.for_slack(query.completion_slack);
+      EXPECT_EQ(c.lower_bound, want)
+          << machine.name() << " " << order_to_string(c.order);
     }
-    EXPECT_EQ(c.lower_bound, want) << order_to_string(c.order);
+
+    const auto npoints = static_cast<std::int64_t>(report.points.size());
+    const std::int64_t built = report.stats.bound_structures_built;
+    EXPECT_EQ(built + report.stats.bound_structure_reuses,
+              report.stats.bounds_computed * npoints)
+        << machine.name();
+    EXPECT_EQ(built, in.passes_per_candidate * report.stats.bounds_computed)
+        << machine.name();
+    // Lanes per pass: every point of a structure group shares its pass.
+    EXPECT_EQ(built + report.stats.bound_structure_reuses,
+              npoints / in.passes_per_candidate * built)
+        << machine.name();
+
+    Engine threaded_engine;
+    query.threads = 4;
+    std::ostringstream serial_json, threaded_json;
+    write_json(serial_json, report, /*candidates=*/true);
+    write_json(threaded_json, tune(threaded_engine, machine, query),
+               /*candidates=*/true);
+    EXPECT_EQ(serial_json.str(), threaded_json.str()) << machine.name();
   }
-
-  const auto npoints = static_cast<std::int64_t>(report.points.size());
-  EXPECT_EQ(report.stats.bound_structures_built +
-                report.stats.bound_structure_reuses,
-            report.stats.bounds_computed * npoints);
-  EXPECT_EQ(report.stats.bound_structures_built,
-            2 * report.stats.bounds_computed);
-
-  Engine threaded_engine;
-  query.threads = 4;
-  std::ostringstream serial_json, threaded_json;
-  write_json(serial_json, report, /*candidates=*/true);
-  write_json(threaded_json, tune(threaded_engine, machine, query),
-             /*candidates=*/true);
-  EXPECT_EQ(serial_json.str(), threaded_json.str());
 }
 
-TEST(Tune, IncrementalReTuneMatchesColdTopK) {
-  // The canonical incremental shape: the payload grid grew. Seeding from
-  // the subset-grid report must reproduce the cold full-grid top-k exactly
-  // (same orders, bit-identical scores) without simulating more candidates.
-  const auto machine = topo::hydra(2);
-  TuneQuery full;
-  full.comm_sizes = {16};
-  full.total_bytes = {256 << 10, 512 << 10, 1 << 20};
-  full.k = 2;
-  full.threads = 1;
-
+/// Tune `full` cold, then re-tune it seeded from a run over the first
+/// `subset_points` payloads (the payload grid grew). The seeded run must
+/// reproduce the cold top-k exactly — same orders, bit-identical scores —
+/// and returns (seeded, cold) simulated-candidate counts.
+std::pair<std::int64_t, std::int64_t> expect_incremental_matches_cold(
+    const topo::Machine& machine, const TuneQuery& full,
+    std::size_t subset_points) {
   Engine engine;
   const TuneReport cold = tune(engine, machine, full);
 
   TuneQuery subset = full;
-  subset.total_bytes = {256 << 10};
+  subset.total_bytes.resize(subset_points);
   const TuneReport previous = tune(engine, machine, subset);
   const TuneReport seeded = tune(engine, machine, full, &previous);
 
-  EXPECT_GT(seeded.stats.seeded_candidates, 0);
-  EXPECT_LE(seeded.stats.simulated, cold.stats.simulated);
-  ASSERT_EQ(seeded.top.size(), cold.top.size());
-  for (std::size_t rank = 0; rank < cold.top.size(); ++rank) {
+  EXPECT_GT(seeded.stats.seeded_candidates, 0) << machine.name();
+  EXPECT_EQ(seeded.top.size(), cold.top.size()) << machine.name();
+  for (std::size_t rank = 0;
+       rank < std::min(cold.top.size(), seeded.top.size()); ++rank) {
     const TuneCandidate& got = seeded.candidates[seeded.top[rank]];
     const TuneCandidate& want = cold.candidates[cold.top[rank]];
-    EXPECT_EQ(got.order, want.order) << "rank " << rank;
-    EXPECT_EQ(got.score, want.score) << "rank " << rank;
+    EXPECT_EQ(got.order, want.order) << machine.name() << " rank " << rank;
+    EXPECT_EQ(got.score, want.score) << machine.name() << " rank " << rank;
     EXPECT_EQ(got.points.size(), want.points.size());
-    for (std::size_t pt = 0; pt < want.points.size(); ++pt) {
+    for (std::size_t pt = 0;
+         pt < std::min(got.points.size(), want.points.size()); ++pt) {
       EXPECT_EQ(got.points[pt].makespan, want.points[pt].makespan);
     }
   }
@@ -453,7 +530,26 @@ TEST(Tune, IncrementalReTuneMatchesColdTopK) {
   for (const TuneCandidate& c : seeded.candidates) {
     if (c.fate == Fate::Simulated && c.wave == 0) ++wave0;
   }
-  EXPECT_EQ(wave0, seeded.stats.seeded_candidates);
+  EXPECT_EQ(wave0, seeded.stats.seeded_candidates) << machine.name();
+  return {seeded.stats.simulated, cold.stats.simulated};
+}
+
+TEST(Tune, IncrementalReTuneMatchesColdTopK) {
+  // Seeding never simulates more candidates than the cold run...
+  TuneQuery hydra_grid;
+  hydra_grid.comm_sizes = {16};
+  hydra_grid.total_bytes = {256 << 10, 512 << 10, 1 << 20};
+  hydra_grid.k = 2;
+  hydra_grid.threads = 1;
+  const auto [hydra_seeded, hydra_cold] =
+      expect_incremental_matches_cold(topo::hydra(2), hydra_grid, 1);
+  EXPECT_LE(hydra_seeded, hydra_cold);
+
+  // ...and where the cold run's wide first wave simulates blind, the k
+  // seeded incumbents let branch-and-bound stop strictly earlier.
+  const auto [deep_seeded, deep_cold] =
+      expect_incremental_matches_cold(deep6(), deep6_grid(), 3);
+  EXPECT_LT(deep_seeded, deep_cold);
 }
 
 TEST(Tune, IncompatiblePreviousReportDegeneratesToColdRun) {
