@@ -9,6 +9,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "examples/cli_common.hpp"
 #include "mixradix/apps/splatt.hpp"
 #include "mixradix/mr/metrics.hpp"
 #include "mixradix/topo/presets.hpp"
@@ -16,14 +17,18 @@
 
 int main(int argc, char** argv) {
   int iterations = 50;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--iters=", 0) == 0) {
-      iterations = std::stoi(arg.substr(8));
-    } else {
-      std::cerr << "unknown flag: " << arg << " (known: --iters=N)\n";
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--iters=", 0) != 0) {
+        throw cli::InputError("unknown flag " + arg + " (known: --iters=N)");
+      }
+      iterations = cli::number<int>("--iters", arg.substr(8));
+      cli::require(iterations >= 1, "--iters", "be >= 1", arg.substr(8));
     }
+  } catch (const cli::InputError& e) {
+    std::cerr << "fig8_splatt: " << e.what() << "\n";
+    return 2;
   }
 
   const auto spec = mr::apps::splatt::nell1_like();

@@ -2,7 +2,8 @@
 // figure benches. The CLIs (mrtune_cli, mrenum_cli, verify_cli) take
 // "--name value" flags; the small examples take positional arguments. An
 // unknown flag, a flag without its value, a surplus argument, a malformed
-// number or a bad machine spec throws cli::InputError naming the input.
+// number, an out-of-range value or a bad machine spec throws
+// cli::InputError naming the input.
 // The programs report it with status 2 ("bad input"); status 1 keeps
 // meaning the run itself failed or, for verify_cli, that the analysis
 // found a defect.
@@ -39,6 +40,14 @@ T number(const std::string& where, const std::string& text) {
     throw InputError("malformed number '" + text + "' in " + where);
   }
   return value;
+}
+
+/// A well-formed but out-of-range value is bad input too: unless `ok`,
+/// throw InputError("<where> must <rule>, got <text>"). The CLIs check each
+/// flag's range before the library sees the value.
+inline void require(bool ok, const std::string& where, const std::string& rule,
+                    const std::string& text) {
+  if (!ok) throw InputError(where + " must " + rule + ", got " + text);
 }
 
 template <typename T>

@@ -91,6 +91,9 @@ int main(int argc, char** argv) {
     if (command == "rank") {
       const Order order = parse_order(flags.get("order", "0-1-2"));
       const auto rank = number<std::int64_t>("--rank", flags.get("rank", "0"));
+      cli::require(rank >= 0 && rank < h.total(), "--rank",
+                   "lie in 0.." + std::to_string(h.total() - 1),
+                   std::to_string(rank));
       std::cout << reorder_rank(h, rank, order) << "\n";
     } else if (command == "rankfile") {
       const Order order = parse_order(flags.get("order", "0-1-2"));

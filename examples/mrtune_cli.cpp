@@ -97,6 +97,29 @@ int main(int argc, char** argv) {
     query.shard_index = number<int>("--shard", shard[0]);
     query.shard_count = number<int>("--shard", shard[1]);
     json = number<int>("--json", flags.get("json", "0")) != 0;
+    // The ranges tune::tune requires, checked here so a bad value is
+    // reported as bad input naming its flag.
+    const std::int64_t cores = machine->cores();
+    for (const std::int64_t size : query.comm_sizes) {
+      cli::require(size >= 2 && cores % size == 0, "--size",
+                   "be >= 2 and divide the machine's " +
+                       std::to_string(cores) + " cores",
+                   std::to_string(size));
+    }
+    for (const std::int64_t bytes : query.total_bytes) {
+      cli::require(bytes >= 1, "--bytes", "be >= 1", std::to_string(bytes));
+    }
+    cli::require(query.k >= 1, "--k", "be >= 1", std::to_string(query.k));
+    cli::require(query.repetitions >= 1, "--reps", "be >= 1",
+                 std::to_string(query.repetitions));
+    cli::require(query.threads >= 0, "--threads", "be >= 0",
+                 std::to_string(query.threads));
+    cli::require(query.completion_slack >= 0, "--slack", "be >= 0",
+                 flags.get("slack", "0"));
+    cli::require(query.shard_count >= 1 && query.shard_index >= 0 &&
+                     query.shard_index < query.shard_count,
+                 "--shard", "be i/n with 0 <= i < n",
+                 flags.get("shard", "0/1"));
   } catch (const std::exception& e) {
     std::cerr << "mrtune_cli: " << e.what() << "\n";
     usage();

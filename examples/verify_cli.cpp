@@ -59,9 +59,20 @@ std::vector<mr::topo::Machine> preset_sweep() {
           mr::topo::lumi(2)};
 }
 
+/// The ranges every generator requires of --p, --count and --root,
+/// checked before the library sees them.
+void require_point(std::int32_t p, std::int64_t count, std::int32_t root) {
+  cli::require(p >= 1, "--p", "be >= 1", std::to_string(p));
+  cli::require(count >= 1, "--count", "be >= 1", std::to_string(count));
+  cli::require(root >= 0 && root < p, "--root",
+               "lie in 0.." + std::to_string(p - 1), std::to_string(root));
+}
+
 std::vector<std::int64_t> make_mapping(const std::string& kind,
                                        std::int32_t p, std::int64_t cores) {
-  MR_EXPECT(p <= cores, "p exceeds the machine's cores");
+  cli::require(p <= cores, "--p",
+               "not exceed the machine's " + std::to_string(cores) + " cores",
+               std::to_string(p));
   std::vector<std::int64_t> out(static_cast<std::size_t>(p));
   const std::int64_t stride = kind == "spread" ? cores / p : 1;
   for (std::int32_t r = 0; r < p; ++r) out[static_cast<std::size_t>(r)] = r * stride;
@@ -113,6 +124,7 @@ int main(int argc, char** argv) {
       const auto root = number<std::int32_t>("--root", flags.get("root", "0"));
       const bool verbose =
           number<int>("--verbose", flags.get("verbose", "0")) != 0;
+      require_point(p, count, root);
       const auto schedule = make_named(algo, p, count, root);
       Options options;
       options.report_inputs = verbose;
@@ -163,12 +175,15 @@ int main(int argc, char** argv) {
           number<std::int64_t>("--count", flags.get("count", "4096"));
       const auto root = number<std::int32_t>("--root", flags.get("root", "0"));
       const int reps = number<int>("--reps", flags.get("reps", "1"));
+      cli::require(reps >= 1, "--reps", "be >= 1", std::to_string(reps));
       const std::string mapping = flags.get("mapping", "packed");
       if (mapping != "packed" && mapping != "spread") {
         throw cli::InputError("--mapping must be 'packed' or 'spread'");
       }
       binding::Options options;
       options.top_k = number<int>("--top", flags.get("top", "8"));
+      cli::require(options.top_k >= 0, "--top", "be >= 0",
+                   std::to_string(options.top_k));
       const std::string report_path = flags.get("report", "");
       std::ofstream report_file;
       if (!report_path.empty()) {
@@ -196,6 +211,7 @@ int main(int argc, char** argv) {
       std::size_t analyzed = 0;
       if (number<int>("--all", flags.get("all", "0")) != 0) {
         const auto p = number<std::int32_t>("--p", flags.get("p", "8"));
+        require_point(p, count, root);
         for (const auto& m : preset_sweep()) {
           for (const auto& info : mr::simmpi::algorithm_registry()) {
             if (!info.supported(p)) continue;
@@ -209,6 +225,7 @@ int main(int argc, char** argv) {
         const auto m = cli::parse_machine(flags.get("machine", "testbox"));
         const auto p = number<std::int32_t>(
             "--p", flags.get("p", std::to_string(m.cores())));
+        require_point(p, count, root);
         ++analyzed;
         const auto plan = mr::simmpi::compile_plan(algo, p, count, root, reps);
         const auto cores = make_mapping(mapping, p, m.cores());

@@ -16,33 +16,15 @@
 
 namespace mr::simmpi {
 
-/// When the DataExecutor statically verifies its schedule.
-enum class Preverify {
-  Off,        ///< trust the schedule; dynamic deadlock check only.
-  OnDeadlock, ///< run the analyzer when the dynamic check trips, for the
-              ///  happens-before cycle trace (no cost on the happy path).
-  Upfront,    ///< analyze before executing anything; throw when not clean.
-};
-
-/// Upfront in MIXRADIX_VERIFY_SCHEDULES builds, OnDeadlock otherwise.
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-inline constexpr Preverify kDefaultPreverify = Preverify::Upfront;
-#else
-inline constexpr Preverify kDefaultPreverify = Preverify::OnDeadlock;
-#endif
-
 class DataExecutor {
  public:
-  /// Takes its own copy of the schedule: executors outlive temporaries.
-  explicit DataExecutor(Schedule schedule,
-                        Preverify preverify = kDefaultPreverify);
+  /// Takes its own copy of the schedule (executors outlive temporaries)
+  /// and checks it is well formed (Schedule::validate).
+  explicit DataExecutor(Schedule schedule);
 
   /// Compiled-plan flavour: repetitions > 1 are materialized (data
-  /// semantics need the real repeated rounds), and the plan's embedded
-  /// static-analysis report — proved once at compile time — satisfies the
-  /// Preverify modes without re-running the analyzer.
-  explicit DataExecutor(const std::shared_ptr<const Plan>& plan,
-                        Preverify preverify = kDefaultPreverify);
+  /// semantics need the real repeated rounds).
+  explicit DataExecutor(const std::shared_ptr<const Plan>& plan);
 
   /// Mutable arena of `rank` (size = schedule.arena_size), for initialising
   /// inputs before run() and reading outputs after.
@@ -51,19 +33,17 @@ class DataExecutor {
 
   /// Execute every round of every rank; throws mr::invalid_argument if the
   /// schedule deadlocks (a receive whose matching send can never execute).
-  /// Unless preverify is Off, the thrown message carries the static
-  /// analyzer's happens-before cycle trace (rank/round/message chain).
+  /// The thrown message carries the static analyzer's happens-before cycle
+  /// trace (rank/round/message chain, verify::analyze_deadlock).
   void run();
 
  private:
-  /// Shared tail of both constructors; `compile_report` is the plan's
-  /// embedded analysis (nullptr when absent or not reusable).
-  void init(const verify::Report* compile_report);
+  /// Shared tail of both constructors.
+  void init();
   bool round_ready(std::int32_t rank) const;
   void execute_round(std::int32_t rank);
 
   Schedule schedule_;
-  Preverify preverify_;
   std::vector<std::vector<double>> arenas_;
   std::vector<std::size_t> pc_;                     ///< next round per rank.
   std::vector<std::vector<double>> mailbox_;        ///< payload per message.

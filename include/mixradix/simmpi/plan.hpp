@@ -11,24 +11,21 @@
 //  * a flattened, machine-independent execution structure (per-rank
 //    per-round message CSR, per-round cost inputs, per-message byte
 //    counts) that the TimedExecutor consumes directly instead of
-//    re-deriving from the nested Schedule per job,
-//  * in MIXRADIX_VERIFY_SCHEDULES builds, the static analyzer's Report —
-//    proved once at compile time and reused by every consumer (the
-//    DataExecutor's Preverify modes included).
+//    re-deriving from the nested Schedule per job.
 //
-// Plans are compiled by `compile_plan` (registry algorithms) or wrapped
-// around ad-hoc schedules by `make_plan` (application schedules: CG,
-// SPLATT). The PlanCache (mixradix/simmpi/plan_cache.hpp) memoizes
-// compile_plan by (algorithm, p, count, root, repetitions).
+// Plans are compiled by `compile_plan` (registry algorithms), which proves
+// each schedule deadlock-, race- and conservation-free with the static
+// analyzer, or wrapped around ad-hoc schedules by `make_plan` (application
+// schedules: CG, SPLATT). The PlanCache (mixradix/simmpi/plan_cache.hpp)
+// memoizes compile_plan by (algorithm, p, count, root, repetitions), so the
+// analyzer runs once per plan key.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mixradix/simmpi/schedule.hpp"
-#include "mixradix/verify/verify.hpp"
 
 namespace mr::simmpi {
 
@@ -67,9 +64,6 @@ struct Plan {
   int repetitions = 1;     ///< executed as a loop, never materialized.
   std::string algorithm;   ///< registry name, or an ad-hoc label.
   PlanExec exec;
-  /// Static verification report of `schedule`; non-null iff the plan was
-  /// compiled in a MIXRADIX_VERIFY_SCHEDULES build (and then proved clean).
-  std::shared_ptr<const verify::Report> report;
 
   std::int32_t nranks() const { return schedule.nranks; }
   /// Messages per repetition.
@@ -88,11 +82,9 @@ struct Plan {
 Plan make_plan(Schedule schedule, int repetitions = 1,
                std::string algorithm = {});
 
-/// Compile registry algorithm `name` into a plan. In
-/// MIXRADIX_VERIFY_SCHEDULES builds the finished schedule is statically
-/// analyzed exactly once — the per-build() analysis inside the generator is
-/// suppressed for the duration — and the (required clean) report is
-/// embedded in the plan.
+/// Compile registry algorithm `name` into a plan. The finished schedule is
+/// statically analyzed (verify::analyze) exactly once; an Error-level
+/// finding throws mr::invalid_argument carrying the report.
 Plan compile_plan(const std::string& algorithm, std::int32_t p,
                   std::int64_t count, std::int32_t root = 0,
                   int repetitions = 1);

@@ -107,38 +107,15 @@ class ScheduleBuilder {
 
   void compute(int round, std::int32_t rank, double seconds);
 
-  /// Finalise; validates the result (throwing on generator bugs). Under
-  /// the MIXRADIX_VERIFY_SCHEDULES build option the result is additionally
-  /// run through the static analyzer (mixradix/verify/verify.hpp) and any
-  /// Error-level finding — deadlock, write race, conservation violation —
-  /// throws with the full diagnostic report.
+  /// Finalise; validates the result (throwing on generator bugs). The
+  /// static analyzer (mixradix/verify/verify.hpp) runs once per compiled
+  /// plan in compile_plan, not here.
   Schedule build() &&;
 
  private:
   Round& round_of(std::int32_t rank, int round);
   Schedule schedule_;
 };
-
-namespace detail {
-
-/// RAII marker set by plan compilation (mixradix/simmpi/plan.hpp) while it
-/// generates schedules on this thread. In MIXRADIX_VERIFY_SCHEDULES builds,
-/// ScheduleBuilder::build() then skips its per-build static analysis:
-/// compile_plan analyzes the finished plan exactly once instead, so a
-/// memoized plan costs one verify::analyze per distinct key, not one per
-/// intermediate build(). Nests safely.
-class PlanCompileScope {
- public:
-  PlanCompileScope() noexcept;
-  ~PlanCompileScope();
-  PlanCompileScope(const PlanCompileScope&) = delete;
-  PlanCompileScope& operator=(const PlanCompileScope&) = delete;
-};
-
-/// True while a PlanCompileScope is live on this thread.
-bool plan_compile_active() noexcept;
-
-}  // namespace detail
 
 /// Back-to-back repetition of a schedule (steady-state measurements):
 /// ranks run `times` copies of their program sequentially. Prefer a Plan

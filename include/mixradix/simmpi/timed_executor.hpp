@@ -108,13 +108,6 @@ struct ExecOptions {
   double completion_slack = kDefaultCompletionSlack;
   /// Scratch arena to reuse across runs; nullptr = a private arena per run.
   SimWorkspace* workspace = nullptr;
-  /// Run the static binding analyzer (mixradix/verify/binding.hpp) over the
-  /// jobs before simulating; any Error-level finding (rank bound outside
-  /// the machine, route the simulator cannot carry, happens-before cycle)
-  /// throws mr::invalid_argument carrying the full diagnostic report
-  /// instead of tripping an internal assertion mid-simulation. The
-  /// Preverify analogue of the DataExecutor's schedule verification.
-  bool preverify_binding = false;
 };
 
 namespace detail {
@@ -145,6 +138,10 @@ struct Event {
 /// Timing is bit-identical to executing the materialized repeat() of each
 /// plan's schedule. This is the simulator's one entry point: an ad-hoc
 /// schedule runs as a PlanJob around make_plan (mixradix/simmpi/plan.hpp).
+/// Throws mr::invalid_argument on a job the machine cannot run (binding
+/// size, route depth, or a core out of range, named by job, rank and core)
+/// and on a job that deadlocks: the message names the job and carries the
+/// static analyzer's cycle trace (verify::analyze_deadlock).
 TimedResult run_timed(const topo::Machine& machine,
                       const std::vector<PlanJob>& jobs,
                       const ExecOptions& options = {});

@@ -120,8 +120,7 @@ struct Result {
 
 struct Options {
   int top_k = 8;            ///< congested channels kept in the load report.
-  bool load_report = true;  ///< skip to make preverify cheapest.
-  bool lower_bound = true;
+  bool load_report = true;  ///< skip when only the bound is needed (tune).
 };
 
 /// One plan bound to machine cores — a non-owning mirror of

@@ -3,19 +3,15 @@
 //
 // mr::verify::analyze(Schedule) covers one half of every experiment — the
 // communication program. This header covers the other half: the Machine
-// the program is bound to. Two entry points:
-//
-//  * analyze_spec — lints raw construction parameters (level specs,
-//    messaging costs, core FLOP rate) WITHOUT constructing a Machine, so
-//    nonsensical inputs (radix 0, negative bandwidth, NaN latency) are
-//    reported as located diagnostics instead of a thrown precondition or,
-//    worse, silently absurd simulated times;
-//  * analyze — lints a constructed Machine: the spec checks above plus the
-//    derived-state invariants every simnet consumer relies on
-//    (component-id accounting, channel-capacity table shape and values,
-//    path-latency symmetry on sampled core pairs, aggregate-bandwidth
-//    taper) and preset-specific expectations for the machines the paper's
-//    figures are calibrated against (hydra/lumi/testbox families).
+// the program is bound to. The Machine constructor already rejects
+// nonsensical parameters (radix < 2, non-finite or negative bandwidths,
+// latencies, costs and FLOP rates) with a located message, so `analyze`
+// lints what construction cannot see: the derived-state invariants every
+// simnet consumer relies on (component-id accounting, channel-capacity
+// table shape and values, path-latency symmetry on sampled core pairs),
+// the aggregate-bandwidth taper, and preset-specific expectations for the
+// machines the paper's figures are calibrated against (hydra/lumi/testbox
+// families).
 //
 // The derived-state checks re-derive everything through the public Machine
 // and simnet::channel_capacities APIs, so they double as a standing oracle:
@@ -34,7 +30,6 @@ namespace mr::verify {
 
 /// What a topology diagnostic is about.
 enum class TopoCheck {
-  Spec,        ///< nonsensical construction parameter (radix, bandwidth, ...)
   Accounting,  ///< component-id / channel-capacity table inconsistency
   Latency,     ///< path-latency asymmetry or sub-base-latency path
   Taper,       ///< aggregate bandwidth decreases toward the leaves
@@ -45,11 +40,11 @@ const char* to_string(TopoCheck check);
 
 struct TopoDiagnostic {
   Severity severity = Severity::Error;
-  TopoCheck check = TopoCheck::Spec;
+  TopoCheck check = TopoCheck::Accounting;
   int level = -1;  ///< hierarchy level the finding is located at, -1 = global.
   std::string text;
 
-  /// "error[spec] level 2 (half): ..." (level omitted when -1).
+  /// "error[preset] level 1: ..." (level omitted when -1).
   std::string to_string() const;
 };
 
@@ -65,26 +60,9 @@ struct TopoReport {
   std::string to_string() const;
 };
 
-struct TopoOptions {
-  /// Core pairs sampled for the path_latency symmetry check (deterministic
-  /// PRNG; every pair is also checked against the base-latency floor).
-  int latency_sample_pairs = 64;
-  /// Check hydra/lumi/testbox machines against their documented shapes.
-  bool check_presets = true;
-};
-
-/// Lint raw Machine construction parameters. Never throws: every
-/// nonsensical value becomes a located Error-level diagnostic. `name` is
-/// only echoed into the report.
-TopoReport analyze_spec(const std::string& name,
-                        const std::vector<topo::LevelSpec>& levels,
-                        const topo::MessagingCosts& costs, double core_flops,
-                        const TopoOptions& options = {});
-
-/// Lint a constructed Machine: the spec checks plus derived-state
-/// invariants (accounting, capacities, latency symmetry) and preset
-/// expectations.
-TopoReport analyze(const topo::Machine& machine,
-                   const TopoOptions& options = {});
+/// Lint a constructed Machine: derived-state invariants (accounting,
+/// capacities, latency symmetry), the bandwidth taper and preset
+/// expectations. Never throws: every finding is a located diagnostic.
+TopoReport analyze(const topo::Machine& machine);
 
 }  // namespace mr::verify

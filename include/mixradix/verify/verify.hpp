@@ -63,9 +63,6 @@ struct Diagnostic {
 };
 
 struct Options {
-  bool check_deadlock = true;
-  bool check_races = true;
-  bool check_dataflow = true;  ///< dead writes + never-written reads.
   /// Arenas are initialised externally before run() (the DataExecutor
   /// contract), so reads of never-written regions are the schedule's
   /// *inputs*. Set false for schedules that must be self-contained: the
@@ -99,9 +96,14 @@ std::ostream& operator<<(std::ostream& os, const Report& report);
 /// structure/conservation findings.
 Report analyze(const simmpi::Schedule& schedule, const Options& options = {});
 
-/// Process-wide number of analyze() invocations so far. Tests and benches
-/// use deltas of this counter to prove the plan cache runs the analyzer at
-/// most once per distinct plan key.
+/// The structure, conservation and deadlock passes of analyze() alone: the
+/// cycle trace both executors put in their message when a run stops
+/// making progress. Not counted by analyze_call_count().
+Report analyze_deadlock(const simmpi::Schedule& schedule);
+
+/// Process-wide number of analyze() invocations so far. Tests use deltas
+/// of this counter to prove compile_plan runs the analyzer exactly once per
+/// distinct plan key.
 std::uint64_t analyze_call_count();
 
 }  // namespace mr::verify

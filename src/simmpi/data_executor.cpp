@@ -29,38 +29,21 @@ void combine_into(Combine combine, const double* src, double* dst,
   MR_ASSERT_INTERNAL(false);
 }
 
-DataExecutor::DataExecutor(Schedule schedule, Preverify preverify)
-    : schedule_(std::move(schedule)), preverify_(preverify) {
-  init(nullptr);
+DataExecutor::DataExecutor(Schedule schedule) : schedule_(std::move(schedule)) {
+  init();
 }
 
-DataExecutor::DataExecutor(const std::shared_ptr<const Plan>& plan,
-                           Preverify preverify)
-    : preverify_(preverify) {
+DataExecutor::DataExecutor(const std::shared_ptr<const Plan>& plan) {
   MR_EXPECT(plan != nullptr, "executor without plan");
   schedule_ = plan->repetitions == 1
                   ? plan->schedule
                   : repeat(plan->schedule, plan->repetitions);
-  // The embedded report covers the single-repetition schedule only; a
-  // materialized repeat is re-analyzed like any other schedule.
-  init(plan->repetitions == 1 ? plan->report.get() : nullptr);
+  init();
 }
 
-void DataExecutor::init(const verify::Report* compile_report) {
+void DataExecutor::init() {
   const std::string error = schedule_.validate();
   MR_EXPECT(error.empty(), "malformed schedule: " + error);
-  if (preverify_ == Preverify::Upfront) {
-    if (compile_report != nullptr) {
-      // Proved once at plan compile time; no second analyzer pass.
-      MR_EXPECT(compile_report->clean(),
-                "schedule fails static verification:\n" +
-                    compile_report->to_string());
-    } else {
-      const verify::Report report = verify::analyze(schedule_);
-      MR_EXPECT(report.clean(),
-                "schedule fails static verification:\n" + report.to_string());
-    }
-  }
   arenas_.assign(static_cast<std::size_t>(schedule_.nranks),
                  std::vector<double>(static_cast<std::size_t>(schedule_.arena_size), 0.0));
   pc_.assign(static_cast<std::size_t>(schedule_.nranks), 0);
@@ -152,13 +135,8 @@ void DataExecutor::run() {
       // The static analyzer reconstructs *why*: the happens-before cycle
       // with its rank/round/message chain beats "a receive waits on a send".
       std::string detail = "a receive waits on a send that can never execute";
-      if (preverify_ != Preverify::Off) {
-        verify::Options options;
-        options.check_races = false;
-        options.check_dataflow = false;
-        const verify::Report report = verify::analyze(schedule_, options);
-        if (!report.clean()) detail = report.to_string();
-      }
+      const verify::Report report = verify::analyze_deadlock(schedule_);
+      if (!report.clean()) detail = report.to_string();
       MR_EXPECT(false, "schedule deadlocks: " + detail);
     }
   }

@@ -4,6 +4,7 @@
 
 #include "mixradix/simmpi/registry.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::simmpi {
 
@@ -69,23 +70,14 @@ Plan make_plan(Schedule schedule, int repetitions, std::string algorithm) {
 Plan compile_plan(const std::string& algorithm, std::int32_t p,
                   std::int64_t count, std::int32_t root, int repetitions) {
   MR_EXPECT(repetitions >= 1, "repetition count must be >= 1");
-  Schedule schedule;
-  {
-    // Defer build()-time verification to the single whole-plan analysis
-    // below: a compile is one verify::analyze per distinct plan key.
-    detail::PlanCompileScope scope;
-    schedule = make_algorithm(algorithm, p, count, root);
-  }
   // Generators emit schedules already checked by ScheduleBuilder::build (or
   // by concat/merge), so the compile does not validate a second time.
-  Plan plan = wrap(std::move(schedule), repetitions, algorithm);
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-  auto report = std::make_shared<verify::Report>(verify::analyze(plan.schedule));
-  MR_EXPECT(report->clean(), "plan " + algorithm +
-                                 " fails static verification:\n" +
-                                 report->to_string());
-  plan.report = std::move(report);
-#endif
+  Plan plan =
+      wrap(make_algorithm(algorithm, p, count, root), repetitions, algorithm);
+  const verify::Report report = verify::analyze(plan.schedule);
+  MR_EXPECT(report.clean(), "plan " + algorithm +
+                                " fails static verification:\n" +
+                                report.to_string());
   return plan;
 }
 

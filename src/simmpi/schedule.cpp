@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "mixradix/util/expect.hpp"
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-#include "mixradix/verify/verify.hpp"
-#endif
 
 namespace mr::simmpi {
 
@@ -14,19 +11,6 @@ std::int64_t Schedule::total_bytes() const {
   for (const auto& m : messages) total += m.bytes();
   return total;
 }
-
-namespace detail {
-
-namespace {
-thread_local int t_plan_compile_depth = 0;
-}  // namespace
-
-PlanCompileScope::PlanCompileScope() noexcept { ++t_plan_compile_depth; }
-PlanCompileScope::~PlanCompileScope() { --t_plan_compile_depth; }
-
-bool plan_compile_active() noexcept { return t_plan_compile_depth > 0; }
-
-}  // namespace detail
 
 namespace {
 
@@ -156,16 +140,6 @@ void ScheduleBuilder::compute(int round, std::int32_t rank, double seconds) {
 Schedule ScheduleBuilder::build() && {
   const std::string error = schedule_.validate();
   MR_EXPECT(error.empty(), "generated schedule is malformed: " + error);
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-  // Debug builds prove deadlock/race/conservation freedom of every schedule
-  // a generator emits, at the point of generation. Plan compilation defers
-  // this to its own single whole-plan analysis (see PlanCompileScope).
-  if (!detail::plan_compile_active()) {
-    const verify::Report report = verify::analyze(schedule_);
-    MR_EXPECT(report.clean(),
-              "generated schedule fails static verification:\n" + report.to_string());
-  }
-#endif
   return std::move(schedule_);
 }
 

@@ -9,7 +9,7 @@
 #include "mixradix/simnet/flow_sim.hpp"
 #include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
-#include "mixradix/verify/binding.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::simmpi {
 
@@ -114,8 +114,13 @@ class Engine {
       MR_EXPECT(static_cast<std::int32_t>(job.core_of_rank.size()) ==
                     plan.nranks(),
                 "core binding size must equal the plan's nranks");
-      for (std::int64_t core : job.core_of_rank) {
-        MR_EXPECT(core >= 0 && core < machine.cores(), "core id out of range");
+      for (std::size_t r = 0; r < job.core_of_rank.size(); ++r) {
+        const std::int64_t core = job.core_of_rank[r];
+        MR_EXPECT(core >= 0 && core < machine.cores(),
+                  "job " + std::to_string(j) + " rank " + std::to_string(r) +
+                      ": core " + std::to_string(core) +
+                      " is out of range (machine has " +
+                      std::to_string(machine.cores()) + " cores)");
       }
       const std::int64_t virtual_msgs = plan.total_messages();
       MR_EXPECT(virtual_msgs <= std::numeric_limits<std::int32_t>::max(),
@@ -172,6 +177,7 @@ class Engine {
         }
       }
     }
+    check_finished();
     result_.job_finish = ws_.finish;
     for (double f : ws_.finish) {
       result_.makespan = std::max(result_.makespan, f);
@@ -185,6 +191,32 @@ class Engine {
   }
 
  private:
+  /// The event queue ran dry: a rank short of its last round means its
+  /// job deadlocked. The analyzer runs only then, for the cycle trace.
+  void check_finished() const {
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      const auto& ranks = ws_.rank_state[j];
+      const auto stuck =
+          std::find_if(ranks.begin(), ranks.end(),
+                       [](const RankState& state) { return !state.finished; });
+      if (stuck == ranks.end()) continue;
+      const Plan& plan = *jobs_[j].plan;
+      const auto rank = static_cast<std::int32_t>(stuck - ranks.begin());
+      std::ostringstream os;
+      os << "job " << j;
+      if (!plan.algorithm.empty()) os << " (" << plan.algorithm << ")";
+      os << " deadlocks: rank " << rank << " stops in round " << stuck->round
+         << " of " << plan.exec.rounds_of(rank) * plan.repetitions << "\n";
+      // The analyzer's happens-before graph treats every send as posted
+      // unconditionally; without a cycle there, rendezvous closed the loop.
+      const verify::Report report = verify::analyze_deadlock(plan.schedule);
+      os << (report.clean() ? "no happens-before cycle: a rendezvous send "
+                              "waits for a receive that is never posted"
+                            : report.to_string());
+      throw mr::invalid_argument(os.str());
+    }
+  }
+
   void push(detail::Event e) {
     ws_.events.push_back(e);
     std::push_heap(ws_.events.begin(), ws_.events.end(), std::greater<>{});
@@ -371,25 +403,6 @@ TimedResult run_timed(const topo::Machine& machine,
   MR_EXPECT(!jobs.empty(), "need at least one job");
   for (const PlanJob& job : jobs) {
     MR_EXPECT(job.plan != nullptr, "job without plan");
-  }
-  if (options.preverify_binding) {
-    std::vector<verify::binding::JobBinding> bindings;
-    bindings.reserve(jobs.size());
-    for (const PlanJob& job : jobs) {
-      bindings.push_back(verify::binding::JobBinding{
-          &job.plan->schedule, &job.plan->exec, job.plan->repetitions,
-          &job.core_of_rank, job.start_time});
-    }
-    // Diagnostics are all we need; skip the load report and bound.
-    verify::binding::Options opts;
-    opts.load_report = false;
-    opts.lower_bound = false;
-    const verify::binding::Result result =
-        verify::binding::analyze_jobs(machine, bindings, opts);
-    if (!result.clean()) {
-      throw mr::invalid_argument("binding preverification failed:\n" +
-                                 result.to_string());
-    }
   }
   std::optional<SimWorkspace> local;
   SimWorkspace* ws = options.workspace;

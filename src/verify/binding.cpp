@@ -800,7 +800,7 @@ std::vector<Result> analyze_lanes(
                         results[l].load);
     }
   }
-  if (ok && options.lower_bound) {
+  if (ok) {
     build_bound(machine, lanes, facts, *routes, sink, results);
   }
   for (Result& result : results) {

@@ -1,6 +1,5 @@
 #include "mixradix/verify/topo_check.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "mixradix/simnet/path.hpp"
@@ -43,83 +42,21 @@ std::string level_label(const std::vector<topo::LevelSpec>& levels, int k) {
                       : "level " + std::to_string(k) + " (" + name + ")";
 }
 
-bool finite_positive(double v) { return std::isfinite(v) && v > 0; }
-bool finite_nonnegative(double v) { return std::isfinite(v) && v >= 0; }
-
-void check_spec(TopoSink& sink, const std::vector<topo::LevelSpec>& levels,
-                const topo::MessagingCosts& costs, double core_flops) {
-  if (levels.empty()) {
-    sink.error(TopoCheck::Spec, -1, "machine has no hierarchy levels");
-    return;
-  }
-  for (int k = 0; k < static_cast<int>(levels.size()); ++k) {
-    const auto& spec = levels[static_cast<std::size_t>(k)];
-    const std::string label = level_label(levels, k);
-    if (spec.radix < 1) {
-      sink.error(TopoCheck::Spec, k, label, ": radix must be >= 1 (got ",
-                 spec.radix, ")");
-    } else if (spec.radix == 1) {
-      sink.warn(TopoCheck::Spec, k, label,
-                ": degenerate radix 1 (Hierarchy construction requires every "
-                "radix >= 2; drop the level instead)");
-    }
-    if (!finite_positive(spec.link_bandwidth)) {
-      sink.error(TopoCheck::Spec, k, label,
-                 ": link bandwidth must be finite and positive (got ",
-                 spec.link_bandwidth, ")");
-    }
-    if (!finite_nonnegative(spec.link_latency)) {
-      sink.error(TopoCheck::Spec, k, label,
-                 ": link latency must be finite and >= 0 (got ",
-                 spec.link_latency, ")");
-    }
-    if (!finite_nonnegative(spec.mem_bandwidth)) {
-      sink.error(TopoCheck::Spec, k, label,
-                 ": memory bandwidth must be finite and >= 0 (got ",
-                 spec.mem_bandwidth, ")");
-    }
-  }
-  if (!finite_nonnegative(costs.send_overhead)) {
-    sink.error(TopoCheck::Spec, -1, "send overhead must be finite and >= 0 (got ",
-               costs.send_overhead, ")");
-  }
-  if (!finite_nonnegative(costs.recv_overhead)) {
-    sink.error(TopoCheck::Spec, -1, "recv overhead must be finite and >= 0 (got ",
-               costs.recv_overhead, ")");
-  }
-  if (!finite_nonnegative(costs.base_latency)) {
-    sink.error(TopoCheck::Spec, -1, "base latency must be finite and >= 0 (got ",
-               costs.base_latency, ")");
-  }
-  if (!finite_nonnegative(costs.reduce_seconds_per_byte)) {
-    sink.error(TopoCheck::Spec, -1,
-               "reduce cost must be finite and >= 0 (got ",
-               costs.reduce_seconds_per_byte, ")");
-  }
-  if (costs.eager_threshold < 0) {
-    sink.error(TopoCheck::Spec, -1, "eager threshold must be >= 0 (got ",
-               costs.eager_threshold, ")");
-  }
-  if (!finite_positive(core_flops)) {
-    sink.error(TopoCheck::Spec, -1,
-               "core_flops must be finite and positive (got ", core_flops, ")");
-  }
-
-  // Aggregate-bandwidth taper: summed link bandwidth should not DECREASE
-  // toward the leaves — an inner level with less total bandwidth than the
-  // level above it means the model claims local traffic is slower than
-  // global traffic, which is almost always a transposed spec. Only a
-  // warning: deliberately inverted tapers are conceivable (oversubscribed
-  // intra-node fabrics).
+/// Aggregate-bandwidth taper: summed link bandwidth should not DECREASE
+/// toward the leaves — an inner level with less total bandwidth than the
+/// level above it means the model claims local traffic is slower than
+/// global traffic, which is almost always a transposed spec. Only a
+/// warning: deliberately inverted tapers are conceivable (oversubscribed
+/// intra-node fabrics).
+void check_taper(TopoSink& sink, const topo::Machine& machine) {
   double components = 1;
   double prev_aggregate = 0;
-  for (int k = 0; k < static_cast<int>(levels.size()); ++k) {
-    const auto& spec = levels[static_cast<std::size_t>(k)];
-    if (spec.radix < 1 || !finite_positive(spec.link_bandwidth)) return;
+  for (int k = 0; k < machine.depth(); ++k) {
+    const auto& spec = machine.level(k);
     components *= static_cast<double>(spec.radix);
     const double aggregate = components * spec.link_bandwidth;
     if (k > 0 && aggregate < prev_aggregate) {
-      sink.warn(TopoCheck::Taper, k, level_label(levels, k),
+      sink.warn(TopoCheck::Taper, k, level_label(machine.levels(), k),
                 ": aggregate link bandwidth ", aggregate,
                 " B/s drops below the enclosing level's ", prev_aggregate,
                 " B/s (inverted taper: is the spec transposed?)");
@@ -184,8 +121,11 @@ void check_accounting(TopoSink& sink, const topo::Machine& machine) {
   }
 }
 
-void check_latency(TopoSink& sink, const topo::Machine& machine,
-                   const TopoOptions& options) {
+/// Core pairs sampled for the path_latency symmetry check (every pair is
+/// also checked against the base-latency floor).
+constexpr int kLatencySamplePairs = 64;
+
+void check_latency(TopoSink& sink, const topo::Machine& machine) {
   const std::int64_t cores = machine.cores();
   if (machine.path_latency(0, 0) != machine.costs().base_latency) {
     sink.error(TopoCheck::Latency, -1,
@@ -196,7 +136,7 @@ void check_latency(TopoSink& sink, const topo::Machine& machine,
   util::Xoshiro256 rng(0x746f706f6c696e74ull ^
                        static_cast<std::uint64_t>(cores));
   int asymmetric = 0;
-  for (int i = 0; i < options.latency_sample_pairs; ++i) {
+  for (int i = 0; i < kLatencySamplePairs; ++i) {
     const auto a = static_cast<std::int64_t>(
         rng.next_below(static_cast<std::uint64_t>(cores)));
     const auto b = static_cast<std::int64_t>(
@@ -286,7 +226,6 @@ void check_presets(TopoSink& sink, const topo::Machine& machine) {
 
 const char* to_string(TopoCheck check) {
   switch (check) {
-    case TopoCheck::Spec: return "spec";
     case TopoCheck::Accounting: return "accounting";
     case TopoCheck::Latency: return "latency";
     case TopoCheck::Taper: return "taper";
@@ -325,25 +264,14 @@ std::string TopoReport::to_string() const {
   return os.str();
 }
 
-TopoReport analyze_spec(const std::string& name,
-                        const std::vector<topo::LevelSpec>& levels,
-                        const topo::MessagingCosts& costs, double core_flops,
-                        const TopoOptions& /*options*/) {
+TopoReport analyze(const topo::Machine& machine) {
   TopoReport report;
-  report.machine = name;
+  report.machine = machine.name();
   TopoSink sink(report);
-  check_spec(sink, levels, costs, core_flops);
-  return report;
-}
-
-TopoReport analyze(const topo::Machine& machine, const TopoOptions& options) {
-  TopoReport report = analyze_spec(machine.name(), machine.levels(),
-                                   machine.costs(), machine.core_flops(),
-                                   options);
-  TopoSink sink(report);
+  check_taper(sink, machine);
   check_accounting(sink, machine);
-  check_latency(sink, machine, options);
-  if (options.check_presets) check_presets(sink, machine);
+  check_latency(sink, machine);
+  check_presets(sink, machine);
   return report;
 }
 

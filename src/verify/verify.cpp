@@ -103,12 +103,14 @@ class Analyzer {
   Analyzer(const Schedule& schedule, const Options& options)
       : s_(schedule), opt_(options) {}
 
-  Report run() {
+  Report run(bool deadlock_only) {
     const bool sound = structure_and_conservation();
     if (sound) {
-      if (opt_.check_deadlock) deadlock();
-      if (opt_.check_races) races();
-      if (opt_.check_dataflow) dataflow();
+      deadlock();
+      if (!deadlock_only) {
+        races();
+        dataflow();
+      }
     }
     if (suppressed_ > 0) {
       Diagnostic d;
@@ -350,8 +352,8 @@ class Analyzer {
     if (nodes == 0) return;
 
     // CSR adjacency (count, prefix-sum, fill): one allocation for all edges
-    // instead of one per node — this pass runs on every build() in checked
-    // builds, so constant factors matter.
+    // instead of one per node — this pass runs on every plan compile, so
+    // constant factors matter.
     struct Dep {
       std::size_t to;
       std::int32_t msg;  ///< -1 for a program-order edge.
@@ -587,7 +589,7 @@ class Analyzer {
   };
   /// Sorted, non-overlapping segments. A flat vector beats a node-based map
   /// here: a rank's arena decomposes into a handful of live intervals, and
-  /// this replay runs on every build() in checked builds.
+  /// this replay runs on every plan compile.
   using SegMap = std::vector<Segment>;
 
   static SegMap::iterator seg_lower_bound(SegMap& segs, std::int64_t x) {
@@ -755,7 +757,12 @@ std::atomic<std::uint64_t> g_analyze_calls{0};
 
 Report analyze(const Schedule& schedule, const Options& options) {
   g_analyze_calls.fetch_add(1, std::memory_order_relaxed);
-  return Analyzer(schedule, options).run();
+  return Analyzer(schedule, options).run(/*deadlock_only=*/false);
+}
+
+Report analyze_deadlock(const Schedule& schedule) {
+  const Options defaults;
+  return Analyzer(schedule, defaults).run(/*deadlock_only=*/true);
 }
 
 std::uint64_t analyze_call_count() {

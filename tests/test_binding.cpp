@@ -248,9 +248,8 @@ TEST(BindingDiagnostics, RepetitionOverflowIsError) {
 }
 
 TEST(BindingDiagnostics, DeadlockedBindingReportsCycleAndZeroBound) {
-  // Cross-round wait cycle, built by hand so ScheduleBuilder's verification
-  // (in MIXRADIX_VERIFY_SCHEDULES builds) cannot reject it first: each rank
-  // waits in round 0 for a message the peer only sends in round 1.
+  // Cross-round wait cycle, built by hand as raw IR: each rank waits in
+  // round 0 for a message the peer only sends in round 1.
   simmpi::Schedule s;
   s.nranks = 2;
   s.arena_size = 4;
@@ -326,72 +325,6 @@ TEST(BindingDiagnostics, EmptyJobListIsClean) {
   const Result r = analyze_jobs(topo::testbox(), {});
   EXPECT_TRUE(r.clean());
   EXPECT_EQ(r.bound.lower_bound, 0.0);
-}
-
-TEST(BindingPreverify, ThrowsOnBadBindingAndPassesGoodOne) {
-  const auto m = topo::testbox();
-  PlanJob job;
-  job.plan = std::make_shared<const simmpi::Plan>(
-      simmpi::compile_plan("allgather_ring", 4, 16));
-  job.core_of_rank = {0, 1, 2, 99};
-  ExecOptions options;
-  options.preverify_binding = true;
-  EXPECT_THROW(simmpi::run_timed(m, {job}, options), mr::invalid_argument);
-  try {
-    simmpi::run_timed(m, {job}, options);
-    FAIL() << "expected mr::invalid_argument";
-  } catch (const mr::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("core 99"), std::string::npos)
-        << e.what();
-  }
-  job.core_of_rank = {0, 1, 2, 3};
-  EXPECT_GT(simmpi::run_timed(m, {job}, options).makespan, 0.0);
-}
-
-// The preverify configuration (diagnostics only: no load report, no
-// bound) walks each base message once — its route resolution does not
-// grow with the repetition count — and on the Fig-3 sweep point (16-rank
-// pairwise alltoall, one rank per Hydra node) that walk is at most a
-// quarter of the events one simulated 2-repetition point processes. The
-// check compares work counts, not wall-clock time, so it holds on any
-// host.
-TEST(BindingPreverify, WalksEachBaseMessageOnce) {
-  const auto machine = topo::hydra(16);
-  constexpr std::int32_t kP = 16;
-  std::vector<std::int64_t> cores(kP);
-  for (std::int32_t r = 0; r < kP; ++r) {
-    cores[static_cast<std::size_t>(r)] = r * (machine.cores() / kP);
-  }
-  Options preverify;
-  preverify.load_report = false;
-  preverify.lower_bound = false;
-  simnet::RouteTable routes;
-  routes.bind(machine);
-  std::int64_t lookups = 0;
-  for (const int reps : {1, 2, 8}) {
-    const simmpi::Plan plan =
-        simmpi::compile_plan("alltoall_pairwise", kP, 1 << 20, 0, reps);
-    const JobBinding job{&plan.schedule, &plan.exec, plan.repetitions,
-                         &cores, 0.0};
-    const simnet::RouteTable::Stats before = routes.stats();
-    const std::vector<Result> results =
-        analyze_lanes(machine, {{job}}, preverify, &routes);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].clean()) << results[0].report.to_string();
-    EXPECT_EQ(results[0].bound.lower_bound, 0.0) << "reps=" << reps;
-    EXPECT_EQ(results[0].bound.critical_path, 0.0) << "reps=" << reps;
-    lookups = routes.stats().hits + routes.stats().misses - before.hits -
-              before.misses;
-    EXPECT_EQ(lookups, plan.messages_per_rep()) << "reps=" << reps;
-    EXPECT_EQ(lookups, kP * (kP - 1)) << "reps=" << reps;
-  }
-
-  PlanJob point;
-  point.plan = std::make_shared<const simmpi::Plan>(
-      simmpi::compile_plan("alltoall_pairwise", kP, 1 << 20, 0, 2));
-  point.core_of_rank = cores;
-  const simmpi::TimedResult timed = simmpi::run_timed(machine, {point});
-  EXPECT_LE(4 * lookups, timed.engine_stats.events_processed);
 }
 
 // The analyzer's channel accounting, end to end through the shared
@@ -630,6 +563,33 @@ TEST(BindingLanes, WarmRouteTableGivesIdenticalResults) {
   EXPECT_GT(routes.stats().hits, 0);
   EXPECT_EQ(compare(warm, cold, "warm"), "");
   EXPECT_EQ(warm.to_string(), cold.to_string());
+  // Tune's configuration (no load report) resolves each base message's
+  // route once: the lookups do not grow with the repetition count. Fig-3
+  // sweep point: 16-rank pairwise alltoall, one rank per Hydra node.
+  const auto hydra = topo::hydra(16);
+  constexpr std::int32_t kP = 16;
+  const auto spread = spread_cores(kP, hydra.cores());
+  Options bound_only;
+  bound_only.load_report = false;
+  simnet::RouteTable hydra_routes;
+  hydra_routes.bind(hydra);
+  for (const int reps : {1, 2, 8}) {
+    const simmpi::Plan point =
+        simmpi::compile_plan("alltoall_pairwise", kP, 1 << 20, 0, reps);
+    const simnet::RouteTable::Stats before = hydra_routes.stats();
+    const Result r =
+        analyze_lanes(hydra,
+                      {{{&point.schedule, &point.exec, point.repetitions,
+                         &spread, 0.0}}},
+                      bound_only, &hydra_routes)
+            .front();
+    EXPECT_TRUE(r.clean()) << r.report.to_string();
+    EXPECT_GT(r.bound.lower_bound, 0.0) << "reps=" << reps;
+    EXPECT_EQ(hydra_routes.stats().hits + hydra_routes.stats().misses -
+                  before.hits - before.misses,
+              kP * (kP - 1))
+        << "reps=" << reps;
+  }
   // A table bound to another Machine instance is refused.
   const auto twin = topo::lumi(2);
   simnet::RouteTable other;

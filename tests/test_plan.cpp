@@ -16,6 +16,7 @@
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/generator_matrix.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::simmpi {
 namespace {
@@ -147,12 +148,26 @@ TEST(Plan, CompilePlanCarriesAlgorithmAndCounts) {
   EXPECT_EQ(plan.nranks(), 8);
   EXPECT_EQ(plan.repetitions, 3);
   EXPECT_EQ(plan.total_messages(), plan.messages_per_rep() * 3);
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-  ASSERT_NE(plan.report, nullptr);
-  EXPECT_TRUE(plan.report->clean());
-#else
-  EXPECT_EQ(plan.report, nullptr);
-#endif
+}
+
+// Every registry algorithm passes the static analysis compile_plan runs,
+// and one compile is exactly one analysis however many builder, concat or
+// merge steps its generator takes.
+TEST(Plan, CompilePlanAnalyzesEachCompileOnce) {
+  const std::uint64_t analyzes_before = verify::analyze_call_count();
+  std::uint64_t compiles = 0;
+  for (const AlgorithmInfo& e : algorithm_registry()) {
+    ASSERT_TRUE(e.supported(8)) << e.name;
+    for (const std::int32_t p : {2, 3, 8, 12}) {
+      if (!e.supported(p)) continue;
+      const std::int32_t root = e.rooted ? p - 1 : 0;
+      const Plan plan = compile_plan(e.name, p, 24, root, 2);
+      EXPECT_EQ(plan.algorithm, e.name);
+      EXPECT_EQ(plan.nranks(), p) << e.name;
+      ++compiles;
+    }
+  }
+  EXPECT_EQ(verify::analyze_call_count() - analyzes_before, compiles);
 }
 
 // The load-bearing equivalence: executing a plan's repetition count as a

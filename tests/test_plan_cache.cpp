@@ -80,8 +80,8 @@ TEST(PlanCache, ClearResetsEntriesAndCounters) {
 }
 
 // The acceptance criterion of the refactor: hammering one key from many
-// threads compiles (and, in verifying builds, analyzes) exactly once, and
-// every thread receives the same plan object. Run under
+// threads compiles (and analyzes) exactly once, and every thread receives
+// the same plan object. Run under
 // -DMIXRADIX_SAN=thread this doubles as the data-race check.
 TEST(PlanCache, ConcurrentGetsCompileExactlyOnce) {
   PlanCache cache;
@@ -114,12 +114,8 @@ TEST(PlanCache, ConcurrentGetsCompileExactlyOnce) {
   EXPECT_EQ(stats.hits,
             static_cast<std::uint64_t>(kThreads) * kGetsPerThread - 1u);
   EXPECT_EQ(stats.entries, 1u);
-#ifdef MIXRADIX_VERIFY_SCHEDULES
   // One compile == one static analysis, even with 8 threads racing.
   EXPECT_EQ(verify::analyze_call_count() - analyzes_before, 1u);
-#else
-  EXPECT_EQ(verify::analyze_call_count(), analyzes_before);
-#endif
 }
 
 TEST(PlanCache, ConcurrentDistinctKeysAllCompile) {
@@ -162,8 +158,8 @@ std::string sweep_csv(Engine& engine, int threads) {
   return csv.str();
 }
 
-// Sweeping through an engine's cache analyzes each distinct plan key at
-// most once, no matter how many (order, size, scenario) points replay it.
+// Sweeping through an engine's cache analyzes each distinct plan key
+// exactly once, no matter how many (order, size, scenario) points replay it.
 TEST(PlanCache, SharedSweepAnalyzesAtMostOncePerKey) {
   Engine engine;
   const std::uint64_t analyzes_before = verify::analyze_call_count();
@@ -172,11 +168,7 @@ TEST(PlanCache, SharedSweepAnalyzesAtMostOncePerKey) {
   const std::uint64_t delta = verify::analyze_call_count() - analyzes_before;
   const auto stats = engine.plan_cache().stats();
   EXPECT_GE(stats.hits, 1u);
-#ifdef MIXRADIX_VERIFY_SCHEDULES
-  EXPECT_LE(delta, stats.misses);  // one analysis per compile, none on hits
-#else
-  EXPECT_EQ(delta, 0u);
-#endif
+  EXPECT_EQ(delta, stats.misses);  // one analysis per compile, none on hits
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ TEST(ScheduleValidate, WrongOwnerDetected) {
 TEST(DataExecutor, DetectsDeadlock) {
   // Rank 0 waits (round 0 recv) for a message rank 1 only sends in its
   // round 1, but rank 1's round 0 waits for rank 0's round-1 send: cycle.
-  // Under MIXRADIX_VERIFY_SCHEDULES build() itself throws; otherwise the
-  // executor's dynamic backstop does — either way it is invalid_argument.
+  // build() only validates structure, so the executor's dynamic check
+  // throws.
   EXPECT_THROW(
       {
         ScheduleBuilder b(2, 4);

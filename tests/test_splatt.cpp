@@ -6,9 +6,12 @@
 
 #include <set>
 
+#include "mixradix/apps/cg.hpp"
+#include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::apps::splatt {
 namespace {
@@ -100,6 +103,35 @@ TEST(CpdIterationSchedule, WellFormedAndDataClean) {
   EXPECT_TRUE(schedule.validate().empty());
   simmpi::DataExecutor exec(schedule);
   exec.run();
+}
+
+// Application schedules become plans through make_plan, never through
+// compile_plan, so nothing else runs the static analyzer on them: the
+// full-scale CPD mode block (hydra(32), nell-1), the mode-0 layer
+// alltoallv merge it opens with, and one class-C CG iteration on 64 ranks.
+TEST(AppSchedules, AnalyzeClean) {
+  const auto machine = topo::hydra(32, 1);
+  const TensorSpec spec = nell1_like(1);
+  const Grid3 grid = default_grid(static_cast<std::int32_t>(machine.cores()));
+  const CpdConfig config;
+  const verify::Report cpd =
+      verify::analyze(cpd_iteration_schedule(machine, spec, grid, config));
+  EXPECT_TRUE(cpd.clean()) << cpd.to_string();
+
+  const auto comms = layer_comms(grid, 0);
+  std::vector<simmpi::Schedule> parts;
+  for (std::size_t layer = 0; layer < comms.size(); ++layer) {
+    parts.push_back(simmpi::alltoallv_pairwise(
+        layer_volumes(spec, grid, 0, static_cast<std::int64_t>(layer),
+                      config.factor_rank)));
+  }
+  const verify::Report merged =
+      verify::analyze(simmpi::merge(parts, comms, grid.nprocs()));
+  EXPECT_TRUE(merged.clean()) << merged.to_string();
+
+  const verify::Report cg = verify::analyze(
+      cg::cg_schedule(cg::cg_class('C'), 64, std::vector<double>(64, 1e-3), 1));
+  EXPECT_TRUE(cg.clean()) << cg.to_string();
 }
 
 TEST(SimulateCpd, ReorderingChangesDurationNotCompute) {

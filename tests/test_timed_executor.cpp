@@ -180,8 +180,61 @@ TEST(TimedExecutor, ValidatesJobs) {
   const Schedule s = one_message(4);
   EXPECT_THROW(run_timed(m, std::vector<PlanJob>{}), invalid_argument);
   EXPECT_THROW(run_timed(m, {job_of(s, {0})}), invalid_argument);
-  EXPECT_THROW(run_timed(m, {job_of(s, {0, 99})}), invalid_argument);
   EXPECT_THROW(run_timed(m, {PlanJob{nullptr, {0, 1}, 0.0}}), invalid_argument);
+  // An out-of-range core is named with its job and rank.
+  const std::vector<PlanJob> jobs = {job_of(s, {0, 1}), job_of(s, {0, 99})};
+  try {
+    run_timed(m, jobs);
+    FAIL() << "expected mr::invalid_argument";
+  } catch (const invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 1 rank 1: core 99"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_GT(run_timed(m, {jobs[0]}).makespan, 0.0);
+}
+
+// Each rank waits in round 0 for a message the peer only sends in round 1.
+// The executor must not report the run as finished (makespan 0): it throws,
+// naming the job and carrying the analyzer's cycle trace.
+TEST(TimedExecutor, DeadlockedPlanThrowsWithCycleTrace) {
+  Schedule s;
+  s.nranks = 2;
+  s.arena_size = 4;
+  s.messages = {MsgInfo{1, 0, {0, 2}, {0, 2}, Combine::Replace},
+                MsgInfo{0, 1, {2, 2}, {2, 2}, Combine::Replace}};
+  s.programs.resize(2);
+  s.programs[0].rounds.resize(2);
+  s.programs[0].rounds[0].recvs = {RecvOp{0}};
+  s.programs[0].rounds[1].sends = {SendOp{1}};
+  s.programs[1].rounds.resize(2);
+  s.programs[1].rounds[0].recvs = {RecvOp{1}};
+  s.programs[1].rounds[1].sends = {SendOp{0}};
+  const PlanJob job{std::make_shared<const Plan>(make_plan(s, 3, "inversion")),
+                    {0, 8}, 0.0};
+  try {
+    run_timed(topo::testbox(), {job_of(one_message(4), {1, 2}), job});
+    FAIL() << "deadlocked plan ran to completion";
+  } catch (const invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job 1 (inversion) deadlocks"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("cycle"), std::string::npos) << what;
+    EXPECT_NE(what.find("message 0"), std::string::npos) << what;
+  }
+  // Sends one round ahead of their receives have no cycle when sends are
+  // posted eagerly, but testbox sends everything by rendezvous: each
+  // rank's round-0 send waits for the peer's round-1 receive.
+  for (RankProgram& program : s.programs) {
+    std::swap(program.rounds[0], program.rounds[1]);
+  }
+  try {
+    run_timed(topo::testbox(), {job_of(s, {0, 8})});
+    FAIL() << "rendezvous deadlock ran to completion";
+  } catch (const invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rendezvous"), std::string::npos)
+        << e.what();
+  }
 }
 
 // Integration: collective schedules complete and scale sensibly.

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "mixradix/topo/discover.hpp"
 #include "mixradix/topo/presets.hpp"
@@ -114,20 +115,28 @@ std::string rejection_message(Fn&& fn) {
 TEST(Machine, BadLevelDiagnosticsAreLocated) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  auto levels = testbox().levels();
+  std::vector<LevelSpec> levels;
+  std::string msg;
+  for (const int radix : {1, 0, -3}) {
+    levels = testbox().levels();
+    levels[1].radix = radix;
+    msg = rejection_message([&] { Machine("bad", levels); });
+    EXPECT_NE(msg.find("level 1 ('socket')"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("radix"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("got " + std::to_string(radix)), std::string::npos)
+        << msg;
+  }
 
-  levels[1].radix = 1;
-  std::string msg = rejection_message([&] { Machine("bad", levels); });
-  EXPECT_NE(msg.find("level 1 ('socket')"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("radix"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("got 1"), std::string::npos) << msg;
-
-  levels = testbox().levels();
-  levels[2].link_bandwidth = kNaN;
-  msg = rejection_message([&] { Machine("bad", levels); });
-  EXPECT_NE(msg.find("level 2 ('core')"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("link bandwidth"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("nan"), std::string::npos) << msg;
+  const std::pair<double, const char*> bandwidths[] = {
+      {kNaN, "nan"}, {-1.0, "got -1"}, {kInf, "inf"}};
+  for (const auto& [bw, text] : bandwidths) {
+    levels = testbox().levels();
+    levels[2].link_bandwidth = bw;
+    msg = rejection_message([&] { Machine("bad", levels); });
+    EXPECT_NE(msg.find("level 2 ('core')"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("link bandwidth"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(text), std::string::npos) << msg;
+  }
 
   levels = testbox().levels();
   levels[0].link_latency = kInf;

@@ -1,12 +1,12 @@
 // Topology lint tests: every preset must come back clean, and every
-// seeded adversarial mutation of a Machine spec must be flagged with a
-// located diagnostic of the right check category.
+// seeded mutation of a constructed Machine the constructor accepts (an
+// inverted taper, a preset impostor) must be flagged with a located
+// diagnostic of the right check category. Specs the constructor rejects
+// are tested with the Machine (test_topo.cpp).
 #include "mixradix/verify/topo_check.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,9 +14,6 @@
 
 namespace mr::verify {
 namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<topo::LevelSpec> testbox_levels() {
   return topo::testbox().levels();
@@ -47,74 +44,12 @@ TEST(TopoCheck, AllPresetsClean) {
   }
 }
 
-TEST(TopoCheck, ZeroRadixIsLocatedSpecError) {
-  auto levels = testbox_levels();
-  levels[1].radix = 0;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
-  EXPECT_FALSE(r.clean());
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, 1))
-      << r.to_string();
-  EXPECT_NE(r.to_string().find("radix"), std::string::npos);
-}
-
-TEST(TopoCheck, NegativeRadixIsSpecError) {
-  auto levels = testbox_levels();
-  levels[2].radix = -3;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, 2))
-      << r.to_string();
-}
-
-TEST(TopoCheck, RadixOneIsWarning) {
-  auto levels = testbox_levels();
-  levels[0].radix = 1;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
-  EXPECT_TRUE(r.clean()) << r.to_string();
-  EXPECT_TRUE(has_diagnostic(r, Severity::Warning, TopoCheck::Spec, 0))
-      << r.to_string();
-}
-
-TEST(TopoCheck, NonPositiveBandwidthIsLocatedSpecError) {
-  for (const double bw : {0.0, -1.0, kNaN, kInf}) {
-    auto levels = testbox_levels();
-    levels[1].link_bandwidth = bw;
-    const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
-    EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, 1))
-        << "bw=" << bw << "\n" << r.to_string();
-  }
-}
-
-TEST(TopoCheck, BadLatencyAndMemBandwidthAreSpecErrors) {
-  auto levels = testbox_levels();
-  levels[0].link_latency = -1e-9;
-  levels[2].mem_bandwidth = kNaN;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, 0))
-      << r.to_string();
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, 2))
-      << r.to_string();
-}
-
-TEST(TopoCheck, BadCostsAndFlopsAreGlobalSpecErrors) {
-  topo::MessagingCosts costs;
-  costs.send_overhead = -1;
-  costs.base_latency = kNaN;
-  costs.eager_threshold = -5;
-  TopoReport r = analyze_spec("mutant", testbox_levels(), costs, 1e9);
-  EXPECT_GE(r.count(Severity::Error), 3u) << r.to_string();
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, -1));
-
-  r = analyze_spec("mutant", testbox_levels(), {}, 0.0);
-  EXPECT_TRUE(has_diagnostic(r, Severity::Error, TopoCheck::Spec, -1))
-      << r.to_string();
-}
-
 TEST(TopoCheck, InvertedTaperIsWarning) {
   // testbox: node 1 GB/s, socket 2 GB/s, core 4 GB/s — aggregate grows
   // inward. Crushing the core bandwidth inverts the taper at level 2.
   auto levels = testbox_levels();
   levels[2].link_bandwidth = 1e8;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
+  const TopoReport r = analyze(topo::Machine("mutant", levels));
   EXPECT_TRUE(r.clean()) << r.to_string();
   EXPECT_TRUE(has_diagnostic(r, Severity::Warning, TopoCheck::Taper, 2))
       << r.to_string();
@@ -150,13 +85,6 @@ TEST(TopoCheck, TestboxNonZeroCostsViolateContract) {
   EXPECT_TRUE(analyze(renamed).clean());
 }
 
-TEST(TopoCheck, PresetCheckCanBeDisabled) {
-  const topo::Machine impostor("hydra", testbox_levels());
-  TopoOptions options;
-  options.check_presets = false;
-  EXPECT_TRUE(analyze(impostor, options).clean());
-}
-
 TEST(TopoCheck, WithNodesAndNicScaleVariantsStayClean) {
   EXPECT_TRUE(analyze(topo::hydra(2).with_nodes(16)).clean());
   EXPECT_TRUE(analyze(topo::lumi(2).with_nodes(8)).clean());
@@ -167,19 +95,18 @@ TEST(TopoCheck, WithNodesAndNicScaleVariantsStayClean) {
 
 TEST(TopoCheck, DiagnosticFormatting) {
   auto levels = testbox_levels();
-  levels[1].radix = 0;
-  const TopoReport r = analyze_spec("mutant", levels, {}, 1e9);
+  levels[1].name = "sokcet";
+  const TopoReport r =
+      analyze(topo::Machine("testbox", levels, topo::testbox().costs()));
   ASSERT_FALSE(r.diagnostics.empty());
   const std::string line = r.diagnostics.front().to_string();
-  EXPECT_NE(line.find("error[spec]"), std::string::npos) << line;
+  EXPECT_NE(line.find("error[preset]"), std::string::npos) << line;
   EXPECT_NE(line.find("level 1"), std::string::npos) << line;
-  EXPECT_NE(r.summary().find("errors"), std::string::npos);
+  EXPECT_NE(r.summary().find("1 errors"), std::string::npos) << r.summary();
 }
 
 TEST(TopoCheck, LatencySymmetryHoldsOnLargeMachines) {
-  TopoOptions options;
-  options.latency_sample_pairs = 256;
-  EXPECT_TRUE(analyze(topo::lumi(16), options).clean());
+  EXPECT_TRUE(analyze(topo::lumi(16)).clean());
 }
 
 }  // namespace

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
+#include "mixradix/simmpi/plan.hpp"
+#include "mixradix/simmpi/timed_executor.hpp"
+#include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/generator_matrix.hpp"
 
@@ -21,8 +26,7 @@ using simmpi::Region;
 using simmpi::Schedule;
 
 // Adversarial schedules are assembled as raw IR, not via ScheduleBuilder:
-// the builder rejects some of them outright, and under the
-// MIXRADIX_VERIFY_SCHEDULES build option it would reject all of them.
+// the structural validation in build() rejects some of them outright.
 Schedule blank(std::int32_t nranks, std::int64_t arena) {
   Schedule s;
   s.nranks = nranks;
@@ -177,8 +181,28 @@ TEST(VerifyDeadlock, CrossRoundMessagingInTheRightDirectionIsClean) {
   EXPECT_TRUE(analyze(s).clean());
 }
 
+// The executors' entry point runs the deadlock pass alone: the same cycle
+// as analyze(), no race or dataflow findings, and no analyze() count.
+TEST(VerifyDeadlock, DeadlockOnlyEntryPointSkipsTheOtherPasses) {
+  const std::uint64_t analyzes_before = analyze_call_count();
+  const Report cycle = analyze_deadlock(round_inversion());
+  const Report full = analyze(round_inversion());
+  ASSERT_EQ(cycle.count(Severity::Error), 1u) << cycle.to_string();
+  ASSERT_NE(first(full, Check::Deadlock), nullptr) << full.to_string();
+  EXPECT_EQ(first(cycle, Check::Deadlock)->text,
+            first(full, Check::Deadlock)->text);
+
+  Schedule racy = blank(3, 8);
+  add_message(racy, 0, 0, Region{0, 4}, 1, 0, Region{4, 4});
+  add_message(racy, 2, 0, Region{0, 2}, 1, 0, Region{6, 2});
+  ASSERT_NE(first(analyze(racy), Check::Race), nullptr);
+  const Report racy_deadlock = analyze_deadlock(racy);
+  EXPECT_TRUE(racy_deadlock.diagnostics.empty()) << racy_deadlock.to_string();
+  EXPECT_EQ(analyze_call_count() - analyzes_before, 2u);
+}
+
 TEST(VerifyDeadlock, ExecutorBackstopCarriesTheCycleTrace) {
-  simmpi::DataExecutor exec(round_inversion(), simmpi::Preverify::OnDeadlock);
+  simmpi::DataExecutor exec(round_inversion());
   try {
     exec.run();
     FAIL() << "deadlocking schedule ran to completion";
@@ -190,10 +214,28 @@ TEST(VerifyDeadlock, ExecutorBackstopCarriesTheCycleTrace) {
   }
 }
 
-TEST(VerifyDeadlock, UpfrontPreverifyRejectsAtConstruction) {
-  EXPECT_THROW(
-      simmpi::DataExecutor(round_inversion(), simmpi::Preverify::Upfront),
-      invalid_argument);
+// Both executors explain a deadlock with the same deadlock-only analysis:
+// each message carries its report verbatim.
+TEST(VerifyDeadlock, BothExecutorsCarryTheSameCycleTrace) {
+  const std::string trace = analyze_deadlock(round_inversion()).to_string();
+  ASSERT_NE(trace.find("cycle"), std::string::npos) << trace;
+  const auto message_of = [](auto&& run) {
+    try {
+      run();
+    } catch (const invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string data =
+      message_of([] { simmpi::DataExecutor(round_inversion()).run(); });
+  EXPECT_NE(data.find(trace), std::string::npos) << data;
+  const simmpi::PlanJob job{std::make_shared<const simmpi::Plan>(
+                                simmpi::make_plan(round_inversion())),
+                            {0, 1}, 0.0};
+  const std::string timed =
+      message_of([&] { simmpi::run_timed(topo::testbox(), {job}); });
+  EXPECT_NE(timed.find(trace), std::string::npos) << timed;
 }
 
 // ---- Adversarial: write races ----------------------------------------------
