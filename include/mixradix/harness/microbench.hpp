@@ -36,9 +36,6 @@ struct MicrobenchConfig {
   int repetitions = 2;     ///< back-to-back operations per communicator.
   /// Forwarded to simmpi::ExecOptions::completion_slack.
   double completion_slack = simmpi::kDefaultCompletionSlack;
-  /// Explicit engine scratch to reuse (one per thread); nullptr = lease a
-  /// workspace from the Engine's pool for the duration of the run.
-  simmpi::SimWorkspace* workspace = nullptr;
 };
 
 struct MicrobenchResult {
@@ -56,11 +53,9 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
 
 /// Steps 1-2 of the protocol without running anything: the compiled plan
 /// (from the engine's plan cache) and per-communicator core bindings
-/// run_microbench would execute
-/// (timing-affecting fields of `config` beyond the binding — slack, engine,
-/// workspace — are ignored). Shared with mr::tune, whose funnel needs the
-/// same jobs twice: once for the static lower bound and once for the
-/// simulation of the survivors.
+/// run_microbench would execute (`config.completion_slack` is ignored).
+/// Shared with mr::tune, whose funnel needs the same jobs twice: once for
+/// the static lower bound and once for the simulation of the survivors.
 std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
                                            const topo::Machine& machine,
                                            const MicrobenchConfig& config);

@@ -19,11 +19,13 @@ namespace mr::simmpi {
 class DataExecutor {
  public:
   /// Takes its own copy of the schedule (executors outlive temporaries)
-  /// and checks it is well formed (Schedule::validate).
+  /// and checks it with verify::analyze_structure; a malformed schedule
+  /// throws mr::invalid_argument carrying the report.
   explicit DataExecutor(Schedule schedule);
 
   /// Compiled-plan flavour: repetitions > 1 are materialized (data
-  /// semantics need the real repeated rounds).
+  /// semantics need the real repeated rounds). No check: make_plan or
+  /// compile_plan already checked the plan's schedule.
   explicit DataExecutor(const std::shared_ptr<const Plan>& plan);
 
   /// Mutable arena of `rank` (size = schedule.arena_size), for initialising

@@ -16,9 +16,9 @@
 // Plans are compiled by `compile_plan` (registry algorithms), which proves
 // each schedule deadlock-, race- and conservation-free with the static
 // analyzer, or wrapped around ad-hoc schedules by `make_plan` (application
-// schedules: CG, SPLATT). The PlanCache (mixradix/simmpi/plan_cache.hpp)
-// memoizes compile_plan by (algorithm, p, count, root, repetitions), so the
-// analyzer runs once per plan key.
+// schedules: CG, SPLATT), which runs only its structure pass. The PlanCache
+// (mixradix/simmpi/plan_cache.hpp) memoizes compile_plan by (algorithm, p,
+// count, root, repetitions), so the analyzer runs once per plan key.
 #pragma once
 
 #include <cstdint>
@@ -75,16 +75,16 @@ struct Plan {
   }
 };
 
-/// Wrap an already-generated schedule into a plan: checks it is well formed
-/// (Schedule::validate, mr::invalid_argument otherwise) and derives the
-/// execution structure; no static verification, no cache. The one door
+/// Wrap an already-generated schedule into a plan: checks it with
+/// verify::analyze_structure (mr::invalid_argument carrying the report
+/// otherwise) and derives the execution structure; no cache. The one door
 /// through which a raw Schedule becomes runnable.
 Plan make_plan(Schedule schedule, int repetitions = 1,
                std::string algorithm = {});
 
-/// Compile registry algorithm `name` into a plan. The finished schedule is
-/// statically analyzed (verify::analyze) exactly once; an Error-level
-/// finding throws mr::invalid_argument carrying the report.
+/// Compile registry algorithm `name` into a plan. The schedule is analyzed
+/// (verify::analyze) exactly once, before anything else reads it; an
+/// Error-level finding throws mr::invalid_argument carrying the report.
 Plan compile_plan(const std::string& algorithm, std::int32_t p,
                   std::int64_t count, std::int32_t root = 0,
                   int repetitions = 1);

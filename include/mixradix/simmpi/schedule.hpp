@@ -16,10 +16,13 @@
 // Messages are matched by explicit id (assigned at generation time), not
 // by (source, tag) matching: generated schedules are deterministic, so
 // runtime matching would only add failure modes.
+//
+// Building or composing a schedule checks only each call's arguments. The
+// schedule is checked once, where it becomes runnable (make_plan,
+// compile_plan, the DataExecutor), by mixradix/verify/verify.hpp.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace mr::simmpi {
@@ -76,12 +79,6 @@ struct Schedule {
 
   /// Total payload bytes over all messages.
   std::int64_t total_bytes() const;
-
-  /// Structural validation: every op references a valid message with this
-  /// rank as the right endpoint, every message is sent and received exactly
-  /// once, regions stay inside the arena, and matched src/dst counts agree.
-  /// Returns a diagnostic on failure, empty string when well-formed.
-  std::string validate() const;
 };
 
 /// Incremental construction helper used by the algorithm generators.
@@ -107,9 +104,9 @@ class ScheduleBuilder {
 
   void compute(int round, std::int32_t rank, double seconds);
 
-  /// Finalise; validates the result (throwing on generator bugs). The
-  /// static analyzer (mixradix/verify/verify.hpp) runs once per compiled
-  /// plan in compile_plan, not here.
+  /// Finalise, with no structure check: the calls above reject bad ranks,
+  /// rounds, self-messages and compute times, and the door the schedule
+  /// runs through checks the rest (regions inside the arena, ...).
   Schedule build() &&;
 
  private:

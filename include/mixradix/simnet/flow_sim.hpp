@@ -56,9 +56,6 @@ struct Completion {
 
 class FlowSim {
  public:
-  /// Compatibility alias for the namespace-scope constant.
-  static constexpr int kMaxChannelsPerFlow = simnet::kMaxChannelsPerFlow;
-
   /// Per-instance event counters (formerly file-scope globals; instances
   /// must be independent so simulations can run on concurrent threads).
   struct Stats {

@@ -25,8 +25,6 @@ struct Budget {
   /// Wall-clock cap in seconds, checked between waves; 0 = unlimited.
   /// Non-deterministic by nature — see the header comment.
   double max_seconds = 0;
-
-  bool unlimited() const { return max_points <= 0 && max_seconds <= 0; }
 };
 
 /// Running meter over one search: charge() after each simulated wave,

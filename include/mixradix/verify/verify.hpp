@@ -7,23 +7,27 @@
 // the analyses MPI correctness checkers like MUST or ISP approximate
 // dynamically are exact here:
 //
+//  * structure and conservation — every op names an existing message of
+//    its own rank, every region lies inside the arena, and every message
+//    is sent and received exactly once with equal byte counts;
 //  * deadlock freedom — a cycle search over the happens-before graph
 //    built from per-rank round ordering plus send->recv message edges;
 //    failures come with the full rank/round/message cycle trace;
 //  * write-race freedom — conflicting same-round writes to overlapping
 //    arena regions (recv vs recv under a non-commutative combine, recv
 //    vs local copy, copy vs copy);
-//  * conservation — every message sent and received exactly once, with
-//    equal byte counts on both ends;
 //  * liveness lints — writes that are fully overwritten before any read
 //    (dead writes) and reads of regions the schedule never writes
 //    (external inputs, or uninitialised data when nothing seeds them).
 //
-// `analyze` never throws on a bad schedule: it returns a Report whose
+// Three entry points run a prefix of these passes: `analyze` all four
+// (compile_plan), `analyze_structure` the first (make_plan and the
+// DataExecutor), `analyze_deadlock` the first two (both executors' deadlock
+// errors). None throws on a bad schedule: each returns a Report whose
 // diagnostics carry severities. Error-level findings mean at least one
-// executor would misbehave (deadlock, nondeterministic result, dropped
-// payload); warnings are portability/efficiency hazards; infos are
-// observations (inferred input regions).
+// executor would misbehave (out-of-arena access, deadlock, nondeterministic
+// result, dropped payload); warnings are portability/efficiency hazards;
+// infos are observations (inferred input regions).
 #pragma once
 
 #include <cstdint>
@@ -95,6 +99,10 @@ std::ostream& operator<<(std::ostream& os, const Report& report);
 /// programs) short-circuits: the report then carries only the
 /// structure/conservation findings.
 Report analyze(const simmpi::Schedule& schedule, const Options& options = {});
+
+/// The structure and conservation pass of analyze() alone: the one check
+/// of a raw schedule. Not counted by analyze_call_count().
+Report analyze_structure(const simmpi::Schedule& schedule);
 
 /// The structure, conservation and deadlock passes of analyze() alone: the
 /// cycle trace both executors put in their message when a run stops

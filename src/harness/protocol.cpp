@@ -71,14 +71,10 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
 
   simmpi::ExecOptions exec;
   exec.completion_slack = config.completion_slack;
-  exec.workspace = config.workspace;
-  // No explicit workspace: lease one from the engine's pool for this run
-  // (reused across runs, reclaimed with the engine).
-  Engine::WorkspaceLease lease;
-  if (config.workspace == nullptr) {
-    lease = engine.workspace();
-    exec.workspace = lease.get();
-  }
+  // Lease a workspace from the engine's pool for this run (reused across
+  // runs, reclaimed with the engine).
+  Engine::WorkspaceLease lease = engine.workspace();
+  exec.workspace = lease.get();
   const simmpi::TimedResult timed = simmpi::run_timed(machine, jobs, exec);
 
   std::vector<double> bandwidths;

@@ -30,6 +30,8 @@ void combine_into(Combine combine, const double* src, double* dst,
 }
 
 DataExecutor::DataExecutor(Schedule schedule) : schedule_(std::move(schedule)) {
+  const verify::Report report = verify::analyze_structure(schedule_);
+  MR_EXPECT(report.clean(), "malformed schedule:\n" + report.to_string());
   init();
 }
 
@@ -42,8 +44,6 @@ DataExecutor::DataExecutor(const std::shared_ptr<const Plan>& plan) {
 }
 
 void DataExecutor::init() {
-  const std::string error = schedule_.validate();
-  MR_EXPECT(error.empty(), "malformed schedule: " + error);
   arenas_.assign(static_cast<std::size_t>(schedule_.nranks),
                  std::vector<double>(static_cast<std::size_t>(schedule_.arena_size), 0.0));
   pc_.assign(static_cast<std::size_t>(schedule_.nranks), 0);

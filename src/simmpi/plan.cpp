@@ -62,23 +62,20 @@ Plan wrap(Schedule schedule, int repetitions, std::string algorithm) {
 }  // namespace
 
 Plan make_plan(Schedule schedule, int repetitions, std::string algorithm) {
-  const std::string error = schedule.validate();
-  MR_EXPECT(error.empty(), "malformed schedule: " + error);
+  const verify::Report report = verify::analyze_structure(schedule);
+  MR_EXPECT(report.clean(), "malformed schedule:\n" + report.to_string());
   return wrap(std::move(schedule), repetitions, std::move(algorithm));
 }
 
 Plan compile_plan(const std::string& algorithm, std::int32_t p,
                   std::int64_t count, std::int32_t root, int repetitions) {
   MR_EXPECT(repetitions >= 1, "repetition count must be >= 1");
-  // Generators emit schedules already checked by ScheduleBuilder::build (or
-  // by concat/merge), so the compile does not validate a second time.
-  Plan plan =
-      wrap(make_algorithm(algorithm, p, count, root), repetitions, algorithm);
-  const verify::Report report = verify::analyze(plan.schedule);
+  Schedule schedule = make_algorithm(algorithm, p, count, root);
+  const verify::Report report = verify::analyze(schedule);
   MR_EXPECT(report.clean(), "plan " + algorithm +
                                 " fails static verification:\n" +
                                 report.to_string());
-  return plan;
+  return wrap(std::move(schedule), repetitions, algorithm);
 }
 
 }  // namespace mr::simmpi

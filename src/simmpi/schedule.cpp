@@ -1,6 +1,7 @@
 #include "mixradix/simmpi/schedule.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "mixradix/util/expect.hpp"
 
@@ -10,93 +11,6 @@ std::int64_t Schedule::total_bytes() const {
   std::int64_t total = 0;
   for (const auto& m : messages) total += m.bytes();
   return total;
-}
-
-namespace {
-
-bool region_ok(const Region& r, std::int64_t arena) {
-  return r.offset >= 0 && r.count >= 0 && r.offset + r.count <= arena;
-}
-
-}  // namespace
-
-std::string Schedule::validate() const {
-  if (nranks <= 0) return "schedule has no ranks";
-  if (static_cast<std::int32_t>(programs.size()) != nranks) {
-    return "program count != nranks";
-  }
-  std::vector<int> sent(messages.size(), 0);
-  std::vector<int> received(messages.size(), 0);
-  for (std::size_t m = 0; m < messages.size(); ++m) {
-    const auto& msg = messages[m];
-    if (msg.src < 0 || msg.src >= nranks || msg.dst < 0 || msg.dst >= nranks) {
-      return "message " + std::to_string(m) + " has bad endpoints";
-    }
-    if (!region_ok(msg.src_region, arena_size) || !region_ok(msg.dst_region, arena_size)) {
-      return "message " + std::to_string(m) + " region out of arena";
-    }
-    if (msg.src_region.count != msg.dst_region.count) {
-      return "message " + std::to_string(m) + " src/dst count mismatch";
-    }
-  }
-  for (std::int32_t rank = 0; rank < nranks; ++rank) {
-    const auto& rounds = programs[static_cast<std::size_t>(rank)].rounds;
-    for (std::size_t k = 0; k < rounds.size(); ++k) {
-      const auto& round = rounds[k];
-      const std::string at =
-          "rank " + std::to_string(rank) + " round " + std::to_string(k);
-      for (const auto& op : round.sends) {
-        if (op.msg < 0 || static_cast<std::size_t>(op.msg) >= messages.size()) {
-          return "send op on " + at + " references unknown message " +
-                 std::to_string(op.msg);
-        }
-        if (messages[static_cast<std::size_t>(op.msg)].src != rank) {
-          return "send op on " + at + " for message " + std::to_string(op.msg) +
-                 " owned by rank " +
-                 std::to_string(messages[static_cast<std::size_t>(op.msg)].src);
-        }
-        ++sent[static_cast<std::size_t>(op.msg)];
-      }
-      for (const auto& op : round.recvs) {
-        if (op.msg < 0 || static_cast<std::size_t>(op.msg) >= messages.size()) {
-          return "recv op on " + at + " references unknown message " +
-                 std::to_string(op.msg);
-        }
-        if (messages[static_cast<std::size_t>(op.msg)].dst != rank) {
-          return "recv op on " + at + " for message " + std::to_string(op.msg) +
-                 " addressed to rank " +
-                 std::to_string(messages[static_cast<std::size_t>(op.msg)].dst);
-        }
-        ++received[static_cast<std::size_t>(op.msg)];
-      }
-      for (const auto& op : round.copies) {
-        if (!region_ok(op.src, arena_size) || !region_ok(op.dst, arena_size)) {
-          return "copy on " + at + " has a region out of arena";
-        }
-        if (op.src.count != op.dst.count) {
-          return "copy on " + at + " has mismatched src/dst counts";
-        }
-      }
-      if (round.compute_seconds < 0) {
-        return "negative compute time on " + at;
-      }
-    }
-  }
-  for (std::size_t m = 0; m < messages.size(); ++m) {
-    if (sent[m] != 1) {
-      return "message " + std::to_string(m) + " (rank " +
-             std::to_string(messages[m].src) + " -> rank " +
-             std::to_string(messages[m].dst) + ") sent " +
-             std::to_string(sent[m]) + " times";
-    }
-    if (received[m] != 1) {
-      return "message " + std::to_string(m) + " (rank " +
-             std::to_string(messages[m].src) + " -> rank " +
-             std::to_string(messages[m].dst) + ") received " +
-             std::to_string(received[m]) + " times";
-    }
-  }
-  return {};
 }
 
 ScheduleBuilder::ScheduleBuilder(std::int32_t nranks, std::int64_t arena_size) {
@@ -137,10 +51,15 @@ void ScheduleBuilder::compute(int round, std::int32_t rank, double seconds) {
   round_of(rank, round).compute_seconds += seconds;
 }
 
-Schedule ScheduleBuilder::build() && {
-  const std::string error = schedule_.validate();
-  MR_EXPECT(error.empty(), "generated schedule is malformed: " + error);
-  return std::move(schedule_);
+Schedule ScheduleBuilder::build() && { return std::move(schedule_); }
+
+/// concat/merge precondition: part `k` holds one program per rank.
+static void expect_programs(const char* op, const Schedule& part,
+                            std::size_t k) {
+  MR_EXPECT(static_cast<std::int64_t>(part.programs.size()) == part.nranks,
+            std::string(op) + " part " + std::to_string(k) + " has " +
+                std::to_string(part.programs.size()) + " rank programs for " +
+                std::to_string(part.nranks) + " ranks");
 }
 
 Schedule repeat(const Schedule& schedule, int times) {
@@ -168,7 +87,6 @@ Schedule repeat(const Schedule& schedule, int times) {
       }
     }
   }
-  MR_ASSERT_INTERNAL(out.validate().empty());
   return out;
 }
 
@@ -176,9 +94,11 @@ Schedule concat(const std::vector<Schedule>& parts) {
   MR_EXPECT(!parts.empty(), "need at least one schedule");
   Schedule out;
   out.nranks = parts.front().nranks;
-  out.programs.resize(static_cast<std::size_t>(out.nranks));
-  for (const Schedule& part : parts) {
+  out.programs.resize(parts.front().programs.size());
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    const Schedule& part = parts[k];
     MR_EXPECT(part.nranks == out.nranks, "concat needs equal rank counts");
+    expect_programs("concat", part, k);
     out.arena_size = std::max(out.arena_size, part.arena_size);
     const auto shift = static_cast<std::int32_t>(out.messages.size());
     out.messages.insert(out.messages.end(), part.messages.begin(),
@@ -193,7 +113,6 @@ Schedule concat(const std::vector<Schedule>& parts) {
       }
     }
   }
-  MR_ASSERT_INTERNAL(out.validate().empty());
   return out;
 }
 
@@ -211,9 +130,17 @@ Schedule merge(const std::vector<Schedule>& parts,
     const auto& map = rank_of[k];
     MR_EXPECT(static_cast<std::int32_t>(map.size()) == part.nranks,
               "rank map size must equal the part's nranks");
+    expect_programs("merge", part, k);
     out.arena_size = std::max(out.arena_size, part.arena_size);
     const auto shift = static_cast<std::int32_t>(out.messages.size());
-    for (const auto& m : part.messages) {
+    for (std::size_t i = 0; i < part.messages.size(); ++i) {
+      const MsgInfo& m = part.messages[i];
+      MR_EXPECT(m.src >= 0 && m.src < part.nranks && m.dst >= 0 &&
+                    m.dst < part.nranks,
+                "merge part " + std::to_string(k) + " message " +
+                    std::to_string(i) + " has endpoints " +
+                    std::to_string(m.src) + " -> " + std::to_string(m.dst) +
+                    " outside [0, " + std::to_string(part.nranks) + ")");
       MsgInfo global = m;
       global.src = map[static_cast<std::size_t>(m.src)];
       global.dst = map[static_cast<std::size_t>(m.dst)];
@@ -233,7 +160,6 @@ Schedule merge(const std::vector<Schedule>& parts,
       }
     }
   }
-  MR_ASSERT_INTERNAL(out.validate().empty());
   return out;
 }
 

@@ -95,9 +95,9 @@ std::vector<MatrixPoint> generator_matrix(
   std::vector<MatrixPoint> points;
   const auto add = [&points](const char* name, bool rooted, std::int32_t p,
                              std::int64_t c) {
-    std::vector<std::int32_t> roots{0};
-    if (rooted && p > 1) roots.push_back(p - 1);
-    for (const std::int32_t root : roots) {
+    // Root 0, plus root p - 1 for a rooted collective with p > 1.
+    for (int r = 0; r < (rooted && p > 1 ? 2 : 1); ++r) {
+      const std::int32_t root = r == 0 ? 0 : p - 1;
       MatrixPoint point;
       point.algorithm = name;
       point.nranks = p;

@@ -83,14 +83,26 @@ const char* combine_name(Combine combine) {
   return "?";
 }
 
+/// "[offset, end)", or "[offset, offset + count)" when end overflows int64.
 std::string region_str(const Region& r) {
-  std::ostringstream os;
-  os << "[" << r.offset << ", " << r.offset + r.count << ")";
-  return os.str();
+  const bool fits = r.count >= 0 ? r.offset <= INT64_MAX - r.count
+                                 : r.offset >= INT64_MIN - r.count;
+  return "[" + std::to_string(r.offset) + ", " +
+         (fits ? std::to_string(r.offset + r.count)
+               : std::to_string(r.offset) + " + " + std::to_string(r.count)) +
+         ")";
 }
 
+/// "N B" for `count` doubles, or "count x 8 B" when N overflows int64.
+std::string bytes_str(std::int64_t count) {
+  const bool fits = count <= INT64_MAX / 8 && count >= -(INT64_MAX / 8);
+  return fits ? std::to_string(count * 8) + " B"
+              : std::to_string(count) + " x 8 B";
+}
+
+/// No overflow: the arena is checked to lie in [0, INT64_MAX / 8] first.
 bool region_in_arena(const Region& r, std::int64_t arena) {
-  return r.offset >= 0 && r.count >= 0 && r.offset + r.count <= arena;
+  return r.offset >= 0 && r.count >= 0 && r.count <= arena - r.offset;
 }
 
 /// Combines whose accumulation commutes, so concurrent overlapping receives
@@ -98,16 +110,18 @@ bool region_in_arena(const Region& r, std::int64_t arena) {
 /// last-writer-wins depends on completion order.
 bool commutative(Combine combine) { return combine != Combine::Replace; }
 
+/// Passes a run makes: structure and conservation, plus deadlock, or all.
+enum class Depth { Structure, Deadlock, All };
+
 class Analyzer {
  public:
   Analyzer(const Schedule& schedule, const Options& options)
       : s_(schedule), opt_(options) {}
 
-  Report run(bool deadlock_only) {
-    const bool sound = structure_and_conservation();
-    if (sound) {
+  Report run(Depth depth) {
+    if (structure_and_conservation() && depth != Depth::Structure) {
       deadlock();
-      if (!deadlock_only) {
+      if (depth == Depth::All) {
         races();
         dataflow();
       }
@@ -140,8 +154,37 @@ class Analyzer {
     const auto& msg = s_.messages[static_cast<std::size_t>(m)];
     std::ostringstream os;
     os << "message " << m << " (rank " << msg.src << " -> rank " << msg.dst
-       << ", " << msg.bytes() << " B)";
+       << ", " << bytes_str(msg.src_region.count) << ")";
     return os.str();
+  }
+
+  /// One op of `rank` in `round`, a send if `send`, else a receive: it must
+  /// name an existing message that `rank` sends (receives). Counts it in
+  /// `count` and records the round of the message's first op.
+  bool check_op(bool send, std::int32_t id, std::int32_t rank, int round,
+                std::vector<int>& count, std::vector<int>& first_round) {
+    const auto at = [&] {
+      return std::string(send ? "send" : "recv") + " op on rank " +
+             std::to_string(rank) + " round " + std::to_string(round);
+    };
+    if (id < 0 || static_cast<std::size_t>(id) >= s_.messages.size()) {
+      emit(Severity::Error, Check::Structure, rank, round, id,
+           at() + " references unknown message " + std::to_string(id));
+      return false;
+    }
+    const auto& msg = s_.messages[static_cast<std::size_t>(id)];
+    const std::int32_t owner = send ? msg.src : msg.dst;
+    if (owner != rank) {
+      emit(Severity::Error, Check::Structure, rank, round, id,
+           at() + (send ? " posts " : " waits for ") + msg_str(id) +
+               (send ? " owned by rank " : " addressed to rank ") +
+               std::to_string(owner));
+      return false;
+    }
+    if (++count[static_cast<std::size_t>(id)] == 1) {
+      first_round[static_cast<std::size_t>(id)] = round;
+    }
+    return true;
   }
 
   /// Validates everything the deeper passes dereference and records each
@@ -157,6 +200,12 @@ class Analyzer {
       emit(Severity::Error, Check::Structure, -1, -1, -1,
            "schedule has " + std::to_string(s_.programs.size()) +
                " rank programs for " + std::to_string(s_.nranks) + " ranks");
+      return false;
+    }
+    if (s_.arena_size < 0 || s_.arena_size > INT64_MAX / 8) {
+      emit(Severity::Error, Check::Structure, -1, -1, -1,
+           "arena of " + std::to_string(s_.arena_size) +
+               " doubles is negative or too large to address in bytes");
       return false;
     }
 
@@ -191,9 +240,9 @@ class Analyzer {
       if (msg.src_region.count != msg.dst_region.count) {
         emit(Severity::Error, Check::Conservation, msg.dst, -1, id,
              "message " + std::to_string(m) + " sends " +
-                 std::to_string(msg.src_region.count * 8) +
-                 " B from rank " + std::to_string(msg.src) + " but receives " +
-                 std::to_string(msg.dst_region.count * 8) + " B on rank " +
+                 bytes_str(msg.src_region.count) + " from rank " +
+                 std::to_string(msg.src) + " but receives " +
+                 bytes_str(msg.dst_region.count) + " on rank " +
                  std::to_string(msg.dst) + ": payload not conserved");
       }
     }
@@ -208,47 +257,13 @@ class Analyzer {
       for (std::size_t k = 0; k < rounds.size(); ++k) {
         const auto round = static_cast<int>(k);
         for (const auto& op : rounds[k].sends) {
-          if (op.msg < 0 || static_cast<std::size_t>(op.msg) >= s_.messages.size()) {
-            emit(Severity::Error, Check::Structure, rank, round, op.msg,
-                 "send op on rank " + std::to_string(rank) + " round " +
-                     std::to_string(round) + " references unknown message " +
-                     std::to_string(op.msg));
+          if (!check_op(true, op.msg, rank, round, sent, send_round_)) {
             ops_sound = false;
-            continue;
-          }
-          const auto& msg = s_.messages[static_cast<std::size_t>(op.msg)];
-          if (msg.src != rank) {
-            emit(Severity::Error, Check::Structure, rank, round, op.msg,
-                 "send op on rank " + std::to_string(rank) + " round " +
-                     std::to_string(round) + " posts " + msg_str(op.msg) +
-                     " owned by rank " + std::to_string(msg.src));
-            ops_sound = false;
-            continue;
-          }
-          if (++sent[static_cast<std::size_t>(op.msg)] == 1) {
-            send_round_[static_cast<std::size_t>(op.msg)] = round;
           }
         }
         for (const auto& op : rounds[k].recvs) {
-          if (op.msg < 0 || static_cast<std::size_t>(op.msg) >= s_.messages.size()) {
-            emit(Severity::Error, Check::Structure, rank, round, op.msg,
-                 "recv op on rank " + std::to_string(rank) + " round " +
-                     std::to_string(round) + " references unknown message " +
-                     std::to_string(op.msg));
+          if (!check_op(false, op.msg, rank, round, received, recv_round_)) {
             ops_sound = false;
-            continue;
-          }
-          const auto& msg = s_.messages[static_cast<std::size_t>(op.msg)];
-          if (msg.dst != rank) {
-            emit(Severity::Error, Check::Structure, rank, round, op.msg,
-                 "recv op on rank " + std::to_string(rank) + " round " +
-                     std::to_string(round) + " waits for " + msg_str(op.msg) +
-                     " addressed to rank " + std::to_string(msg.dst));
-            ops_sound = false;
-            continue;
-          }
-          if (++received[static_cast<std::size_t>(op.msg)] == 1) {
-            recv_round_[static_cast<std::size_t>(op.msg)] = round;
           }
         }
         for (std::size_t c = 0; c < rounds[k].copies.size(); ++c) {
@@ -757,12 +772,17 @@ std::atomic<std::uint64_t> g_analyze_calls{0};
 
 Report analyze(const Schedule& schedule, const Options& options) {
   g_analyze_calls.fetch_add(1, std::memory_order_relaxed);
-  return Analyzer(schedule, options).run(/*deadlock_only=*/false);
+  return Analyzer(schedule, options).run(Depth::All);
+}
+
+Report analyze_structure(const Schedule& schedule) {
+  const Options defaults;
+  return Analyzer(schedule, defaults).run(Depth::Structure);
 }
 
 Report analyze_deadlock(const Schedule& schedule) {
   const Options defaults;
-  return Analyzer(schedule, defaults).run(/*deadlock_only=*/true);
+  return Analyzer(schedule, defaults).run(Depth::Deadlock);
 }
 
 std::uint64_t analyze_call_count() {

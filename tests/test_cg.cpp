@@ -7,6 +7,7 @@
 #include "mixradix/simmpi/data_executor.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::apps::cg {
 namespace {
@@ -73,7 +74,7 @@ TEST(CgSchedule, IsWellFormedAndDataClean) {
   for (std::int32_t p : {1, 2, 4, 8, 16}) {
     const std::vector<double> compute(static_cast<std::size_t>(p), 1e-6);
     const auto schedule = cg_schedule(klass, p, compute, 2);
-    EXPECT_TRUE(schedule.validate().empty()) << "p=" << p;
+    EXPECT_TRUE(verify::analyze_structure(schedule).clean()) << "p=" << p;
     simmpi::DataExecutor exec(schedule);
     exec.run();  // must be deadlock-free
   }

@@ -8,6 +8,7 @@
 #include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/verify.hpp"
 
 namespace mr::simmpi {
 namespace {
@@ -307,7 +308,7 @@ TEST_P(CollectiveSizes, ScanInclusive) {
 
 TEST_P(CollectiveSizes, BarrierIsWellFormed) {
   const auto s = barrier_dissemination(GetParam());
-  EXPECT_TRUE(s.validate().empty());
+  EXPECT_TRUE(verify::analyze_structure(s).clean());
   EXPECT_EQ(s.total_bytes(), 0);
   DataExecutor exec(s);
   exec.run();  // must not deadlock
@@ -391,7 +392,7 @@ TEST(Selector, MakeCollectiveIsSemanticallyCorrect) {
 TEST(Repeat, TriplesMessagesAndStaysValid) {
   const auto s = allgather_ring(5, 3);
   const auto r3 = repeat(s, 3);
-  EXPECT_TRUE(r3.validate().empty());
+  EXPECT_TRUE(verify::analyze_structure(r3).clean());
   EXPECT_EQ(r3.messages.size(), 3 * s.messages.size());
   EXPECT_EQ(r3.total_bytes(), 3 * s.total_bytes());
   DataExecutor exec(r3);  // re-running the same collective is idempotent
@@ -412,7 +413,7 @@ TEST(Merge, TwoDisjointCommunicators) {
   const auto a = allreduce_recursive_doubling(2, 2);
   const auto b = allreduce_recursive_doubling(3, 2);
   const auto merged = merge({a, b}, {{0, 2}, {1, 3, 4}}, 5);
-  EXPECT_TRUE(merged.validate().empty());
+  EXPECT_TRUE(verify::analyze_structure(merged).clean());
   DataExecutor exec(merged);
   for (std::int32_t g = 0; g < 5; ++g) {
     exec.arena(g)[0] = 10.0 * (g + 1);

@@ -226,20 +226,21 @@ TEST(Plan, EmptyRankProgramsFinishImmediately) {
 }
 
 // make_plan is the one door from a raw Schedule to the simulator, so it
-// must refuse a malformed one (generated schedules pass by construction).
+// must refuse a malformed one; build() checks nothing.
 TEST(Plan, MakePlanRejectsMalformedSchedule) {
   ScheduleBuilder b(2, 8);
   b.exchange(0, 0, Region{0, 4}, 1, Region{4, 4});
   Schedule bad = std::move(b).build();
   bad.programs[1].rounds[0].recvs.clear();  // message 0 never received
-  const std::string reason = bad.validate();
-  ASSERT_FALSE(reason.empty());
+  const verify::Report report = verify::analyze_structure(bad);
+  ASSERT_FALSE(report.clean());
   try {
     (void)make_plan(bad);
     FAIL() << "malformed schedule became a plan";
   } catch (const invalid_argument& e) {
-    // The message carries validate()'s reason, as build()'s does.
-    EXPECT_NE(std::string(e.what()).find("malformed schedule: " + reason),
+    // The message carries the structure report, every finding located.
+    EXPECT_NE(std::string(e.what()).find("malformed schedule:\n" +
+                                         report.to_string()),
               std::string::npos)
         << e.what();
   }

@@ -100,15 +100,16 @@ TEST(CpdIterationSchedule, WellFormedAndDataClean) {
   CpdConfig config;
   const auto schedule =
       cpd_iteration_schedule(machine, tiny_tensor(), default_grid(64), config);
-  EXPECT_TRUE(schedule.validate().empty());
+  EXPECT_TRUE(verify::analyze_structure(schedule).clean());
   simmpi::DataExecutor exec(schedule);
   exec.run();
 }
 
 // Application schedules become plans through make_plan, never through
-// compile_plan, so nothing else runs the static analyzer on them: the
-// full-scale CPD mode block (hydra(32), nell-1), the mode-0 layer
-// alltoallv merge it opens with, and one class-C CG iteration on 64 ranks.
+// compile_plan, so outside this test only the analyzer's structure pass
+// runs on them: the full-scale CPD mode block (hydra(32), nell-1), the
+// mode-0 layer alltoallv merge it opens with, and one class-C CG iteration
+// on 64 ranks.
 TEST(AppSchedules, AnalyzeClean) {
   const auto machine = topo::hydra(32, 1);
   const TensorSpec spec = nell1_like(1);

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
@@ -22,11 +24,14 @@ namespace {
 
 using simmpi::Combine;
 using simmpi::CopyOp;
+using simmpi::RecvOp;
 using simmpi::Region;
 using simmpi::Schedule;
+using simmpi::SendOp;
 
 // Adversarial schedules are assembled as raw IR, not via ScheduleBuilder:
-// the structural validation in build() rejects some of them outright.
+// its preconditions (ranks in range, no self-messages) and its message-id
+// bookkeeping cannot express most of them.
 Schedule blank(std::int32_t nranks, std::int64_t arena) {
   Schedule s;
   s.nranks = nranks;
@@ -337,6 +342,193 @@ TEST(VerifyConservation, DroppedPayloadIsRejected) {
   EXPECT_FALSE(report.clean());
   EXPECT_TRUE(has(report, Severity::Error, Check::Conservation))
       << report.to_string();
+}
+
+// ---- Structure: the one check a raw schedule passes ------------------------
+//
+// make_plan and the DataExecutor run analyze_structure. Each corruption
+// below yields located Errors, and both doors reject the schedule with the
+// first one in their message.
+
+struct Corruption {
+  const char* name;
+  void (*apply)(Schedule&);
+  Check check;  ///< of the first Error, located at rank/round/msg.
+  std::int32_t rank;
+  int round;
+  std::int32_t msg;
+  const char* needle;  ///< in the first Error's text.
+  std::size_t errors = 1;
+};
+
+// Rank 0 sends [0, 4) to [4, 8) on rank 1 in round 0; 8-double arenas.
+Schedule one_exchange() {
+  Schedule s = blank(2, 8);
+  add_message(s, 0, 0, Region{0, 4}, 1, 0, Region{4, 4});
+  return s;
+}
+
+void expect_rejected(const Schedule& bad, const Corruption& c) {
+  SCOPED_TRACE(c.name);
+  const Report report = analyze_structure(bad);
+  ASSERT_EQ(report.count(Severity::Error), c.errors) << report.to_string();
+  const Diagnostic& d = *std::find_if(
+      report.diagnostics.begin(), report.diagnostics.end(),
+      [](const Diagnostic& x) { return x.severity == Severity::Error; });
+  EXPECT_EQ(d.check, c.check) << d.to_string();
+  EXPECT_EQ(d.rank, c.rank) << d.to_string();
+  EXPECT_EQ(d.round, c.round) << d.to_string();
+  EXPECT_EQ(d.msg, c.msg) << d.to_string();
+  EXPECT_NE(d.text.find(c.needle), std::string::npos) << d.text;
+  const auto message_of = [](auto&& door) {
+    try {
+      door();
+    } catch (const invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string plan = message_of([&] { (void)simmpi::make_plan(bad); });
+  EXPECT_NE(plan.find(d.to_string()), std::string::npos) << plan;
+  const std::string data =
+      message_of([&] { simmpi::DataExecutor exec(bad); });
+  EXPECT_NE(data.find(d.to_string()), std::string::npos) << data;
+}
+
+void expect_each_rejected(const std::vector<Corruption>& cases) {
+  for (const Corruption& c : cases) {
+    Schedule bad = one_exchange();
+    c.apply(bad);
+    expect_rejected(bad, c);
+  }
+}
+
+TEST(VerifyStructure, EachCorruptionIsLocatedAndRejectedByBothDoors) {
+  expect_each_rejected({
+      {"endpoint outside [0, nranks)",
+       [](Schedule& s) {
+         s.messages[0].dst = 5;
+         s.programs[1].rounds[0].recvs.clear();
+       },
+       Check::Structure, -1, -1, 0, "endpoints 0 -> 5 outside [0, 2)"},
+      {"src region outside the arena",
+       [](Schedule& s) { s.messages[0].src_region = Region{6, 4}; },
+       Check::Structure, 0, -1, 0,
+       "source region [6, 10) leaves the arena of 8 doubles"},
+      {"dst region outside the arena",
+       [](Schedule& s) { s.messages[0].dst_region = Region{6, 4}; },
+       Check::Structure, 1, -1, 0,
+       "destination region [6, 10) leaves the arena of 8 doubles"},
+      {"src/dst count mismatch",
+       [](Schedule& s) { s.messages[0].dst_region.count = 2; },
+       Check::Conservation, 1, -1, 0,
+       "sends 32 B from rank 0 but receives 16 B on rank 1"},
+      {"sent twice",
+       [](Schedule& s) { s.programs[0].rounds[0].sends.push_back(SendOp{0}); },
+       Check::Conservation, 0, 0, 0, "is posted 2 times by rank 0"},
+      {"never received",
+       [](Schedule& s) { s.programs[1].rounds[0].recvs.clear(); },
+       Check::Conservation, 1, -1, 0, "is received 0 times by rank 1"},
+      {"unknown message in a send op",
+       [](Schedule& s) { s.programs[0].rounds[0].sends.push_back(SendOp{7}); },
+       Check::Structure, 0, 0, 7,
+       "send op on rank 0 round 0 references unknown message 7"},
+      {"unknown message in a recv op",
+       [](Schedule& s) { s.programs[1].rounds[0].recvs.push_back(RecvOp{7}); },
+       Check::Structure, 1, 0, 7,
+       "recv op on rank 1 round 0 references unknown message 7"},
+      {"send op on a rank that does not own the message",
+       [](Schedule& s) { s.programs[1].rounds[0].sends.push_back(SendOp{0}); },
+       Check::Structure, 1, 0, 0, "owned by rank 0"},
+      {"recv op on a rank the message is not addressed to",
+       [](Schedule& s) { s.programs[0].rounds[0].recvs.push_back(RecvOp{0}); },
+       Check::Structure, 0, 0, 0, "addressed to rank 1"},
+      {"copy outside the arena",
+       [](Schedule& s) {
+         s.programs[0].rounds[0].copies.push_back(
+             CopyOp{Region{0, 9}, Region{0, 9}});
+       },
+       Check::Structure, 0, 0, -1,
+       "copy 0 on rank 0 round 0 touches [0, 9) -> [0, 9) outside the arena"},
+      {"copy count mismatch",
+       [](Schedule& s) {
+         s.programs[0].rounds[0].copies.push_back(
+             CopyOp{Region{0, 2}, Region{4, 3}});
+       },
+       Check::Structure, 0, 0, -1, "copies 2 doubles into a region of 3"},
+      {"negative compute time",
+       [](Schedule& s) { s.programs[0].rounds[0].compute_seconds = -1; },
+       Check::Structure, 0, 0, -1, "negative compute time on rank 0 round 0"},
+      {"program count != nranks", [](Schedule& s) { s.programs.resize(1); },
+       Check::Structure, -1, -1, -1, "1 rank programs for 2 ranks"},
+      {"nranks <= 0", [](Schedule& s) { s.nranks = 0; }, Check::Structure, -1,
+       -1, -1, "schedule has no ranks"},
+  });
+}
+
+// Offsets and counts near the int64 limits, and negative ones: neither the
+// check nor its text may overflow. An offset of INT64_MAX - 1 used to wrap
+// past the arena test, and the DataExecutor then wrote outside the arena.
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+TEST(VerifyStructure, ValuesNearInt64LimitsAreLocatedErrors) {
+  expect_each_rejected({
+      {"dst offset INT64_MAX - 1",
+       [](Schedule& s) { s.messages[0].dst_region.offset = kMax - 1; },
+       Check::Structure, 1, -1, 0,
+       "destination region [9223372036854775806, 9223372036854775806 + 4) "
+       "leaves the arena"},
+      {"src offset INT64_MAX",
+       [](Schedule& s) { s.messages[0].src_region.offset = kMax; },
+       Check::Structure, 0, -1, 0,
+       "[9223372036854775807, 9223372036854775807 + 4)"},
+      {"counts INT64_MAX / 2",
+       [](Schedule& s) {
+         s.messages[0].src_region.count = kMax / 2;
+         s.messages[0].dst_region.count = kMax / 2;
+       },
+       Check::Structure, 0, -1, 0,
+       "(rank 0 -> rank 1, 4611686018427387903 x 8 B) source region "
+       "[0, 4611686018427387903)",
+       2},
+      {"dst count INT64_MAX",
+       [](Schedule& s) { s.messages[0].dst_region.count = kMax; },
+       Check::Structure, 1, -1, 0,
+       "destination region [4, 4 + 9223372036854775807)", 2},
+      {"negative offset",
+       [](Schedule& s) { s.messages[0].src_region.offset = -2; },
+       Check::Structure, 0, -1, 0, "source region [-2, 2) leaves the arena"},
+      {"negative counts",
+       [](Schedule& s) {
+         s.programs[0].rounds[0].copies.push_back(
+             CopyOp{Region{0, -4}, Region{4, -4}});
+       },
+       Check::Structure, 0, 0, -1, "touches [0, -4) -> [4, 0) outside"},
+      {"offset INT64_MIN, count -1",
+       [](Schedule& s) {
+         s.programs[0].rounds[0].copies.push_back(
+             CopyOp{Region{kMin, -1}, Region{0, -1}});
+       },
+       Check::Structure, 0, 0, -1,
+       "touches [-9223372036854775808, -9223372036854775808 + -1)"},
+      {"negative arena", [](Schedule& s) { s.arena_size = -1; },
+       Check::Structure, -1, -1, -1, "arena of -1 doubles"},
+      {"arena too large to address in bytes",
+       [](Schedule& s) { s.arena_size = kMax; }, Check::Structure, -1, -1, -1,
+       "arena of 9223372036854775807 doubles"},
+  });
+}
+
+// build() checks nothing: a copy outside the arena comes back from the
+// builder, and each door rejects it.
+TEST(VerifyStructure, BuilderOutputIsCheckedAtTheDoor) {
+  simmpi::ScheduleBuilder b(2, 8);
+  b.exchange(0, 0, Region{0, 4}, 1, Region{4, 4});
+  b.copy(0, 0, Region{6, 4}, Region{0, 4});
+  expect_rejected(std::move(b).build(),
+                  {"builder copy outside the arena", nullptr, Check::Structure,
+                   0, 0, -1, "touches [6, 10) -> [0, 4) outside the arena"});
 }
 
 TEST(VerifyStructure, OutOfArenaRegionNamesTheMessage) {
