@@ -12,16 +12,23 @@
 // The simulation is event-driven: rates change only when a flow starts or
 // finishes, so between events every flow drains linearly. The
 // implementation is data-oriented — active flows live in dense parallel
-// arrays with inline channel sets — because simulating one collective can
-// mean hundreds of thousands of rate updates.
+// arrays with inline channel sets, and each channel keeps the exact list
+// of its flows — because simulating one collective can mean hundreds of
+// thousands of rate updates.
+//
+// Rates are refilled locally. Adding or removing a flow marks its channels
+// dirty, and the next refill walks from the dirty channels (channel -> its
+// flows -> their channels) and reruns progressive filling over only the
+// connected components it reaches; every other flow keeps its rate and
+// deadline. This is the selective update of SimGrid's lazy max-min solver
+// (Casanova et al., JPDC 2014).
 //
 // Time advances on a virtual clock: a flow stores the absolute deadline at
 // which it completes under its current rate, recomputed only when that rate
 // actually changes, so advance_to() never touches per-flow state and the
 // next completion comes from a lazy min-heap over deadlines instead of an
 // O(active-flows) scan per event. A reference mode (incremental = false)
-// keeps the scan as the test oracle for the heap; both modes evaluate the
-// exact same floating-point expressions and are bit-identical.
+// keeps the scan and the full refill as the test oracle (see reset()).
 #pragma once
 
 #include <array>
@@ -45,6 +52,8 @@ inline constexpr int kMaxChannelsPerFlow = 24;
 struct ChanSet {
   std::array<ChannelId, kMaxChannelsPerFlow> ids;
   std::int32_t count = 0;
+  const ChannelId* begin() const noexcept { return ids.data(); }
+  const ChannelId* end() const noexcept { return ids.data() + count; }
 };
 
 /// A completed flow, reported by advance_and_pop().
@@ -61,7 +70,8 @@ class FlowSim {
   struct Stats {
     std::int64_t deferred_allocations = 0;  ///< defer fast-path successes.
     std::int64_t deferred_rejections = 0;   ///< fast path fell through to exact.
-    std::int64_t full_recomputes = 0;       ///< exact progressive-filling passes.
+    std::int64_t full_recomputes = 0;       ///< refill passes (progressive filling).
+    std::int64_t refilled_flows = 0;        ///< flows the refills reached, summed.
     std::int64_t pop_batches = 0;           ///< advance_and_pop() batches.
     std::int64_t peak_active_flows = 0;     ///< high-water mark of active flows.
   };
@@ -81,9 +91,14 @@ class FlowSim {
 
   /// Reinitialise to a fresh simulation over `capacities`, reusing every
   /// internal buffer (no per-run allocation churn when the channel count is
-  /// unchanged). `incremental = false` selects the reference completion
-  /// tracker: an O(active-flows) scan per event instead of the lazy
-  /// deadline heap, with bit-identical output (the heap's test oracle).
+  /// unchanged). Capacities must be finite and positive.
+  /// `incremental = false` selects the reference mode, the test oracle: an
+  /// O(active-flows) completion scan per event instead of the lazy deadline
+  /// heap (same doubles), and refills seeded with every channel in use,
+  /// i.e. the full max-min pass. At slack 0 the local refill gives the same
+  /// doubles as the full pass unless two components' shares lie within the
+  /// 1e-12 freeze tolerance; under slack the freeze rule couples components
+  /// by up to the slack, so the two modes may differ by that much.
   void reset(const std::vector<double>& capacities, double completion_slack = 0.0,
              bool incremental = true);
 
@@ -94,7 +109,8 @@ class FlowSim {
 
   /// Start a flow of `bytes` over `channels` at the current time.
   /// `channels` may be empty (infinite-capacity path) and may repeat ids
-  /// (deduplicated). Zero-byte flows complete at the current instant.
+  /// (deduplicated). `bytes` must be finite and non-negative; zero-byte
+  /// flows complete at the current instant.
   std::int64_t add_flow(std::vector<ChannelId> channels, double bytes,
                         std::int64_t user);
 
@@ -137,6 +153,7 @@ class FlowSim {
   bool try_defer_allocation(std::size_t index);
   bool steal_allocation(std::size_t index, double fair);
   void remove_active(std::size_t index);
+  void mark_dirty(ChannelId c);
 
   /// Bytes left in flow `index` at the current clock under its current
   /// rate (exact while the rate is unchanged: the deadline is fixed).
@@ -194,20 +211,28 @@ class FlowSim {
   bool heap_live_ = false;
   std::vector<std::size_t> batch_;  ///< completion-batch scratch.
 
-  // Incremental per-channel bookkeeping for deferred allocation.
+  // Per-channel bookkeeping for deferred allocation.
   std::vector<double> used_;
-  std::vector<std::int32_t> nflows_;
   std::vector<double> freed_;
-  /// Lazily-compacted per-channel lists of flow EXTERNAL ids (stable across
-  /// the swap-removal of active slots); dead entries are skipped/purged.
-  std::vector<std::vector<std::int64_t>> by_channel_;
+  /// Exact per-channel lists of active flows: by_channel_[c] holds one
+  /// (slot, k) link per flow on c, k indexing the flow's chans_ entry, and
+  /// pos_[slot][k] is that link's position in the list, so linking,
+  /// unlinking and swap-moving a flow cost O(its channels).
+  struct Link { std::int32_t slot, k; };
+  std::vector<std::vector<Link>> by_channel_;
+  std::vector<std::array<std::int32_t, kMaxChannelsPerFlow>> pos_;
+  /// Channels whose flow set, or a flow's rate, changed since the last
+  /// refill (a steal changes rates outside the refill).
+  std::vector<std::uint8_t> dirty_;
+  std::vector<ChannelId> dirty_list_;
 
-  // Scratch (persistent capacity, reset per recompute).
+  // Scratch (persistent capacity, reset per recompute). Between refills
+  // every newrate_ entry holds the "unreached" marker.
   std::vector<double> residual_;
   std::vector<std::int32_t> load_;
   std::vector<double> newrate_;
-  std::vector<ChannelId> touched_;
-  std::vector<std::vector<std::int32_t>> flows_on_;  ///< active indices.
+  std::vector<ChannelId> touched_;       ///< reached channels (walk queue).
+  std::vector<std::int32_t> reach_;      ///< reached flows (active slots).
   std::vector<ChannelId> touched_scan_;
 };
 

@@ -12,6 +12,9 @@ namespace {
 // Tolerated backwards clock jitter in advance_to.
 constexpr double kTimeEpsilon = 1e-15;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// newrate_ markers: not reached by the current refill / reached, not frozen.
+constexpr double kUnreached = -2.0;
+constexpr double kUnfrozen = -1.0;
 
 bool heap_later(const double a, const double b) { return a > b; }
 }  // namespace
@@ -23,7 +26,8 @@ FlowSim::FlowSim(std::vector<double> capacities, double completion_slack) {
 void FlowSim::reset(const std::vector<double>& capacities,
                     double completion_slack, bool incremental) {
   for (double c : capacities) {
-    MR_EXPECT(c > 0, "channel capacity must be positive");
+    MR_EXPECT(std::isfinite(c) && c > 0,
+              "channel capacity must be finite and positive");
   }
   MR_EXPECT(completion_slack >= 0 && completion_slack < 0.5,
             "completion slack must be in [0, 0.5)");
@@ -34,10 +38,10 @@ void FlowSim::reset(const std::vector<double>& capacities,
   const std::size_t nc = capacities_.size();
   residual_.resize(nc);
   load_.assign(nc, 0);
-  flows_on_.resize(nc);
   used_.assign(nc, 0.0);
-  nflows_.assign(nc, 0);
   freed_.assign(nc, 0.0);
+  dirty_.assign(nc, 0);
+  dirty_list_.clear();
   // Keep the per-channel lists (and their heap blocks) alive across runs;
   // only their contents reset.
   if (by_channel_.size() > nc) by_channel_.resize(nc);
@@ -50,6 +54,8 @@ void FlowSim::reset(const std::vector<double>& capacities,
   user_.clear();
   ext_id_.clear();
   chans_.clear();
+  pos_.clear();
+  newrate_.clear();
   ext_index_.clear();
   ext_rate_.clear();
   heap_.clear();
@@ -121,11 +127,13 @@ std::int64_t FlowSim::add_flow(std::vector<ChannelId> channels, double bytes,
 
 std::int64_t FlowSim::add_interned(const ChanSet& channels, double bytes,
                                    std::int64_t user) {
-  MR_EXPECT(bytes >= 0, "flow size must be non-negative");
+  MR_EXPECT(std::isfinite(bytes) && bytes >= 0,
+            "flow size must be finite and non-negative");
   MR_ASSERT_INTERNAL(channels.count >= 0 &&
                      channels.count <= simnet::kMaxChannelsPerFlow);
   const auto ext = static_cast<std::int64_t>(ext_index_.size());
-  ext_index_.push_back(static_cast<std::int64_t>(remaining_.size()) + 1);
+  const std::size_t index = remaining_.size();
+  ext_index_.push_back(static_cast<std::int64_t>(index) + 1);
   ext_rate_.push_back(0.0);
   remaining_.push_back(bytes);
   rate_.push_back(0.0);
@@ -133,27 +141,32 @@ std::int64_t FlowSim::add_interned(const ChanSet& channels, double bytes,
   user_.push_back(user);
   ext_id_.push_back(ext);
   chans_.push_back(channels);
+  pos_.emplace_back();
   stats_.peak_active_flows =
-      std::max(stats_.peak_active_flows,
-               static_cast<std::int64_t>(remaining_.size()));
-  for (std::int32_t k = 0; k < channels.count; ++k) {
-    const auto ci =
-        static_cast<std::size_t>(channels.ids[static_cast<std::size_t>(k)]);
-    MR_ASSERT_INTERNAL(ci < capacities_.size());
-    ++nflows_[ci];
-    auto& list = by_channel_[ci];
-    // Lazy compaction: purge completed entries once they dominate.
-    if (list.size() > 8 && list.size() > 4 * static_cast<std::size_t>(nflows_[ci])) {
-      std::erase_if(list, [&](std::int64_t e) {
-        return ext_index_[static_cast<std::size_t>(e)] == 0;
-      });
-    }
-    list.push_back(ext);
+      std::max(stats_.peak_active_flows, static_cast<std::int64_t>(index) + 1);
+  if (channels.count == 0) {  // shares no channel: no refill would reach it
+    assign_rate(index, kInf);
+    return ext;
   }
-  if (!try_defer_allocation(remaining_.size() - 1)) {
+  for (std::int32_t k = 0; k < channels.count; ++k) {
+    const ChannelId c = channels.ids[static_cast<std::size_t>(k)];
+    MR_ASSERT_INTERNAL(static_cast<std::size_t>(c) < capacities_.size());
+    auto& list = by_channel_[static_cast<std::size_t>(c)];
+    pos_[index][static_cast<std::size_t>(k)] = static_cast<std::int32_t>(list.size());
+    list.push_back({static_cast<std::int32_t>(index), k});
+    mark_dirty(c);
+  }
+  if (!try_defer_allocation(index)) {
     rates_dirty_ = true;
   }
   return ext;
+}
+
+void FlowSim::mark_dirty(ChannelId c) {
+  auto& dirty = dirty_[static_cast<std::size_t>(c)];
+  if (dirty) return;
+  dirty = 1;
+  dirty_list_.push_back(c);
 }
 
 // Deferred allocation: in steady-state traffic (rings, pipelines) each
@@ -168,16 +181,13 @@ std::int64_t FlowSim::add_interned(const ChanSet& channels, double bytes,
 bool FlowSim::try_defer_allocation(std::size_t index) {
   if (completion_slack_ <= 0 || rates_dirty_) return false;
   const ChanSet& set = chans_[index];
-  if (set.count == 0) {
-    assign_rate(index, kInf);
-    return true;
-  }
   double headroom = kInf;
   double fair = kInf;
-  for (std::int32_t k = 0; k < set.count; ++k) {
-    const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
+  for (ChannelId c : set) {
+    const auto ci = static_cast<std::size_t>(c);
     headroom = std::min(headroom, capacities_[ci] - used_[ci]);
-    fair = std::min(fair, capacities_[ci] / nflows_[ci]);
+    fair = std::min(fair, capacities_[ci] /
+                              static_cast<double>(by_channel_[ci].size()));
   }
   if (!(headroom >= 0.9 * fair) || headroom <= 0) {
     if (steal_allocation(index, fair)) return true;
@@ -186,8 +196,8 @@ bool FlowSim::try_defer_allocation(std::size_t index) {
   }
   ++stats_.deferred_allocations;
   assign_rate(index, headroom);
-  for (std::int32_t k = 0; k < set.count; ++k) {
-    const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
+  for (ChannelId c : set) {
+    const auto ci = static_cast<std::size_t>(c);
     used_[ci] += headroom;
     freed_[ci] = std::max(0.0, freed_[ci] - headroom);
   }
@@ -201,37 +211,39 @@ bool FlowSim::try_defer_allocation(std::size_t index) {
 // scale floor that keeps every flow draining), conservative, and the
 // periodic exact recomputation erases the approximation. Refuses when a
 // channel has too many victims — then the exact pass is worth its cost.
+// The victims share a channel with the new flow, whose add marked it, so
+// the next refill reaches them; their own channels are marked as well.
 bool FlowSim::steal_allocation(std::size_t index, double fair) {
   const ChanSet& set = chans_[index];
-  for (std::int32_t k = 0; k < set.count; ++k) {
-    const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
-    if (used_[ci] + fair > capacities_[ci] && nflows_[ci] > 64) return false;
+  for (ChannelId c : set) {
+    const auto ci = static_cast<std::size_t>(c);
+    if (used_[ci] + fair > capacities_[ci] && by_channel_[ci].size() > 64) {
+      return false;
+    }
   }
-  for (std::int32_t k = 0; k < set.count; ++k) {
-    const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
+  for (ChannelId c : set) {
+    const auto ci = static_cast<std::size_t>(c);
     const double over = used_[ci] + fair - capacities_[ci];
     if (over <= 0 || used_[ci] <= 0) continue;
     const double scale =
         std::max(0.01, (capacities_[ci] - fair) / used_[ci]);
     if (scale >= 1) continue;
-    for (std::int64_t ext : by_channel_[ci]) {
-      const std::int64_t slot = ext_index_[static_cast<std::size_t>(ext)];
-      if (slot == 0) continue;  // completed
-      const auto f = static_cast<std::size_t>(slot - 1);
-      if (f == index || std::isinf(rate_[f])) continue;
+    for (const Link& link : by_channel_[ci]) {
+      const auto f = static_cast<std::size_t>(link.slot);
+      if (f == index) continue;
       const double delta = rate_[f] * (1 - scale);
       if (delta <= 0) continue;
       assign_rate(f, rate_[f] - delta);
-      const ChanSet& vs = chans_[f];
-      for (std::int32_t j = 0; j < vs.count; ++j) {
-        const auto cj = static_cast<std::size_t>(vs.ids[static_cast<std::size_t>(j)]);
-        used_[cj] = std::max(0.0, used_[cj] - delta);
+      for (ChannelId cj : chans_[f]) {
+        double& used = used_[static_cast<std::size_t>(cj)];
+        used = std::max(0.0, used - delta);
+        mark_dirty(cj);
       }
     }
   }
   assign_rate(index, fair);
-  for (std::int32_t k = 0; k < set.count; ++k) {
-    const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
+  for (ChannelId c : set) {
+    const auto ci = static_cast<std::size_t>(c);
     used_[ci] += fair;
     freed_[ci] = std::max(0.0, freed_[ci] - fair);
   }
@@ -243,39 +255,49 @@ void FlowSim::recompute_rates() {
   ++stats_.full_recomputes;
   rates_dirty_ = false;
   const std::size_t n = remaining_.size();
+  if (!incremental_) {  // the oracle: seed with every channel in use
+    for (const ChanSet& set : chans_) {
+      for (ChannelId c : set) mark_dirty(c);
+    }
+  }
 
-  // Per-channel load and flow lists.
+  // Walk the components of the dirty channels, alternating channel -> its
+  // flows -> their channels. `touched_` is the queue of reached channels
+  // (load_ != 0 marks one), `reach_` collects the reached flows. Rates
+  // change only when a flow starts or finishes, so a component with no
+  // dirty channel already holds its max-min rates.
+  newrate_.resize(n, kUnreached);
   touched_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const ChanSet& set = chans_[i];
-    for (std::int32_t k = 0; k < set.count; ++k) {
-      const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
-      if (load_[ci] == 0) {
-        touched_.push_back(set.ids[static_cast<std::size_t>(k)]);
-        flows_on_[ci].clear();
-        residual_[ci] = capacities_[ci];
-      }
-      ++load_[ci];
-      flows_on_[ci].push_back(static_cast<std::int32_t>(i));
+  reach_.clear();
+  const auto visit = [&](ChannelId c) {
+    const auto ci = static_cast<std::size_t>(c);
+    if (load_[ci] != 0 || by_channel_[ci].empty()) return;
+    load_[ci] = static_cast<std::int32_t>(by_channel_[ci].size());
+    residual_[ci] = capacities_[ci];
+    touched_.push_back(c);
+  };
+  for (ChannelId c : dirty_list_) {
+    dirty_[static_cast<std::size_t>(c)] = 0;
+    visit(c);
+  }
+  dirty_list_.clear();
+  for (std::size_t q = 0; q < touched_.size(); ++q) {
+    for (const Link& link : by_channel_[static_cast<std::size_t>(touched_[q])]) {
+      const auto f = static_cast<std::size_t>(link.slot);
+      if (newrate_[f] != kUnreached) continue;
+      newrate_[f] = kUnfrozen;
+      reach_.push_back(link.slot);
+      for (ChannelId c : chans_[f]) visit(c);
     }
   }
+  std::size_t unfrozen = reach_.size();
+  stats_.refilled_flows += static_cast<std::int64_t>(unfrozen);
 
-  // New rates build up in scratch so that a flow whose fair share did NOT
+  // Progressive filling over what the walk reached, level by level. New
+  // rates build up in scratch so that a flow whose fair share did NOT
   // change keeps its remaining/deadline state untouched (no re-projection,
-  // no rounding drift, no heap churn).
-  newrate_.resize(n);
-  std::size_t unfrozen = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (chans_[i].count == 0) {
-      newrate_[i] = kInf;
-    } else {
-      newrate_[i] = -1.0;  // marker: not yet frozen
-      ++unfrozen;
-    }
-  }
-
-  // Progressive filling, level by level. Each pass finds the global
-  // minimum fair share s and freezes the flows of EVERY channel tied at s:
+  // no rounding drift, no heap churn). Each pass finds the minimum fair
+  // share s and freezes the flows of EVERY channel tied at s:
   // freezing the flows of one bottleneck only ever raises the share of the
   // others ((R - s)/(n - 1) >= R/n when s is the global minimum), so ties
   // stay ties and strictly-larger channels stay above s. The number of
@@ -304,15 +326,13 @@ void FlowSim::recompute_rates() {
     for (ChannelId c : alive) {
       const auto ci = static_cast<std::size_t>(c);
       if (load_[ci] == 0 || residual_[ci] / load_[ci] > bound) continue;
-      for (std::int32_t fi : flows_on_[ci]) {
-        const auto f = static_cast<std::size_t>(fi);
+      for (const Link& link : by_channel_[ci]) {
+        const auto f = static_cast<std::size_t>(link.slot);
         if (newrate_[f] >= 0) continue;  // already frozen
         newrate_[f] = s;
         --unfrozen;
-        const ChanSet& set = chans_[f];
-        for (std::int32_t k = 0; k < set.count; ++k) {
-          const auto c2i =
-              static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
+        for (ChannelId c2 : chans_[f]) {
+          const auto c2i = static_cast<std::size_t>(c2);
           residual_[c2i] = std::max(0.0, residual_[c2i] - s);
           --load_[c2i];
         }
@@ -322,8 +342,10 @@ void FlowSim::recompute_rates() {
 
   // Apply only the rates that actually changed — everything else keeps its
   // projected deadline, which is what keeps the completion heap lazy.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (newrate_[i] != rate_[i]) assign_rate(i, newrate_[i]);
+  for (std::int32_t fi : reach_) {
+    const auto f = static_cast<std::size_t>(fi);
+    if (newrate_[f] != rate_[f]) assign_rate(f, newrate_[f]);
+    newrate_[f] = kUnreached;
   }
 
   // Rebuild the incremental headroom bookkeeping used by deferred
@@ -380,24 +402,29 @@ void FlowSim::advance_to(double t) {
 
 void FlowSim::remove_active(std::size_t index) {
   const ChanSet& set = chans_[index];
-  if (!std::isinf(rate_[index])) {
-    for (std::int32_t k = 0; k < set.count; ++k) {
-      const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
-      used_[ci] = std::max(0.0, used_[ci] - rate_[index]);
-      --nflows_[ci];
-      // Freed capacity that no successor grabs must eventually be handed
-      // to the surviving flows: once a quarter of a channel sits idle,
-      // force the exact recomputation.
-      freed_[ci] += rate_[index];
-      // Only surviving flows can profit from the freed share; an empty
-      // channel needs no redistribution.
-      if (nflows_[ci] > 0 && freed_[ci] > 0.4 * capacities_[ci]) {
-        rates_dirty_ = true;
-      }
+  for (std::int32_t k = 0; k < set.count; ++k) {
+    const ChannelId c = set.ids[static_cast<std::size_t>(k)];
+    const auto ci = static_cast<std::size_t>(c);
+    // Unlink: the list's last link fills the hole.
+    auto& list = by_channel_[ci];
+    const auto p = static_cast<std::size_t>(pos_[index][static_cast<std::size_t>(k)]);
+    list[p] = list.back();
+    list.pop_back();
+    if (p < list.size()) {
+      const Link moved = list[p];
+      pos_[static_cast<std::size_t>(moved.slot)][static_cast<std::size_t>(moved.k)] =
+          static_cast<std::int32_t>(p);
     }
-  } else {
-    for (std::int32_t k = 0; k < set.count; ++k) {
-      --nflows_[static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)])];
+    mark_dirty(c);
+    used_[ci] = std::max(0.0, used_[ci] - rate_[index]);
+    // Freed capacity that no successor grabs must eventually be handed
+    // to the surviving flows: once 40% of a channel sits idle, force the
+    // exact recomputation.
+    freed_[ci] += rate_[index];
+    // Only surviving flows can profit from the freed share; an empty
+    // channel needs no redistribution.
+    if (!list.empty() && freed_[ci] > 0.4 * capacities_[ci]) {
+      rates_dirty_ = true;
     }
   }
   const std::size_t last = remaining_.size() - 1;
@@ -410,8 +437,15 @@ void FlowSim::remove_active(std::size_t index) {
     user_[index] = user_[last];
     ext_id_[index] = ext_id_[last];
     chans_[index] = chans_[last];
+    pos_[index] = pos_[last];
     ext_index_[static_cast<std::size_t>(ext_id_[index])] =
         static_cast<std::int64_t>(index) + 1;
+    // Repoint the moved flow's links at its new slot.
+    for (std::size_t k = 0; k < static_cast<std::size_t>(chans_[index].count); ++k) {
+      const auto ck = static_cast<std::size_t>(chans_[index].ids[k]);
+      by_channel_[ck][static_cast<std::size_t>(pos_[index][k])].slot =
+          static_cast<std::int32_t>(index);
+    }
   }
   remaining_.pop_back();
   rate_.pop_back();
@@ -419,6 +453,7 @@ void FlowSim::remove_active(std::size_t index) {
   user_.pop_back();
   ext_id_.pop_back();
   chans_.pop_back();
+  pos_.pop_back();
 }
 
 std::vector<Completion> FlowSim::advance_and_pop() {

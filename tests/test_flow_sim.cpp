@@ -6,7 +6,11 @@
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
+#include <limits>
+#include <map>
 #include <set>
+
+#include "mixradix/util/prng.hpp"
 
 namespace mr::simnet {
 namespace {
@@ -81,12 +85,22 @@ TEST(FlowSim, DuplicateChannelIdsCollapse) {
 }
 
 TEST(FlowSim, ValidatesInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(FlowSim({0.0}), invalid_argument);
   EXPECT_THROW(FlowSim({-1.0}), invalid_argument);
+  // A non-finite capacity or size used to abort on an internal invariant
+  // (an infinite fair share; a NaN merge window of 0 x inf) at the first
+  // refill or pop instead of being rejected here.
+  EXPECT_THROW(FlowSim({inf}), invalid_argument);
+  EXPECT_THROW(FlowSim({nan}), invalid_argument);
   FlowSim sim({10.0});
   EXPECT_THROW(sim.add_flow({1}, 10.0, 0), invalid_argument);
   EXPECT_THROW(sim.add_flow({0}, -5.0, 0), invalid_argument);
+  EXPECT_THROW(sim.add_flow({0}, inf, 0), invalid_argument);
+  EXPECT_THROW(sim.add_flow({0}, nan, 0), invalid_argument);
   EXPECT_THROW(sim.advance_to(-1.0), invalid_argument);
+  EXPECT_EQ(sim.active_flows(), 0u);
 }
 
 TEST(FlowSim, StaggeredArrival) {
@@ -156,10 +170,9 @@ TEST(FlowSim, FlowRateQueryableAfterCompletion) {
   EXPECT_EQ(sim.active_flows(), 0u);
 }
 
-TEST(FlowSim, ChannelListsCompactUnderSequentialChurn) {
-  // Hundreds of short flows over one channel leave dead entries in the
-  // per-channel list; the lazy compaction must keep the simulation exact
-  // while the list is repeatedly purged.
+TEST(FlowSim, ChannelListsStayExactUnderSequentialChurn) {
+  // Hundreds of short flows over one channel: linking and unlinking each
+  // one must keep the per-channel list exact and the simulation exact.
   FlowSim sim({100.0}, 0.01);
   double last = 0;
   for (int i = 0; i < 200; ++i) {
@@ -199,6 +212,104 @@ TEST(FlowSim, HeapRegimeMatchesReferenceScan) {
     EXPECT_EQ(runs[0][i].user, runs[1][i].user);
     EXPECT_EQ(runs[0][i].time, runs[1][i].time);  // exact, not NEAR
     EXPECT_DOUBLE_EQ(runs[0][i].time, static_cast<double>(i + 1));
+  }
+}
+
+TEST(FlowSim, RefillReachesOnlyTheChangedComponent) {
+  // Two channel-disjoint groups of 10 flows. Completing a flow of group A
+  // refills exactly its 9 survivors; group B keeps its rates untouched.
+  // The reference mode refills every active flow.
+  for (const bool incremental : {true, false}) {
+    FlowSim sim;
+    sim.reset({100.0, 100.0, 50.0, 50.0}, 0.0, incremental);
+    std::vector<std::int64_t> a, b;
+    for (int i = 0; i < 10; ++i) a.push_back(sim.add_flow({0, 1}, 100.0 * (i + 1), i));
+    for (int i = 0; i < 10; ++i) b.push_back(sim.add_flow({2, 3}, 1e4, 10 + i));
+    EXPECT_DOUBLE_EQ(sim.flow_rate(a[0]), 10.0);
+    EXPECT_DOUBLE_EQ(sim.flow_rate(b[0]), 5.0);
+    EXPECT_EQ(sim.stats().refilled_flows, 20);
+
+    const auto done = sim.advance_and_pop();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].user, 0);
+    EXPECT_DOUBLE_EQ(sim.flow_rate(a[1]), 100.0 / 9);
+    EXPECT_DOUBLE_EQ(sim.flow_rate(b[9]), 5.0);
+    EXPECT_EQ(sim.stats().full_recomputes, 2);
+    EXPECT_EQ(sim.stats().refilled_flows, incremental ? 20 + 9 : 20 + 19);
+  }
+}
+
+namespace {
+// One randomized churn run: bursts of arrivals over channels drawn from a
+// local window (so the flows form several components that merge and
+// split), interleaved with completion batches, to the end. With `check`
+// set, every burst is followed by a feasibility check of the rates.
+std::vector<Completion> churn(std::uint64_t seed, double slack, bool incremental,
+                              bool check) {
+  util::Xoshiro256 rng(seed);
+  const auto nchannels = 4 + rng.next_below(40);
+  std::vector<double> caps;
+  for (std::uint64_t c = 0; c < nchannels; ++c) {
+    caps.push_back(1.0 + static_cast<double>(rng.next_below(1000)));
+  }
+  FlowSim sim;
+  sim.reset(caps, slack, incremental);
+  std::map<std::int64_t, std::vector<ChannelId>> active;
+  std::vector<Completion> done;
+  int user = 0;
+  for (int burst = 0; burst < 12; ++burst) {
+    for (auto k = 1 + rng.next_below(8); k > 0; --k) {
+      const auto base = rng.next_below(nchannels);
+      const auto span = 1 + rng.next_below(6);
+      std::vector<ChannelId> channels;
+      for (auto w = 1 + rng.next_below(4); w > 0; --w) {
+        channels.push_back(
+            static_cast<ChannelId>((base + rng.next_below(span)) % nchannels));
+      }
+      const double bytes = 1.0 + static_cast<double>(rng.next_below(100000));
+      active[sim.add_flow(channels, bytes, user++)] = channels;
+    }
+    if (check) {
+      std::vector<double> used(caps.size(), 0.0);
+      for (const auto& [id, channels] : active) {
+        const double rate = sim.flow_rate(id);
+        for (ChannelId c : std::set<ChannelId>(channels.begin(), channels.end())) {
+          used[static_cast<std::size_t>(c)] += rate;
+        }
+      }
+      for (std::size_t c = 0; c < caps.size(); ++c) {
+        EXPECT_LE(used[c], caps[c] * (1 + 1e-9))
+            << "seed " << seed << " burst " << burst << " channel " << c;
+      }
+    }
+    for (auto pops = rng.next_below(6); pops > 0 && sim.active_flows() > 0; --pops) {
+      for (const Completion& c : sim.advance_and_pop()) {
+        done.push_back(c);
+        active.erase(c.flow);
+      }
+    }
+  }
+  while (sim.active_flows() > 0) {
+    for (const Completion& c : sim.advance_and_pop()) done.push_back(c);
+  }
+  return done;
+}
+}  // namespace
+
+TEST(FlowSim, ComponentRefillMatchesFullPass) {
+  // The oracle for the component-local refill: at slack 0 the local and
+  // the full refill give the same doubles; under slack the freeze rule
+  // couples components, so only feasibility is checked there.
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    const auto local = churn(seed, 0.0, true, false);
+    const auto full = churn(seed, 0.0, false, false);
+    ASSERT_EQ(local.size(), full.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      EXPECT_EQ(local[i].user, full[i].user) << "seed " << seed;
+      EXPECT_EQ(local[i].time, full[i].time) << "seed " << seed;  // exact
+    }
+    churn(seed, 0.02, true, true);
+    churn(seed, 0.02, false, true);
   }
 }
 

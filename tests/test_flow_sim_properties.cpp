@@ -3,6 +3,7 @@
 // checked against first principles on randomized flow sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -36,48 +37,43 @@ RandomScenario make_scenario(std::uint64_t seed) {
   return s;
 }
 
-class MaxMinProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MaxMinProperty, FeasibleSaturatedAndMaxMin) {
-  const RandomScenario s = make_scenario(GetParam());
-  FlowSim sim(s.capacities);  // slack 0: exact allocation
-  std::vector<std::int64_t> ids;
-  for (const auto& channels : s.flow_channels) {
-    ids.push_back(sim.add_flow(channels, 1e9, 0));
-  }
-
+// Checks the current allocation of the `active` flows (id -> channels)
+// against first principles: feasibility, the bottleneck criterion of
+// max-min optimality, and positive rates.
+void expect_max_min(FlowSim& sim, const std::vector<double>& capacities,
+                    const std::map<std::int64_t, std::vector<ChannelId>>& active) {
   // Collect rates and per-channel loads (post-dedup, as the sim sees them).
-  std::vector<double> rate;
-  for (std::int64_t id : ids) rate.push_back(sim.flow_rate(id));
+  std::map<std::int64_t, double> rate;
+  for (const auto& [id, channels] : active) rate[id] = sim.flow_rate(id);
 
-  std::vector<double> used(s.capacities.size(), 0.0);
-  std::vector<std::vector<std::size_t>> on_channel(s.capacities.size());
-  for (std::size_t f = 0; f < s.flow_channels.size(); ++f) {
-    auto channels = s.flow_channels[f];
+  std::vector<double> used(capacities.size(), 0.0);
+  std::vector<std::vector<std::int64_t>> on_channel(capacities.size());
+  for (const auto& [id, flow_channels] : active) {
+    auto channels = flow_channels;
     std::sort(channels.begin(), channels.end());
     channels.erase(std::unique(channels.begin(), channels.end()), channels.end());
     for (ChannelId c : channels) {
-      used[static_cast<std::size_t>(c)] += rate[f];
-      on_channel[static_cast<std::size_t>(c)].push_back(f);
+      used[static_cast<std::size_t>(c)] += rate[id];
+      on_channel[static_cast<std::size_t>(c)].push_back(id);
     }
   }
 
   // 1. Feasibility: no channel above capacity.
-  for (std::size_t c = 0; c < s.capacities.size(); ++c) {
-    EXPECT_LE(used[c], s.capacities[c] * (1 + 1e-9)) << "channel " << c;
+  for (std::size_t c = 0; c < capacities.size(); ++c) {
+    EXPECT_LE(used[c], capacities[c] * (1 + 1e-9)) << "channel " << c;
   }
 
   // 2. Max-min optimality via the bottleneck criterion: every flow crosses
   // at least one SATURATED channel on which it has a maximal rate —
   // otherwise its rate could be raised without hurting a smaller flow.
-  for (std::size_t f = 0; f < s.flow_channels.size(); ++f) {
+  for (const auto& [id, channels] : active) {
     bool has_bottleneck = false;
-    for (ChannelId c : s.flow_channels[f]) {
+    for (ChannelId c : channels) {
       const auto ci = static_cast<std::size_t>(c);
-      if (used[ci] < s.capacities[ci] * (1 - 1e-9)) continue;  // unsaturated
+      if (used[ci] < capacities[ci] * (1 - 1e-9)) continue;  // unsaturated
       bool is_max = true;
-      for (std::size_t other : on_channel[ci]) {
-        if (rate[other] > rate[f] * (1 + 1e-9)) {
+      for (std::int64_t other : on_channel[ci]) {
+        if (rate[other] > rate[id] * (1 + 1e-9)) {
           is_max = false;
           break;
         }
@@ -87,12 +83,41 @@ TEST_P(MaxMinProperty, FeasibleSaturatedAndMaxMin) {
         break;
       }
     }
-    EXPECT_TRUE(has_bottleneck) << "flow " << f << " rate " << rate[f];
+    EXPECT_TRUE(has_bottleneck) << "flow " << id << " rate " << rate[id];
   }
 
   // 3. All rates strictly positive.
-  for (std::size_t f = 0; f < rate.size(); ++f) {
-    EXPECT_GT(rate[f], 0) << "flow " << f;
+  for (const auto& [id, r] : rate) EXPECT_GT(r, 0) << "flow " << id;
+}
+
+class MaxMinProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MaxMinProperty, FeasibleSaturatedAndMaxMin) {
+  const RandomScenario s = make_scenario(GetParam());
+  FlowSim sim(s.capacities);  // slack 0: exact allocation
+  std::map<std::int64_t, std::vector<ChannelId>> active;
+  for (const auto& channels : s.flow_channels) {
+    active[sim.add_flow(channels, 1e9, 0)] = channels;
+  }
+  expect_max_min(sim, s.capacities, active);
+
+  // Churn: completions and new arrivals refill only the components they
+  // touch, so the bottleneck property is re-checked after each round.
+  util::Xoshiro256 rng(GetParam() + 1000);
+  const auto nchannels = s.capacities.size();
+  for (int round = 0; round < 3; ++round) {
+    for (int pop = 0; pop < 3 && sim.active_flows() > 0; ++pop) {
+      for (const Completion& done : sim.advance_and_pop()) active.erase(done.flow);
+    }
+    for (auto k = 2 + rng.next_below(10); k > 0; --k) {
+      std::vector<ChannelId> channels;
+      for (auto w = 1 + rng.next_below(4); w > 0; --w) {
+        channels.push_back(static_cast<ChannelId>(rng.next_below(nchannels)));
+      }
+      const double bytes = 1e8 * static_cast<double>(1 + rng.next_below(20));
+      active[sim.add_flow(channels, bytes, 0)] = channels;
+    }
+    expect_max_min(sim, s.capacities, active);
   }
 }
 

@@ -7,8 +7,10 @@
 #include <set>
 
 #include "mixradix/apps/cg.hpp"
+#include "mixradix/mr/decompose.hpp"
 #include "mixradix/simmpi/collectives.hpp"
 #include "mixradix/simmpi/data_executor.hpp"
+#include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/verify.hpp"
@@ -147,6 +149,28 @@ TEST(SimulateCpd, ReorderingChangesDurationNotCompute) {
   EXPECT_NE(packed.seconds, spread.seconds);
   EXPECT_GT(packed.alltoallv_seconds, 0);
   EXPECT_GE(packed.seconds, packed.compute_seconds);
+}
+
+TEST(SimulateCpd, RefillStaysLocal) {
+  // The Fig-8 CPD block under order 0-1-2-3 keeps ~390 flows active, but a
+  // flow that starts or finishes shares channels with only ~14 of them: a
+  // refill must stay in the changed components, not refill every flow.
+  const auto machine = topo::hydra(32, 1);
+  const TensorSpec spec = nell1_like(1);
+  const Grid3 grid = default_grid(static_cast<std::int32_t>(machine.cores()));
+  const CpdConfig config;
+  simmpi::PlanJob job;
+  job.plan = std::make_shared<const simmpi::Plan>(simmpi::make_plan(
+      cpd_iteration_schedule(machine, spec, grid, config), 1, "cpd_mode_block"));
+  const auto placement =
+      placement_of_new_ranks(machine.hierarchy(), parse_order("0-1-2-3"));
+  job.core_of_rank.assign(placement.begin(), placement.end());
+  const auto stats = simmpi::run_timed(machine, {job}).flow_stats;
+  ASSERT_GT(stats.full_recomputes, 0);
+  EXPECT_GT(stats.peak_active_flows, 256);
+  EXPECT_LE(stats.refilled_flows, 64 * stats.full_recomputes)
+      << stats.refilled_flows << " flows over " << stats.full_recomputes
+      << " refills";
 }
 
 TEST(Pearson, KnownValues) {
