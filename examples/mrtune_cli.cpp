@@ -43,7 +43,8 @@ void usage() {
       "  --reps N            repetitions per point (default 2)\n"
       "  --threads N         0 = default pool width, 1 = serial\n"
       "  --slack S           completion slack (default 0 = exact)\n"
-      "  --budget-points N   stop after N point simulations (anytime)\n"
+      "  --budget-points N   stop after N point simulations (anytime;\n"
+      "                      0 = unlimited, else >= the query's points)\n"
       "  --budget-seconds S  wall-clock cap (non-deterministic)\n"
       "  --shard i/n         search only candidate shard i of n\n"
       "  --json 1            canonical JSON report on stdout (cache and\n"
@@ -116,6 +117,16 @@ int main(int argc, char** argv) {
                  std::to_string(query.threads));
     cli::require(query.completion_slack >= 0, "--slack", "be >= 0",
                  flags.get("slack", "0"));
+    // A candidate runs only when all its points fit the budget.
+    const auto points = static_cast<std::int64_t>(
+        query.collectives.size() * query.comm_sizes.size() *
+        query.total_bytes.size());
+    cli::require(query.budget.max_points <= 0 ||
+                     query.budget.max_points >= points,
+                 "--budget-points",
+                 "be 0 (unlimited) or at least the query's " +
+                     std::to_string(points) + " points",
+                 std::to_string(query.budget.max_points));
     cli::require(query.shard_count >= 1 && query.shard_index >= 0 &&
                      query.shard_index < query.shard_count,
                  "--shard", "be i/n with 0 <= i < n",
@@ -130,19 +141,16 @@ int main(int argc, char** argv) {
     Engine engine;
     const tune::TuneReport report = tune::tune(engine, *machine, query);
     const simmpi::PlanCache::Stats stats = engine.plan_cache().stats();
-    // Plan-cache and stage-2 statistics; in --json mode they go to stderr
-    // so stdout stays the canonical document.
+    // Plan-cache statistics; in --json mode they go to stderr, with the
+    // stage-2 line the text report carries, so stdout stays the canonical
+    // document.
     std::ostringstream cache_line;
     cache_line << "plan cache: " << stats.hits << " hits, " << stats.misses
-               << " misses, " << stats.entries << " entries\n"
-               << "stage-2 lane passes: "
-               << report.stats.bound_structures_built << " for "
-               << report.stats.bound_structures_built +
-                      report.stats.bound_structure_reuses
-               << " point bounds\n";
+               << " misses, " << stats.entries << " entries\n";
     if (json) {
       tune::write_json(std::cout, report, /*candidates=*/false);
-      std::cerr << cache_line.str();
+      std::cerr << cache_line.str() << "stage 2: "
+                << tune::stage2_summary(report.stats) << "\n";
     } else {
       std::cout << tune::to_string(report) << cache_line.str();
     }

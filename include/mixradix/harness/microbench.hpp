@@ -88,9 +88,6 @@ struct SweepConfig {
   /// funnel screens the full h! space so the sweep only simulates mappings
   /// worth plotting. 0 = off (sweep exactly the given orders).
   int tune_top_k = 0;
-  /// Optional point budget for the screening search (0 = unlimited);
-  /// forwarded to tune::Budget::max_points.
-  std::int64_t tune_budget_points = 0;
 };
 
 /// Run the sweep through `engine`: plans from its cache, point workspaces

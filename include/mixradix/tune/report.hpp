@@ -19,6 +19,11 @@ namespace mr::tune {
 /// metrics, class size, bound), funnel statistics.
 std::string to_string(const TuneReport& report);
 
+/// Stage 2's work in one phrase: "1680 floors, 32 lane passes for 96
+/// point bounds (3 lanes per pass)" — floors, critical-path DP passes and
+/// the payload lanes those passes served.
+std::string stage2_summary(const TuneStats& stats);
+
 /// Canonical JSON document (see header comment). `candidates: true` embeds
 /// the full per-candidate provenance table; false keeps only the top-k and
 /// statistics (the CLI default for big order spaces).

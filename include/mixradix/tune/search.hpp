@@ -21,19 +21,26 @@
 //    tuner's default) is invariant under communicator exchange. At slack
 //    > 0 the engine's completion merging is job-order sensitive, so
 //    all-comms dedup falls back to ExactPlacement.
-//  * stage 2 — branch-and-bound pruning: candidates are sorted by the
-//    static critical-path lower bound (verify::binding, admissible at the
-//    simulated slack via Bound::for_slack; points sharing a plan structure
-//    are bounded in one payload-lane pass); once a candidate's bound
-//    strictly exceeds the current k-th best simulated score, it and every
-//    candidate after it are discarded without running FlowSim. The strict
+//  * stage 2 — two-tier branch-and-bound: every candidate gets the cheap
+//    serialization floor (verify::binding::serialization_floor: per-
+//    component byte sums, no routes, no DP) and the stream is sorted by
+//    it; the static critical-path lower bound (verify::binding's DP, one
+//    payload-lane pass per plan structure) runs lazily, in batches of
+//    wave_size, only until the next wave's members are proven to be the
+//    wave_size smallest DP bounds. Both are admissible at the simulated
+//    slack via Bound::for_slack, and a floor never exceeds its DP bound,
+//    so the waves, pruning and ranking are exactly those of a stream
+//    sorted by DP bounds outright. Once the smallest remaining bound
+//    strictly exceeds the current k-th best simulated score, every
+//    remaining candidate is discarded without running FlowSim. The strict
 //    inequality keeps exact ties simulable, so the returned ranking equals
 //    the exhaustive one even under lexicographic tie-breaking.
 //  * stage 3 — full timed simulation of the survivors through the engine's
 //    plan cache and per-slot workspaces leased from its pool, fanned over
 //    its thread pool in FIXED-SIZE waves with deterministic in-order merge:
-//    the set of simulated candidates and every byte of the report are
-//    identical for any --threads=N and any engine (shared or private).
+//    the set of simulated candidates, the DP batches and every byte of the
+//    report are identical for any --threads=N and any engine (shared or
+//    private).
 //
 // The search is *anytime*: a point/seconds budget (mixradix/tune/budget.hpp)
 // returns the best-so-far ranking with `exhausted: false`. The candidate
@@ -130,7 +137,11 @@ struct TuneCandidate {
   Order order;                    ///< representative (lexicographic min).
   OrderCharacter character;       ///< stage-0 metrics (at comm_sizes[0]).
   std::vector<Order> members;     ///< the whole class, sorted.
-  double lower_bound = 0;         ///< stage-2 bound, summed over points.
+  /// Stage-2 bound, summed over points in point order: the critical-path
+  /// DP sum for every candidate the DP tier refined, which includes every
+  /// simulated one; the serialization-floor sum for the rest; 0 for all
+  /// with pruning off.
+  double lower_bound = 0;
   double score = 0;               ///< sum of point makespans (Simulated only).
   std::vector<PointResult> points;  ///< per query point (Simulated only).
   Fate fate = Fate::Skipped;
@@ -144,6 +155,7 @@ struct TuneStats {
   std::int64_t classes = 0;       ///< candidates after stage-1 dedup.
   std::int64_t shard_classes = 0; ///< candidates owned by this shard.
   std::int64_t screened_out = 0;  ///< stage-0 heuristic drops.
+  /// Stage-2 serialization floors: every candidate in the active stream.
   std::int64_t bounds_computed = 0;
   std::int64_t pruned = 0;        ///< stage-2 discards.
   std::int64_t simulated = 0;     ///< candidates that reached stage 3.
@@ -152,10 +164,10 @@ struct TuneStats {
   /// (h! x points); sim_points vs this is the funnel's saving.
   std::int64_t exhaustive_points = 0;
   std::int64_t budget_skipped = 0;
-  /// Stage-2 lane passes (one validation, route resolution and DP pass
-  /// each) and the extra payload lanes those passes served: points whose
-  /// plans share a structure ride one pass. built + reuses ==
-  /// bounds_computed x points. Kept out of write_json so the canonical
+  /// Stage-2 critical-path lane passes (one validation, route resolution
+  /// and DP pass each) and the extra payload lanes those passes served:
+  /// points whose plans share a structure ride one pass. built + reuses ==
+  /// refined candidates x points. Kept out of write_json so the canonical
   /// document stays comparable with reports written before them.
   std::int64_t bound_structures_built = 0;
   std::int64_t bound_structure_reuses = 0;
@@ -166,8 +178,9 @@ struct TuneStats {
   /// True iff the funnel ran to completion; false = budget truncation, the
   /// ranking is best-so-far (anytime semantics).
   bool exhausted = true;
-  /// Wall clock of the whole search / of stage 2's bound computation.
-  /// Excluded from write_json so reports stay byte-comparable across runs.
+  /// Wall clock of the whole search / of stage 2's bounds, both tiers
+  /// (floors and DP batches). Excluded from write_json so reports stay
+  /// byte-comparable across runs.
   double elapsed_seconds = 0;
   double bound_seconds = 0;
 };
@@ -177,8 +190,9 @@ struct TuneReport {
   std::string hierarchy;             ///< paper rendering, e.g. "[2, 2, 4]".
   TuneQuery query;
   std::vector<QueryPoint> points;    ///< expanded cross product.
-  /// Every candidate of this shard in funnel order (stage-2 bound
-  /// ascending), with full per-candidate provenance.
+  /// Every candidate of this shard in stream order (serialization floor
+  /// ascending, then ring cost and order; screened candidates last), with
+  /// full per-candidate provenance.
   std::vector<TuneCandidate> candidates;
   /// Indices into `candidates`: the top-k simulated orders, ranked by
   /// (score, representative order) — exactly the exhaustive ranking when

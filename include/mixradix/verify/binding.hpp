@@ -35,8 +35,12 @@
 // total-bytes / capacity. Both arguments survive every engine fast path
 // (interned routes, lazy deadline heap, workspace reuse) because those are
 // bit-identical by construction.
+//
+// serialization_floor (below) is a route-free, DP-free first tier under
+// the channel leg, for callers that rank many bindings (tune stage 2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -184,6 +188,71 @@ std::vector<Result> analyze_lanes(
     const topo::Machine& machine,
     const std::vector<std::vector<JobBinding>>& lanes,
     const Options& options = {}, simnet::RouteTable* routes = nullptr);
+
+// ---- Serialization floor ----------------------------------------------------
+//
+// A cheap first tier under Bound::channel_serialization, computed from
+// what each hierarchy component sends, receives and keeps inside — no
+// routes, no DP. Every message between two distinct cores adds its
+// bytes * repetitions to `sent` of the sender's core, `recv` of the
+// receiver's core and `inner` of the deepest component holding both; one
+// bottom-up pass folds each component into its parent. A component C's
+// channels then carry exactly the int64 totals the DP's channel walk sums
+// (simnet::RouteTable's derivation is the contract): egress sent − inner
+// and ingress recv − inner, since a message crosses C's uplink iff one
+// endpoint lies outside C, and, on memory levels, sent + recv − inner,
+// since a message lists C's memory channel once when either endpoint lies
+// in C.
+//
+// Entry floor: level k's egress and ingress are crossed only by messages
+// that diverge at a level <= k, whose latency adds a superset of
+// lat_k = base_latency + sum_{l=k}^{depth-1} 2 * link_latency_l, in the
+// same order; memory channels use lat_{depth-1}. The DP's entry is
+// ready + latency with ready >= the smallest job start, and rounding is
+// monotone, so start + lat_k never exceeds it; bytes / capacity is the
+// same division. Hence for every lane
+//   floor <= Bound::channel_serialization <= Bound::lower_bound
+// whenever analyze_jobs finds the binding clean.
+
+/// Scratch of serialization_floor — per-rank component ids and the
+/// per-component sums — reused across calls (tune keeps one per worker
+/// slot); after a call, the per-channel byte totals the floor came from.
+class ComponentSums;
+
+/// Serialization floor of each lane: max over channels with bytes > 0 of
+/// (start + lat) + bytes / capacity, undeflated (apply Bound::for_slack
+/// as for the DP bound). Lanes must be same_structure() as lanes[0]; a
+/// null schedule, exec or binding, a binding of the wrong size, a core,
+/// message endpoint, repetition count or start time out of range throws
+/// mr::invalid_argument. `sums` = nullptr uses call-local scratch.
+std::vector<double> serialization_floor(
+    const topo::Machine& machine,
+    const std::vector<std::vector<JobBinding>>& lanes,
+    ComponentSums* sums = nullptr);
+
+class ComponentSums {
+ public:
+  /// Bytes lane `lane` of the last serialization_floor call put on channel
+  /// `id` (simnet channel numbering); 0 for a channel no traffic crosses.
+  std::int64_t channel_bytes(simnet::ChannelId id, std::size_t lane = 0) const;
+
+ private:
+  friend std::vector<double> serialization_floor(
+      const topo::Machine&, const std::vector<std::vector<JobBinding>>&,
+      ComponentSums*);
+  // Channel totals of (component, lane) slot `at`, as derived above.
+  std::int64_t egress(std::size_t at) const { return sent_[at] - inner_[at]; }
+  std::int64_t ingress(std::size_t at) const { return recv_[at] - inner_[at]; }
+  std::int64_t memory(std::size_t at) const { return egress(at) + recv_[at]; }
+  /// Dense id of (level, 0); the last entry is the component count.
+  std::vector<std::int64_t> offset_;
+  std::vector<std::uint8_t> memory_;  ///< level models a memory channel.
+  /// (rank, level) -> dense component id, for one job at a time.
+  std::vector<std::int64_t> component_;
+  /// (component, lane), lane-minor like the DP's values.
+  std::vector<std::int64_t> sent_, recv_, inner_;
+  std::size_t lanes_ = 0;
+};
 
 /// Stateless forwarder kept only because perfbench's traced depth8_tune
 /// replay compiles against `engine.bound_cache().analyze(...)`: returns

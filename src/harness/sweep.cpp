@@ -26,7 +26,6 @@ std::vector<Order> tuned_orders(Engine& engine, const topo::Machine& machine,
   query.repetitions = config.repetitions;
   query.completion_slack = config.completion_slack;
   query.threads = config.threads;
-  query.budget.max_points = config.tune_budget_points;
   const tune::TuneReport report = tune::tune(engine, machine, query);
   std::vector<Order> orders;
   orders.reserve(report.top.size());

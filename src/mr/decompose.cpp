@@ -67,9 +67,37 @@ std::int64_t reorder_rank(const Hierarchy& h, std::int64_t rank,
 
 std::vector<std::int64_t> reorder_all_ranks(const Hierarchy& h,
                                             const std::vector<int>& order) {
+  const std::vector<int>& radix = h.radices();
+  const std::size_t depth = radix.size();
+  MR_EXPECT(order.size() == depth, "order length must equal hierarchy depth");
+  // Algorithm 2's factor of each level's coordinate in the new rank; 0
+  // marks a level the order has not named yet (every factor is >= 1).
+  std::vector<std::int64_t> weight(depth, 0);
+  std::int64_t factor = 1;
+  for (const int level : order) {
+    MR_EXPECT(level >= 0 && level < static_cast<int>(depth),
+              "order entry out of range");
+    const auto k = static_cast<std::size_t>(level);
+    MR_EXPECT(weight[k] == 0, "order is not a permutation");
+    weight[k] = factor;
+    factor *= radix[k];
+  }
+  // Mixed-radix odometer over the old ranks: the innermost coordinate
+  // turns fastest, as Algorithm 1 peels it, and the new rank moves by the
+  // turned coordinate's factor (a carry rewinds the wrapped coordinates).
+  std::vector<int> coord(depth, 0);
   std::vector<std::int64_t> out(static_cast<std::size_t>(h.total()));
-  for (std::int64_t r = 0; r < h.total(); ++r) {
-    out[static_cast<std::size_t>(r)] = reorder_rank(h, r, order);
+  std::int64_t rank = 0;
+  for (std::int64_t& slot : out) {
+    slot = rank;
+    for (std::size_t k = depth; k-- > 0;) {
+      if (++coord[k] < radix[k]) {
+        rank += weight[k];
+        break;
+      }
+      coord[k] = 0;
+      rank -= (radix[k] - 1) * weight[k];
+    }
   }
   return out;
 }

@@ -58,6 +58,21 @@ void write_candidate(std::ostream& os, const TuneCandidate& c) {
 
 }  // namespace
 
+std::string stage2_summary(const TuneStats& s) {
+  const std::int64_t lanes =
+      s.bound_structures_built + s.bound_structure_reuses;
+  std::ostringstream os;
+  os << s.bounds_computed << " floors, " << s.bound_structures_built
+     << " lane passes for " << lanes << " point bounds";
+  if (s.bound_structures_built > 0) {
+    os << " (" << std::setprecision(3)
+       << static_cast<double>(lanes) /
+              static_cast<double>(s.bound_structures_built)
+       << " lanes per pass)";
+  }
+  return os.str();
+}
+
 std::string to_string(const TuneReport& report) {
   const TuneStats& s = report.stats;
   std::ostringstream os;
@@ -81,15 +96,9 @@ std::string to_string(const TuneReport& report) {
        << "x saving";
   }
   os << ")\n";
-  if (s.bound_structures_built > 0) {
-    os << "  stage 2: " << s.bound_structures_built << " lane passes for "
-       << s.bound_structures_built + s.bound_structure_reuses
-       << " point bounds (" << std::setprecision(3)
-       << static_cast<double>(s.bound_structures_built +
-                              s.bound_structure_reuses) /
-              static_cast<double>(s.bound_structures_built)
-       << " lanes per pass), " << std::setprecision(4) << s.bound_seconds
-       << " s\n";
+  if (s.bounds_computed > 0) {
+    os << "  stage 2: " << stage2_summary(s) << ", " << std::setprecision(4)
+       << s.bound_seconds << " s\n";
   }
   if (s.seeded_candidates > 0) {
     os << "  seeded: " << s.seeded_candidates

@@ -200,68 +200,113 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
 
 // ---- Stages 2+3 helpers -----------------------------------------------------
 
-/// One candidate's stage-2 outcome: the admissible bound plus the lane
-/// accounting behind it.
+/// A candidate's points bound to machine cores, as payload lanes: points
+/// whose job lists are same_structure() (same plan shape, differing only in
+/// bytes) form one group, in point order, and share one call of either
+/// stage-2 tier.
+struct PointLanes {
+  std::vector<std::vector<simmpi::PlanJob>> jobs;  ///< per point; owns cores.
+  /// Per group, one lane (job list) per member point.
+  std::vector<std::vector<std::vector<verify::binding::JobBinding>>> lanes;
+  std::vector<std::vector<std::size_t>> groups;  ///< member points.
+};
+
+PointLanes point_lanes(Engine& engine, const topo::Machine& machine,
+                       const TuneQuery& query,
+                       const std::vector<QueryPoint>& points,
+                       const Order& order) {
+  PointLanes out;
+  out.jobs.resize(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    out.jobs[p] = harness::protocol_jobs(engine, machine,
+                                         point_config(query, points[p], order));
+    std::vector<verify::binding::JobBinding> bindings;
+    for (const auto& job : out.jobs[p]) {
+      bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                          job.plan->repetitions, &job.core_of_rank,
+                          job.start_time});
+    }
+    std::size_t g = 0;
+    while (g < out.groups.size() &&
+           !verify::binding::same_structure(out.lanes[g].front(), bindings)) {
+      ++g;
+    }
+    if (g == out.groups.size()) {
+      out.groups.emplace_back();
+      out.lanes.emplace_back();
+    }
+    out.groups[g].push_back(p);
+    out.lanes[g].push_back(std::move(bindings));
+  }
+  return out;
+}
+
+/// Bound::for_slack of a bare per-point bound, so both tiers deflate alike.
+double deflate(double bound, double completion_slack) {
+  verify::binding::Bound b;
+  b.lower_bound = bound;
+  return b.for_slack(completion_slack);
+}
+
+/// Stage 2's first tier: the candidate's serialization floors (deflated for
+/// the simulated slack), summed in point order — never above the DP sum
+/// of candidate_bound when every point analyzes clean, since each point's
+/// floor is then at most its DP bound and both sums add in the same order.
+double candidate_floor(Engine& engine, const topo::Machine& machine,
+                       const TuneQuery& query,
+                       const std::vector<QueryPoint>& points,
+                       const Order& order,
+                       verify::binding::ComponentSums& sums) {
+  const PointLanes pl = point_lanes(engine, machine, query, points, order);
+  std::vector<double> point_floor(points.size(), 0.0);
+  for (std::size_t g = 0; g < pl.groups.size(); ++g) {
+    const std::vector<double> floors =
+        verify::binding::serialization_floor(machine, pl.lanes[g], &sums);
+    for (std::size_t l = 0; l < floors.size(); ++l) {
+      point_floor[pl.groups[g][l]] =
+          deflate(floors[l], query.completion_slack);
+    }
+  }
+  double sum = 0;
+  for (const double f : point_floor) sum += f;
+  return sum;
+}
+
+/// One candidate's critical-path outcome: the admissible bound plus the
+/// lane accounting behind it.
 struct BoundOutcome {
   double bound = 0;
   std::int64_t passes = 0;       ///< analyze_lanes calls.
   std::int64_t extra_lanes = 0;  ///< lanes beyond the first of each pass.
 };
 
-/// Stage-2 admissible bound of one candidate: per-point static lower bounds
-/// (deflated for the simulated slack), summed in point order — a lower
-/// bound on the candidate's score because the score is the sum of point
-/// makespans. Points whose job lists share a structure (same plan shape,
-/// differing only in bytes) are bounded in one payload-lane pass; each
-/// lane equals that point's own analyze_jobs bit for bit.
+/// Stage 2's second tier: per-point static lower bounds (deflated for the
+/// simulated slack), summed in point order — a lower bound on the
+/// candidate's score because the score is the sum of point makespans. Each
+/// structure group is bounded in one payload-lane pass; each lane equals
+/// that point's own analyze_jobs bit for bit.
 BoundOutcome candidate_bound(Engine& engine, const topo::Machine& machine,
                              const TuneQuery& query,
                              const std::vector<QueryPoint>& points,
                              const Order& order, simnet::RouteTable& routes) {
-  using verify::binding::JobBinding;
-  std::vector<std::vector<simmpi::PlanJob>> jobs(points.size());
-  std::vector<std::vector<JobBinding>> bindings(points.size());
-  // Points grouped by structure, each group in point order.
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    jobs[p] = harness::protocol_jobs(engine, machine,
-                                     point_config(query, points[p], order));
-    for (const auto& job : jobs[p]) {
-      bindings[p].push_back({&job.plan->schedule, &job.plan->exec,
-                             job.plan->repetitions, &job.core_of_rank,
-                             job.start_time});
-    }
-    const auto group = std::find_if(
-        groups.begin(), groups.end(), [&](const std::vector<std::size_t>& g) {
-          return verify::binding::same_structure(bindings[g.front()],
-                                                 bindings[p]);
-        });
-    if (group == groups.end()) {
-      groups.push_back({p});
-    } else {
-      group->push_back(p);
-    }
-  }
+  const PointLanes pl = point_lanes(engine, machine, query, points, order);
   verify::binding::Options options;
   options.load_report = false;
   std::vector<double> point_bound(points.size(), 0.0);
   BoundOutcome out;
-  for (const std::vector<std::size_t>& group : groups) {
-    std::vector<std::vector<JobBinding>> lanes;
-    lanes.reserve(group.size());
-    for (const std::size_t p : group) lanes.push_back(std::move(bindings[p]));
+  for (std::size_t g = 0; g < pl.groups.size(); ++g) {
     const std::vector<verify::binding::Result> results =
-        verify::binding::analyze_lanes(machine, lanes, options, &routes);
-    for (std::size_t l = 0; l < group.size(); ++l) {
+        verify::binding::analyze_lanes(machine, pl.lanes[g], options, &routes);
+    for (std::size_t l = 0; l < results.size(); ++l) {
       // A diagnostic here would mean the tuner built an invalid binding; a
       // zero bound keeps the candidate simulable instead of mis-pruning it.
       if (results[l].clean()) {
-        point_bound[group[l]] =
+        point_bound[pl.groups[g][l]] =
             results[l].bound.for_slack(query.completion_slack);
       }
     }
     ++out.passes;
-    out.extra_lanes += static_cast<std::int64_t>(group.size()) - 1;
+    out.extra_lanes += static_cast<std::int64_t>(results.size()) - 1;
   }
   for (const double b : point_bound) out.bound += b;
   return out;
@@ -465,38 +510,33 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     active.resize(static_cast<std::size_t>(query.screen_keep));
   }
 
-  // Stage 2: admissible lower bounds, computed in parallel, then the
-  // branch-and-bound visit order (bound ascending, packed-first tie-break).
-  // Each worker slot leases one workspace and bounds every candidate it
-  // draws against that workspace's route table, so routes resolved for
-  // one candidate stay warm for the next (and for stage 3).
+  // Stage 2, first tier: every candidate's serialization floor, computed in
+  // parallel from per-component byte sums (no routes, no DP), each worker
+  // slot reusing one ComponentSums. The stream is visited in floor order
+  // (packed-first tie-break); the DP tier runs lazily in stage 3.
+  const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
   if (query.prune) {
-    const auto bound_start = std::chrono::steady_clock::now();
-    std::vector<BoundOutcome> outcomes(active.size());
-    std::vector<Engine::WorkspaceLease> leases(workers);
-    std::vector<simnet::RouteTable*> routes(leases.size(), nullptr);
+    const auto floor_start = std::chrono::steady_clock::now();
+    std::vector<double> floors(active.size());
+    std::vector<verify::binding::ComponentSums> sums(workers);
     fan_out_slots(engine, active.size(), workers,
                   [&](unsigned slot, std::size_t i) {
-      if (routes[slot] == nullptr) {
-        leases[slot] = engine.workspace();
-        routes[slot] = &leases[slot]->route_table(machine);
-      }
-      outcomes[i] = candidate_bound(engine, machine, query, report.points,
-                                    candidates[active[i]].order,
-                                    *routes[slot]);
+      floors[i] = candidate_floor(engine, machine, query, report.points,
+                                  candidates[active[i]].order, sums[slot]);
     });
     for (std::size_t i = 0; i < active.size(); ++i) {
-      candidates[active[i]].lower_bound = outcomes[i].bound;
-      stats.bound_structures_built += outcomes[i].passes;
-      stats.bound_structure_reuses += outcomes[i].extra_lanes;
+      candidates[active[i]].lower_bound = floors[i];
     }
     stats.bounds_computed = static_cast<std::int64_t>(active.size());
-    stats.bound_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      bound_start)
-            .count();
+    stats.bound_seconds += seconds_since(floor_start);
   }
-  std::sort(active.begin(), active.end(), [&](std::size_t a, std::size_t b) {
+  // Funnel key: lower bound, then ring cost, then order. An unrefined
+  // candidate's lower_bound holds its floor sum, a refined one's its DP
+  // sum, so one comparator orders the stream, `ready` and their mix.
+  const auto before = [&](std::size_t a, std::size_t b) {
     if (candidates[a].lower_bound != candidates[b].lower_bound) {
       return candidates[a].lower_bound < candidates[b].lower_bound;
     }
@@ -505,18 +545,66 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
              candidates[b].character.ring_cost;
     }
     return candidates[a].order < candidates[b].order;
-  });
+  };
+  std::sort(active.begin(), active.end(), before);
+
+  // Stage 2, second tier: the critical-path DP sums of `batch`, replacing
+  // their floors. Each worker slot leases one workspace per batch and
+  // bounds every candidate it draws against that workspace's route table,
+  // so routes stay warm across candidates (LIFO leases carry them into
+  // the next batch and into stage 3).
+  const auto refine = [&](const std::vector<std::size_t>& batch) {
+    const auto refine_start = std::chrono::steady_clock::now();
+    std::vector<BoundOutcome> outcomes(batch.size());
+    std::vector<Engine::WorkspaceLease> leases(workers);
+    std::vector<simnet::RouteTable*> routes(leases.size(), nullptr);
+    fan_out_slots(engine, batch.size(), workers,
+                  [&](unsigned slot, std::size_t i) {
+      if (routes[slot] == nullptr) {
+        leases[slot] = engine.workspace();
+        routes[slot] = &leases[slot]->route_table(machine);
+      }
+      outcomes[i] = candidate_bound(engine, machine, query, report.points,
+                                    candidates[batch[i]].order, *routes[slot]);
+    });
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      candidates[batch[i]].lower_bound = outcomes[i].bound;
+      stats.bound_structures_built += outcomes[i].passes;
+      stats.bound_structure_reuses += outcomes[i].extra_lanes;
+    }
+    stats.bound_seconds += seconds_since(refine_start);
+  };
+  // Simulate `wave_members` as wave `wave`, merging scores in order.
+  std::vector<double> best;  // ascending; at most k simulated scores.
+  int wave = 0;
+  const auto simulate = [&](const std::size_t* wave_members, std::size_t n) {
+    fan_out(engine, n, workers, [&](std::size_t i) {
+      simulate_candidate(engine, machine, query, report.points,
+                         candidates[wave_members[i]]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      TuneCandidate& c = candidates[wave_members[i]];
+      c.fate = Fate::Simulated;
+      c.wave = wave;
+      ++stats.simulated;
+      best.insert(std::upper_bound(best.begin(), best.end(), c.score),
+                  c.score);
+      if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
+    }
+    meter.charge(static_cast<std::int64_t>(n) * npoints);
+    stats.sim_points += static_cast<std::int64_t>(n) * npoints;
+    ++wave;
+  };
 
   // Incremental seeding: when a compatible previous report is supplied,
   // re-simulate its winners FIRST (wave 0), in previous-score order, so the
   // k-th best cut is a real incumbent before the bound-ordered sweep
   // starts. Seeds earn true new-grid scores through the exact same
-  // simulate_candidate path, so pruning keeps its admissible strict-cut
-  // guarantee and the final top-k equals the cold run's.
-  std::vector<double> best;  // ascending; at most k simulated scores.
+  // simulate_candidate path (and carry their DP sums like every simulated
+  // candidate), so pruning keeps its admissible strict-cut guarantee and
+  // the final top-k equals the cold run's.
   const double inf = std::numeric_limits<double>::infinity();
-  int wave = 0;
-  std::vector<std::size_t> pending = active;  // bound order, minus any seeds.
+  std::vector<std::size_t> pending = active;  // floor order, minus any seeds.
   if (seed_applicable(previous, machine, h, query, report.points) &&
       !meter.exhausted()) {
     // Previous winners' scores, addressable by ANY class member: the new
@@ -542,34 +630,20 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
                 return candidates[active[a.second]].order <
                        candidates[active[b.second]].order;
               });
-    std::size_t nseeds =
-        std::min(ranked.size(), static_cast<std::size_t>(query.k));
-    if (npoints > 0) {
-      const std::int64_t affordable = meter.remaining_points() / npoints;
-      nseeds = std::min(
-          nseeds, static_cast<std::size_t>(std::max<std::int64_t>(affordable,
-                                                                  1)));
-    }
+    // Only candidates whose every point fits the point budget run.
+    const std::size_t nseeds = static_cast<std::size_t>(std::min<std::int64_t>(
+        {static_cast<std::int64_t>(ranked.size()), query.k,
+         meter.remaining_points() / npoints}));
     if (nseeds > 0) {
-      fan_out(engine, nseeds, workers, [&](std::size_t i) {
-        simulate_candidate(engine, machine, query, report.points,
-                           candidates[active[ranked[i].second]]);
-      });
+      std::vector<std::size_t> seeds(nseeds);
       std::vector<bool> seeded(active.size(), false);
       for (std::size_t i = 0; i < nseeds; ++i) {
-        TuneCandidate& c = candidates[active[ranked[i].second]];
-        c.fate = Fate::Simulated;
-        c.wave = 0;
+        seeds[i] = active[ranked[i].second];
         seeded[ranked[i].second] = true;
-        ++stats.simulated;
-        best.insert(std::upper_bound(best.begin(), best.end(), c.score),
-                    c.score);
-        if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
       }
-      meter.charge(static_cast<std::int64_t>(nseeds) * npoints);
-      stats.sim_points += static_cast<std::int64_t>(nseeds) * npoints;
+      if (query.prune) refine(seeds);
+      simulate(seeds.data(), nseeds);
       stats.seeded_candidates = static_cast<std::int64_t>(nseeds);
-      wave = 1;
       pending.clear();
       for (std::size_t i = 0; i < active.size(); ++i) {
         if (!seeded[i]) pending.push_back(active[i]);
@@ -577,69 +651,97 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     }
   }
 
-  // Stage 3: fixed-size simulation waves in bound order. The k-th best
-  // simulated score only improves between waves, and the candidates are
-  // bound-sorted, so the first candidate whose bound STRICTLY exceeds it
-  // ends the search: everything after is provably outside the top k. The
-  // strict inequality keeps exact ties simulable — a pruned candidate's
-  // true score is > the k-th best, never equal, so lexicographic
-  // tie-breaking matches the exhaustive ranking bit for bit. With no seeds
-  // `pending` IS the active stream and this loop is the cold funnel
-  // verbatim.
-  std::size_t pos = 0;
-  while (pos < pending.size()) {
+  // Stage 3: fixed-size simulation waves in DP-bound order, the DP run
+  // lazily. `ready` holds the refined, unsimulated candidates sorted by
+  // their DP sums; `pending[next...]` the unrefined ones in floor order.
+  // Before each wave the next unrefined candidates are refined, in batches
+  // of wave_size, while one could still join the wave: its floor is within
+  // the k-th best, and `ready` lacks wave_size members or it sorts before
+  // the wave_size-th. A candidate's DP sum is never below its floor, so
+  // once refinement stops no unrefined candidate sorts into the wave, and
+  // every wave, prune and skip equals that of a stream sorted by DP sums
+  // outright. The k-th best simulated score only improves between waves,
+  // so the first candidate whose bound STRICTLY exceeds it ends the
+  // search: everything after is provably outside the top k. The strict
+  // inequality keeps exact ties simulable — a pruned candidate's true
+  // score is > the k-th best, never equal, so lexicographic tie-breaking
+  // matches the exhaustive ranking bit for bit. Without pruning there is
+  // no bound: the stream itself is the wave order.
+  const auto wave_size = static_cast<std::size_t>(query.wave_size);
+  std::vector<std::size_t> ready;
+  std::size_t head = 0;  // ready[head...] are live.
+  std::size_t next = 0;
+  if (!query.prune) {
+    ready = std::move(pending);
+    pending.clear();
+  }
+  const auto settle = [&](Fate fate) {
+    std::int64_t& count =
+        fate == Fate::Pruned ? stats.pruned : stats.budget_skipped;
+    for (std::size_t i = head; i < ready.size(); ++i) {
+      candidates[ready[i]].fate = fate;
+      ++count;
+    }
+    for (std::size_t i = next; i < pending.size(); ++i) {
+      candidates[pending[i]].fate = fate;
+      ++count;
+    }
+  };
+  while (head < ready.size() || next < pending.size()) {
     const double kth =
         static_cast<std::size_t>(query.k) <= best.size()
             ? best[static_cast<std::size_t>(query.k) - 1]
             : inf;
-    if (query.prune && candidates[pending[pos]].lower_bound > kth) {
-      for (std::size_t i = pos; i < pending.size(); ++i) {
-        candidates[pending[i]].fate = Fate::Pruned;
-        ++stats.pruned;
+    const auto may_join = [&] {
+      if (next == pending.size() ||
+          candidates[pending[next]].lower_bound > kth) {
+        return false;
       }
+      return ready.size() - head < wave_size ||
+             before(pending[next], ready[head + wave_size - 1]);
+    };
+    while (query.prune && may_join()) {
+      std::vector<std::size_t> batch;
+      while (batch.size() < wave_size && next < pending.size() &&
+             candidates[pending[next]].lower_bound <= kth) {
+        batch.push_back(pending[next++]);
+      }
+      refine(batch);
+      ready.erase(ready.begin(),
+                  ready.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+      ready.insert(ready.end(), batch.begin(), batch.end());
+      std::sort(ready.begin(), ready.end(), before);
+    }
+    // Every unrefined floor is now above the k-th best, or sorts after the
+    // wave_size-th refined bound; either way an empty `ready` or a front
+    // bound above the k-th best leaves nothing simulable.
+    if (query.prune &&
+        (head == ready.size() || candidates[ready[head]].lower_bound > kth)) {
+      settle(Fate::Pruned);
       break;
     }
-    if (meter.exhausted()) {
-      for (std::size_t i = pos; i < pending.size(); ++i) {
-        candidates[pending[i]].fate = Fate::Skipped;
-        ++stats.budget_skipped;
-      }
+    // Only candidates whose every point fits the point budget run.
+    const std::int64_t affordable = meter.remaining_points() / npoints;
+    if (meter.exhausted() || affordable == 0) {
+      settle(Fate::Skipped);
       stats.exhausted = false;
       break;
     }
     // Wave = the next wave_size candidates that survive the current k-th
-    // best and still fit the point budget (all thread-count independent).
-    std::size_t end = std::min(pos + static_cast<std::size_t>(query.wave_size),
-                               pending.size());
+    // best and fit the point budget (all thread-count independent).
+    std::size_t n = std::min(ready.size() - head, wave_size);
     if (query.prune) {
-      while (end > pos && candidates[pending[end - 1]].lower_bound > kth) --end;
+      while (n > 0 && candidates[ready[head + n - 1]].lower_bound > kth) --n;
     }
-    if (npoints > 0) {
-      const std::int64_t affordable = meter.remaining_points() / npoints;
-      end = std::min(end, pos + static_cast<std::size_t>(std::max<std::int64_t>(
-                              affordable, 1)));
-    }
-    fan_out(engine, end - pos, workers, [&](std::size_t i) {
-      simulate_candidate(engine, machine, query, report.points,
-                         candidates[pending[pos + i]]);
-    });
-    for (std::size_t i = pos; i < end; ++i) {
-      TuneCandidate& c = candidates[pending[i]];
-      c.fate = Fate::Simulated;
-      c.wave = wave;
-      ++stats.simulated;
-      best.insert(std::upper_bound(best.begin(), best.end(), c.score),
-                  c.score);
-      if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
-    }
-    meter.charge(static_cast<std::int64_t>(end - pos) * npoints);
-    stats.sim_points += static_cast<std::int64_t>(end - pos) * npoints;
-    pos = end;
-    ++wave;
+    n = static_cast<std::size_t>(
+        std::min(static_cast<std::int64_t>(n), affordable));
+    simulate(&ready[head], n);
+    head += n;
   }
 
   // Final ranking: simulated candidates by (score, representative order).
-  // Keep the report's candidate table in funnel (bound) order, so indices
+  // Keep the report's candidate table in stream (floor) order, so indices
   // in `top` point into a stable provenance layout.
   report.candidates.reserve(candidates.size());
   std::vector<std::size_t> layout(candidates.size());

@@ -810,6 +810,184 @@ std::vector<Result> analyze_lanes(
   return results;
 }
 
+std::int64_t ComponentSums::channel_bytes(simnet::ChannelId id,
+                                          std::size_t lane) const {
+  MR_EXPECT(lane < lanes_, "lane out of range for the last floor call");
+  MR_EXPECT(id >= 0 && id / 3 < offset_.back(),
+            "channel id out of range for the last floor call");
+  const std::int64_t component = id / 3;
+  const auto at = static_cast<std::size_t>(component) * lanes_ + lane;
+  switch (id % 3) {
+    case 0: return egress(at);
+    case 1: return ingress(at);
+    default: {
+      const auto level = std::upper_bound(offset_.begin(), offset_.end(),
+                                          component) - offset_.begin() - 1;
+      return memory_[static_cast<std::size_t>(level)] != 0 ? memory(at) : 0;
+    }
+  }
+}
+
+std::vector<double> serialization_floor(
+    const topo::Machine& machine,
+    const std::vector<std::vector<JobBinding>>& lanes, ComponentSums* sums) {
+  MR_EXPECT(!lanes.empty(), "serialization_floor needs at least one lane");
+  const std::vector<JobBinding>& jobs = lanes.front();
+  for (const JobBinding& job : jobs) {
+    MR_EXPECT(job.schedule != nullptr && job.exec != nullptr &&
+                  job.core_of_rank != nullptr,
+              "job is missing its schedule, execution structure or "
+              "core_of_rank binding");
+    MR_EXPECT(job.core_of_rank->size() ==
+                  static_cast<std::size_t>(job.schedule->nranks),
+              "core_of_rank has " + std::to_string(job.core_of_rank->size()) +
+                  " entries for " + std::to_string(job.schedule->nranks) +
+                  " ranks");
+    MR_EXPECT(job.repetitions >= 1, "repetitions must be >= 1");
+    MR_EXPECT(std::isfinite(job.start_time) && job.start_time >= 0,
+              "start_time must be finite and >= 0");
+    for (const std::int64_t core : *job.core_of_rank) {
+      MR_EXPECT(core >= 0 && core < machine.cores(),
+                "core " + std::to_string(core) + " is outside machine '" +
+                    machine.name() + "'");
+    }
+  }
+  for (std::size_t l = 1; l < lanes.size(); ++l) {
+    MR_EXPECT(same_structure(jobs, lanes[l]),
+              "lane " + std::to_string(l) +
+                  " differs from lane 0 in cores, repetitions, start times, "
+                  "message endpoints or execution structure");
+  }
+  ComponentSums local;
+  ComponentSums& s = sums != nullptr ? *sums : local;
+  const std::size_t nlanes = lanes.size();
+  const auto depth = static_cast<std::size_t>(machine.depth());
+  const auto ncomp = static_cast<std::size_t>(machine.total_components());
+  s.lanes_ = nlanes;
+  s.sent_.assign(ncomp * nlanes, 0);
+  s.recv_.assign(ncomp * nlanes, 0);
+  s.inner_.assign(ncomp * nlanes, 0);
+  s.offset_.resize(depth + 1);
+  s.memory_.resize(depth);
+  for (std::size_t k = 0; k < depth; ++k) {
+    s.offset_[k] = machine.component_id(static_cast<int>(k), 0);
+    s.memory_[k] = machine.level(static_cast<int>(k)).mem_bandwidth > 0;
+  }
+  s.offset_[depth] = static_cast<std::int64_t>(ncomp);
+  const std::vector<std::int64_t>& offset = s.offset_;
+  const std::vector<int>& radix = machine.hierarchy().radices();
+
+  double start = std::numeric_limits<double>::infinity();
+  std::vector<const simmpi::MsgInfo*> lane_msgs(nlanes);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobBinding& job = jobs[j];
+    start = std::min(start, job.start_time);
+    const std::vector<std::int64_t>& cores = *job.core_of_rank;
+    // Dense component of every rank at every level: the leaf component is
+    // the core, and each outer one the inner one over the inner radix.
+    s.component_.resize(cores.size() * depth);
+    for (std::size_t r = 0; r < cores.size(); ++r) {
+      std::int64_t c = cores[r];
+      for (std::size_t k = depth; k-- > 0;) {
+        s.component_[r * depth + k] = offset[k] + c;
+        c /= radix[k];
+      }
+    }
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      lane_msgs[l] = lanes[l][j].schedule->messages.data();
+    }
+    const std::vector<simmpi::MsgInfo>& messages = job.schedule->messages;
+    const std::int64_t reps = job.repetitions;
+    const std::int32_t nranks = job.schedule->nranks;
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      const simmpi::MsgInfo& info = messages[m];
+      MR_EXPECT(info.src >= 0 && info.src < nranks && info.dst >= 0 &&
+                    info.dst < nranks,
+                "message " + std::to_string(m) + " has an endpoint outside " +
+                    std::to_string(nranks) + " ranks");
+      const auto src = static_cast<std::size_t>(info.src);
+      const auto dst = static_cast<std::size_t>(info.dst);
+      if (cores[src] == cores[dst]) continue;  // a self route crosses nothing.
+      const std::int64_t* a = &s.component_[src * depth];
+      const std::int64_t* b = &s.component_[dst * depth];
+      std::size_t fd = 0;  // first divergent level; the leaves differ.
+      while (a[fd] == b[fd]) ++fd;
+      const auto slot = [nlanes](std::int64_t component) {
+        return static_cast<std::size_t>(component) * nlanes;
+      };
+      std::int64_t* sent = &s.sent_[slot(a[depth - 1])];
+      std::int64_t* recv = &s.recv_[slot(b[depth - 1])];
+      std::int64_t* inner = fd > 0 ? &s.inner_[slot(a[fd - 1])] : nullptr;
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        const std::int64_t bytes = lane_msgs[l][m].bytes() * reps;
+        sent[l] += bytes;
+        recv[l] += bytes;
+        if (inner != nullptr) inner[l] += bytes;
+      }
+    }
+  }
+  // Fold every component into its parent, innermost level first, so each
+  // sum covers the whole subtree.
+  for (std::size_t k = depth - 1; k > 0; --k) {
+    for (std::int64_t c = offset[k]; c < offset[k + 1]; ++c) {
+      const auto child = static_cast<std::size_t>(c) * nlanes;
+      const auto parent =
+          static_cast<std::size_t>(offset[k - 1] + (c - offset[k]) / radix[k]) *
+          nlanes;
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        s.sent_[parent + l] += s.sent_[child + l];
+        s.recv_[parent + l] += s.recv_[child + l];
+        s.inner_[parent + l] += s.inner_[child + l];
+      }
+    }
+  }
+
+  // Per level, the largest channel total per lane: a level's channels
+  // share one capacity and one entry floor, so its largest total attains
+  // the level's max of entry + bytes / capacity.
+  std::vector<double> floor(nlanes, 0.0);
+  std::vector<std::int64_t> link_max(nlanes);
+  std::vector<std::int64_t> mem_max(nlanes);
+  const double base_latency = machine.costs().base_latency;
+  const auto entry_latency = [&](std::size_t k) {
+    // Summed outward-in from the base, exactly like RouteTable::derive.
+    double latency = base_latency;
+    for (std::size_t l = k; l < depth; ++l) {
+      latency += 2.0 * machine.level(static_cast<int>(l)).link_latency;
+    }
+    return latency;
+  };
+  const double mem_entry = start + entry_latency(depth - 1);
+  for (std::size_t k = 0; k < depth; ++k) {
+    const topo::LevelSpec& spec = machine.level(static_cast<int>(k));
+    const bool mem = s.memory_[k] != 0;
+    std::fill(link_max.begin(), link_max.end(), 0);
+    std::fill(mem_max.begin(), mem_max.end(), 0);
+    for (std::int64_t c = offset[k]; c < offset[k + 1]; ++c) {
+      const auto at = static_cast<std::size_t>(c) * nlanes;
+      for (std::size_t l = 0; l < nlanes; ++l) {
+        link_max[l] =
+            std::max({link_max[l], s.egress(at + l), s.ingress(at + l)});
+        if (mem) mem_max[l] = std::max(mem_max[l], s.memory(at + l));
+      }
+    }
+    const double link_entry = start + entry_latency(k);
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      if (link_max[l] > 0) {
+        const double drain =
+            static_cast<double>(link_max[l]) / spec.link_bandwidth;
+        floor[l] = std::max(floor[l], link_entry + drain);
+      }
+      if (mem_max[l] > 0) {
+        const double drain =
+            static_cast<double>(mem_max[l]) / spec.mem_bandwidth;
+        floor[l] = std::max(floor[l], mem_entry + drain);
+      }
+    }
+  }
+  return floor;
+}
+
 Result analyze_jobs(const topo::Machine& machine,
                     const std::vector<JobBinding>& jobs,
                     const Options& options) {

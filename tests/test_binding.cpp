@@ -2,6 +2,8 @@
 // critical-path lower bound NEVER exceeds the TimedExecutor's simulated
 // makespan — checked across the full registry x preset x size matrix, in
 // exact (slack 0) and slack-merged timing, serial and from a thread pool.
+// On the same matrix the serialization floor never exceeds the bound's
+// channel leg and sums exactly the load report's channel bytes.
 #include "mixradix/verify/binding.hpp"
 
 #include <gtest/gtest.h>
@@ -69,18 +71,64 @@ double run_sim(const topo::Machine& machine, const simmpi::Plan& plan,
   return simmpi::run_timed(machine, {job}, options).makespan;
 }
 
-/// One matrix point: analyze, then simulate exactly and slack-merged,
-/// returning a description of every violated bound ("" = all held).
+/// One job list binding `plan` to `cores`, as the single lane of a
+/// serialization_floor or analyze_lanes call.
+std::vector<std::vector<JobBinding>> one_lane(
+    const simmpi::Plan& plan, const std::vector<std::int64_t>& cores) {
+  return {{{&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}}};
+}
+
+/// The serialization floor against the analysis of the same binding:
+/// floor <= channel leg <= lower bound, and the floor's per-channel byte
+/// totals equal the load report's for every channel (`analysis` must keep
+/// every touched channel). "" when all hold.
+std::string check_floor(const topo::Machine& machine, const simmpi::Plan& plan,
+                        const std::vector<std::int64_t>& cores,
+                        const Result& analysis, const std::string& where) {
+  ComponentSums sums;
+  const double floor =
+      serialization_floor(machine, one_lane(plan, cores), &sums).front();
+  const Bound& bound = analysis.bound;
+  std::string failures;
+  if (!(floor <= bound.channel_serialization &&
+        bound.channel_serialization <= bound.lower_bound)) {
+    failures += where + ": floor " + std::to_string(floor) +
+                " above channel leg " +
+                std::to_string(bound.channel_serialization) + "\n";
+  }
+  std::map<simnet::ChannelId, std::int64_t> load_bytes;
+  for (const ChannelLoad& cl : analysis.load.top_channels) {
+    load_bytes[cl.channel] = cl.bytes;
+  }
+  for (simnet::ChannelId id = 0; id < 3 * machine.total_components(); ++id) {
+    const auto it = load_bytes.find(id);
+    const std::int64_t want = it == load_bytes.end() ? 0 : it->second;
+    if (sums.channel_bytes(id) != want) {
+      failures += where + ": " + channel_name(machine, id) + " floor bytes " +
+                  std::to_string(sums.channel_bytes(id)) + " != load " +
+                  std::to_string(want) + "\n";
+    }
+  }
+  return failures;
+}
+
+/// One matrix point: analyze, check the serialization floor against it,
+/// then simulate exactly and slack-merged, returning a description of
+/// every violated bound ("" = all held).
 std::string check_point(const topo::Machine& machine, const std::string& alg,
                         std::int32_t p, std::int64_t count, int repetitions,
                         const std::vector<std::int64_t>& cores) {
   const simmpi::Plan plan =
       simmpi::compile_plan(alg, p, count, 0, repetitions);
-  const Result analysis = analyze(plan, machine, cores);
+  Options options;
+  options.top_k = 1 << 20;  // every touched channel, for check_floor.
+  const Result analysis = analyze(plan, machine, cores, options);
   if (!analysis.clean()) {
     return alg + ": analysis not clean:\n" + analysis.to_string();
   }
-  std::string failures;
+  std::string failures = check_floor(
+      machine, plan, cores, analysis,
+      alg + " on " + machine.name() + " count=" + std::to_string(count));
   for (const double slack : {0.0, simmpi::kDefaultCompletionSlack}) {
     const double sim = run_sim(machine, plan, cores, slack);
     const double lb = analysis.bound.for_slack(slack);
@@ -166,6 +214,11 @@ TEST(BindingBound, ExactlyTightOnSerializedNicContention) {
   EXPECT_NEAR(r.bound.channel_serialization, sim, 1e-12);
   // Each flow alone would take 8 ms (node-link bottleneck).
   EXPECT_NEAR(r.bound.critical_path, 8e6 / 1e9, 1e-12);
+  // The serialization floor drops only the senders' CPU time from the
+  // channel leg's entry: tight to microseconds, never above it.
+  const double floor = serialization_floor(m, one_lane(plan, cores)).front();
+  EXPECT_LE(floor, r.bound.channel_serialization);
+  EXPECT_NEAR(floor, sim, 1e-5);
 
   // Load report: 16 MB over one round, two flows, and the shared NIC
   // carries twice a single flow's worth -> oversubscription 2.
@@ -207,6 +260,12 @@ TEST(BindingDiagnostics, CoreOutOfRangeIsError) {
   // No load report or bound on a broken binding.
   EXPECT_EQ(r.bound.lower_bound, 0.0);
   EXPECT_TRUE(r.load.rounds.empty());
+  // The serialization floor has no diagnostics: it refuses the binding.
+  const std::vector<std::int64_t> cores = {0, 1, 2, 99};
+  EXPECT_THROW(serialization_floor(m, one_lane(plan, cores)), invalid_argument);
+  const std::vector<std::int64_t> negative = {0, 1, -1, 2};
+  EXPECT_THROW(serialization_floor(m, one_lane(plan, negative)),
+               invalid_argument);
 }
 
 TEST(BindingDiagnostics, BindingSizeMismatchIsError) {
@@ -216,6 +275,8 @@ TEST(BindingDiagnostics, BindingSizeMismatchIsError) {
   EXPECT_FALSE(r.clean());
   EXPECT_NE(r.report.diagnostics.front().text.find("3 entries"),
             std::string::npos);
+  const std::vector<std::int64_t> cores = {0, 1, 2};
+  EXPECT_THROW(serialization_floor(m, one_lane(plan, cores)), invalid_argument);
 }
 
 TEST(BindingDiagnostics, DuplicateCoreIsWarningOnly) {
@@ -231,6 +292,10 @@ TEST(BindingDiagnostics, DuplicateCoreIsWarningOnly) {
   // The bound still holds on the degenerate mapping.
   const double sim = run_sim(m, plan, {0, 0, 1, 2}, 0.0);
   EXPECT_LE(r.bound.lower_bound, sim * kFpSlop);
+  // The floor skips the self route too.
+  const std::vector<std::int64_t> cores = {0, 0, 1, 2};
+  EXPECT_LE(serialization_floor(m, one_lane(plan, cores)).front(),
+            r.bound.channel_serialization);
 }
 
 TEST(BindingDiagnostics, RepetitionOverflowIsError) {
@@ -296,6 +361,20 @@ TEST(BindingDiagnostics, MultiJobDiagnosticsArePrefixed) {
   EXPECT_NE(r.report.diagnostics.front().text.find("job 1:"),
             std::string::npos)
       << r.report.to_string();
+  EXPECT_THROW(serialization_floor(m, {{good, bad}}), invalid_argument);
+  // A job missing any of its three pointers is refused, in any lane.
+  JobBinding no_schedule = good;
+  no_schedule.schedule = nullptr;
+  JobBinding no_exec = good;
+  no_exec.exec = nullptr;
+  JobBinding no_cores = good;
+  no_cores.core_of_rank = nullptr;
+  for (const JobBinding& missing : {no_schedule, no_exec, no_cores}) {
+    EXPECT_THROW(serialization_floor(m, {{good, missing}}), invalid_argument);
+    EXPECT_THROW(serialization_floor(m, {{good}, {missing}}),
+                 invalid_argument);
+  }
+  EXPECT_THROW(serialization_floor(m, {}), invalid_argument);
 }
 
 TEST(BindingDiagnostics, ConcurrentJobsBoundHolds) {
@@ -319,12 +398,17 @@ TEST(BindingDiagnostics, ConcurrentJobsBoundHolds) {
   const double sim = simmpi::run_timed(m, {pa, pb}, options).makespan;
   EXPECT_LE(r.bound.lower_bound, sim * kFpSlop);
   EXPECT_GT(r.bound.lower_bound, 1e-4);  // the delayed job's start counts.
+  // The floor enters at the earlier job's start.
+  EXPECT_LE(serialization_floor(m, {{ja, jb}}).front(),
+            r.bound.channel_serialization);
 }
 
 TEST(BindingDiagnostics, EmptyJobListIsClean) {
   const Result r = analyze_jobs(topo::testbox(), {});
   EXPECT_TRUE(r.clean());
   EXPECT_EQ(r.bound.lower_bound, 0.0);
+  EXPECT_EQ(serialization_floor(topo::testbox(), {{}}),
+            std::vector<double>{0.0});
 }
 
 // The analyzer's channel accounting, end to end through the shared
@@ -425,11 +509,22 @@ std::string check_lanes(const topo::Machine& machine, const std::string& alg,
   Options options;
   options.load_report = false;
   const std::vector<Result> got = analyze_lanes(machine, lanes, options);
+  const std::vector<double> floors = serialization_floor(machine, lanes);
   std::string failures;
   for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const std::string where = machine.name() + "/" + alg + "/count=" +
+                              std::to_string(lane_count[l]);
     failures += compare(got[l], analyze_jobs(machine, lanes[l], options),
-                        machine.name() + "/" + alg + "/count=" +
-                            std::to_string(lane_count[l]));
+                        where);
+    // The floor is per lane too, bit for bit, and stays under the lane's
+    // channel leg.
+    const double alone = serialization_floor(machine, {lanes[l]}).front();
+    if (floors[l] != alone ||
+        !(floors[l] <= got[l].bound.channel_serialization)) {
+      failures += where + ": lane floor " + std::to_string(floors[l]) +
+                  " vs one-lane " + std::to_string(alone) + " vs channel leg " +
+                  std::to_string(got[l].bound.channel_serialization) + "\n";
+    }
   }
   if (lanes_run != nullptr) *lanes_run += static_cast<int>(lanes.size());
   return failures;
@@ -502,6 +597,7 @@ TEST(BindingLanes, StructureChangesSplitPassesAndMismatchesAreRejected) {
       {&plans[1].schedule, &plans[1].exec, plans[1].repetitions, &cores, 0.0}};
   EXPECT_FALSE(same_structure(a, b));
   EXPECT_THROW(analyze_lanes(machine, {a, b}), invalid_argument);
+  EXPECT_THROW(serialization_floor(machine, {a, b}), invalid_argument);
 
   // Same plan shape, but any other structural field differing rejects the
   // lane too.

@@ -98,15 +98,30 @@ TEST(Compose, ReversedOrderIsIdentityReordering) {
 }
 
 TEST(Reorder, AllRanksFormAPermutation) {
-  const Hierarchy h{3, 2, 5};
-  for (const Order& order : all_orders_lexicographic(h.depth())) {
-    auto map = reorder_all_ranks(h, order);
-    std::sort(map.begin(), map.end());
-    for (std::int64_t r = 0; r < h.total(); ++r) {
-      ASSERT_EQ(map[static_cast<std::size_t>(r)], r)
-          << "order " << order_to_string(order);
+  // reorder_all_ranks walks the ranks as one mixed-radix odometer; every
+  // entry must still be that rank's own reorder_rank, on a small
+  // hierarchy and on a depth-6 mixed one (720 orders).
+  for (const Hierarchy& h :
+       {Hierarchy{3, 2, 5}, Hierarchy{2, 3, 2, 2, 4, 2}}) {
+    for (const Order& order : all_orders_lexicographic(h.depth())) {
+      auto map = reorder_all_ranks(h, order);
+      ASSERT_EQ(map.size(), static_cast<std::size_t>(h.total()));
+      for (std::int64_t r = 0; r < h.total(); ++r) {
+        ASSERT_EQ(map[static_cast<std::size_t>(r)], reorder_rank(h, r, order))
+            << h.to_string() << " order " << order_to_string(order)
+            << " rank " << r;
+      }
+      std::sort(map.begin(), map.end());
+      for (std::int64_t r = 0; r < h.total(); ++r) {
+        ASSERT_EQ(map[static_cast<std::size_t>(r)], r)
+            << "order " << order_to_string(order);
+      }
     }
   }
+  const Hierarchy h{2, 2, 4};
+  EXPECT_THROW(reorder_all_ranks(h, {0, 1}), invalid_argument);
+  EXPECT_THROW(reorder_all_ranks(h, {0, 1, 1}), invalid_argument);
+  EXPECT_THROW(reorder_all_ranks(h, {0, 1, 3}), invalid_argument);
 }
 
 TEST(Reorder, PlacementInvertsReordering) {

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -234,6 +236,41 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
       EXPECT_EQ(os.str(), baseline) << "threads=" << threads;
     }
   }
+
+  // The cap is hard: a candidate runs only when all its points fit. With
+  // three points per candidate, a cap of 2 simulates nothing and a cap of
+  // 4 one candidate, at any thread count.
+  TuneQuery three = query;
+  three.total_bytes = {64 << 10, 1 << 20, 8 << 20};
+  three.dedup = true;
+  three.prune = true;
+  three.wave_size = TuneQuery{}.wave_size;
+  for (const std::int64_t cap : {2, 4}) {
+    three.budget.max_points = cap;
+    std::string json;
+    for (const int threads : {1, 4}) {
+      three.threads = threads;
+      const TuneReport report = tune(engine, machine, three);
+      const TuneStats& stats = report.stats;
+      EXPECT_LE(stats.sim_points, cap) << "cap " << cap;
+      EXPECT_EQ(stats.sim_points, cap / 3 * 3) << "cap " << cap;
+      EXPECT_FALSE(stats.exhausted) << "cap " << cap;
+      EXPECT_EQ(stats.simulated + stats.pruned + stats.budget_skipped,
+                stats.shard_classes)
+          << "cap " << cap;
+      if (cap == 2) {
+        EXPECT_EQ(stats.simulated, 0);
+        EXPECT_TRUE(report.top.empty());
+      }
+      std::ostringstream os;
+      write_json(os, report);
+      if (threads == 1) {
+        json = os.str();
+      } else {
+        EXPECT_EQ(os.str(), json) << "cap " << cap;
+      }
+    }
+  }
 }
 
 struct FunnelVsExhaustive {
@@ -309,6 +346,12 @@ TEST(Tune, PrunesSoundlyAtDepthSixWithFiveTimesFewerSims) {
   EXPECT_GT(stats.pruned, 0);
   EXPECT_GE(stats.exhaustive_points, 5 * stats.sim_points)
       << stats.sim_points << " of " << stats.exhaustive_points;
+  // Stage 2's critical-path DP runs only where the next wave needs it:
+  // every class gets a floor, at most a fifth of them a DP pass.
+  EXPECT_EQ(stats.bounds_computed, stats.classes);
+  EXPECT_LE(5 * stats.bound_structures_built, stats.classes)
+      << stats.bound_structures_built << " DP passes for " << stats.classes
+      << " classes";
 }
 
 TEST(Tune, ShardsPartitionTheCandidateClasses) {
@@ -419,11 +462,59 @@ TEST(Tune, CollectiveNamesRoundTrip) {
   EXPECT_THROW(parse_collective(""), invalid_argument);
 }
 
+/// Both stage-2 sums of one candidate, recomputed point by point in point
+/// order: serialization floors and critical-path (analyze_jobs) bounds,
+/// each deflated for the query's slack.
+struct TierSums {
+  double floor = 0;
+  double dp = 0;
+};
+
+TierSums tier_sums(Engine& engine, const topo::Machine& machine,
+                   const TuneReport& report, const TuneCandidate& c) {
+  verify::binding::Options options;
+  options.load_report = false;
+  const TuneQuery& query = report.query;
+  TierSums sums;
+  for (const QueryPoint& point : report.points) {
+    harness::MicrobenchConfig mb;
+    mb.order = c.order;
+    mb.comm_size = point.comm_size;
+    mb.collective = point.collective;
+    mb.total_bytes = point.total_bytes;
+    mb.all_comms = query.concurrency == Concurrency::AllComms;
+    mb.repetitions = query.repetitions;
+    mb.completion_slack = query.completion_slack;
+    const auto jobs = harness::protocol_jobs(engine, machine, mb);
+    std::vector<verify::binding::JobBinding> bindings;
+    for (const auto& job : jobs) {
+      bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                          job.plan->repetitions, &job.core_of_rank,
+                          job.start_time});
+    }
+    const auto result =
+        verify::binding::analyze_jobs(machine, bindings, options);
+    EXPECT_TRUE(result.clean()) << result.to_string();
+    sums.dp += result.bound.for_slack(query.completion_slack);
+    verify::binding::Bound floor;
+    floor.lower_bound =
+        verify::binding::serialization_floor(machine, {bindings}).front();
+    sums.floor += floor.for_slack(query.completion_slack);
+  }
+  return sums;
+}
+
 TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
-  // Stage 2 bounds a candidate's points in payload-lane passes, one per
-  // plan structure. Every candidate's lower_bound must still equal the sum
-  // over points, in point order, of that point's own analyze_jobs bound —
-  // bit for bit — and the report must not depend on the thread count.
+  // Stage 2 has two tiers: every candidate gets its serialization floor,
+  // and only candidates that could join the next wave get the
+  // critical-path DP, in payload-lane passes (one per plan structure).
+  // For every candidate both per-point sums are recomputed here: the floor
+  // sum never exceeds the DP sum, lower_bound equals one of them bit for
+  // bit, and every simulated candidate carries its DP sum. Replaying the
+  // all-DP funnel — waves of wave_size in (DP sum, ring cost, order)
+  // order, cut strictly against the reported scores — must simulate
+  // exactly the report's candidates, wave for wave. The report must not
+  // depend on the thread count.
   struct Input {
     topo::Machine machine;
     TuneQuery query;
@@ -435,64 +526,102 @@ TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
   // structure groups per candidate.
   mixed.total_bytes = {256 << 10, 64, 512 << 10, 1 << 20};
   mixed.k = 2;
+  mixed.wave_size = 4;
   mixed.threads = 1;
   // All six deep6 payloads select alltoall_pairwise: one pass, six lanes.
   const Input inputs[] = {{topo::hydra(2), mixed, 2},
                           {deep6(), deep6_grid(), 1}};
 
-  verify::binding::Options options;
-  options.load_report = false;
   for (const Input& in : inputs) {
     const topo::Machine& machine = in.machine;
     TuneQuery query = in.query;
     Engine engine;
     const TuneReport report = tune(engine, machine, query);
+    const TuneStats& stats = report.stats;
 
-    for (const TuneCandidate& c : report.candidates) {
-      double want = 0;
-      for (const QueryPoint& point : report.points) {
-        harness::MicrobenchConfig mb;
-        mb.order = c.order;
-        mb.comm_size = point.comm_size;
-        mb.collective = point.collective;
-        mb.total_bytes = point.total_bytes;
-        mb.all_comms = true;
-        mb.repetitions = query.repetitions;
-        const auto jobs = harness::protocol_jobs(engine, machine, mb);
-        std::vector<verify::binding::JobBinding> bindings;
-        for (const auto& job : jobs) {
-          bindings.push_back({&job.plan->schedule, &job.plan->exec,
-                              job.plan->repetitions, &job.core_of_rank,
-                              job.start_time});
-        }
-        const auto result =
-            verify::binding::analyze_jobs(machine, bindings, options);
-        ASSERT_TRUE(result.clean()) << result.to_string();
-        want += result.bound.for_slack(query.completion_slack);
-      }
-      EXPECT_EQ(c.lower_bound, want)
+    std::vector<double> dp(report.candidates.size());
+    std::int64_t at_dp = 0;        // lower_bound is the DP sum...
+    std::int64_t only_dp = 0;      // ...and differs from the floor sum.
+    for (std::size_t i = 0; i < report.candidates.size(); ++i) {
+      const TuneCandidate& c = report.candidates[i];
+      const TierSums sums = tier_sums(engine, machine, report, c);
+      dp[i] = sums.dp;
+      EXPECT_LE(sums.floor, sums.dp)
           << machine.name() << " " << order_to_string(c.order);
+      EXPECT_TRUE(c.lower_bound == sums.floor || c.lower_bound == sums.dp)
+          << machine.name() << " " << order_to_string(c.order) << ": "
+          << c.lower_bound << " is neither floor " << sums.floor << " nor DP "
+          << sums.dp;
+      if (c.fate == Fate::Simulated) {
+        EXPECT_EQ(c.lower_bound, sums.dp)
+            << machine.name() << " " << order_to_string(c.order);
+      }
+      at_dp += c.lower_bound == sums.dp ? 1 : 0;
+      only_dp += c.lower_bound == sums.dp && sums.dp != sums.floor ? 1 : 0;
     }
 
+    // Accounting: a floor per candidate; DP passes and lanes per refined
+    // candidate, and no more refined candidates than carry a DP sum.
     const auto npoints = static_cast<std::int64_t>(report.points.size());
-    const std::int64_t built = report.stats.bound_structures_built;
-    EXPECT_EQ(built + report.stats.bound_structure_reuses,
-              report.stats.bounds_computed * npoints)
+    const std::int64_t built = stats.bound_structures_built;
+    EXPECT_EQ(stats.bounds_computed, stats.classes) << machine.name();
+    EXPECT_EQ(built % in.passes_per_candidate, 0) << machine.name();
+    const std::int64_t refined = built / in.passes_per_candidate;
+    EXPECT_EQ(built + stats.bound_structure_reuses, refined * npoints)
         << machine.name();
-    EXPECT_EQ(built, in.passes_per_candidate * report.stats.bounds_computed)
-        << machine.name();
-    // Lanes per pass: every point of a structure group shares its pass.
-    EXPECT_EQ(built + report.stats.bound_structure_reuses,
-              npoints / in.passes_per_candidate * built)
-        << machine.name();
+    EXPECT_GE(refined, stats.simulated) << machine.name();
+    EXPECT_GE(refined, only_dp) << machine.name();
+    EXPECT_LE(refined, at_dp) << machine.name();
+    EXPECT_LT(refined, stats.classes) << machine.name();
+
+    // Replay the all-DP funnel on the recomputed DP sums.
+    std::vector<std::size_t> stream(report.candidates.size());
+    std::iota(stream.begin(), stream.end(), std::size_t{0});
+    std::sort(stream.begin(), stream.end(), [&](std::size_t a, std::size_t b) {
+      const TuneCandidate& x = report.candidates[a];
+      const TuneCandidate& y = report.candidates[b];
+      if (dp[a] != dp[b]) return dp[a] < dp[b];
+      if (x.character.ring_cost != y.character.ring_cost) {
+        return x.character.ring_cost < y.character.ring_cost;
+      }
+      return x.order < y.order;
+    });
+    std::vector<double> best;
+    std::set<std::size_t> replayed;
+    const auto wave = static_cast<std::size_t>(query.wave_size);
+    for (std::size_t pos = 0, w = 0; pos < stream.size(); ++w) {
+      const double kth = best.size() >= static_cast<std::size_t>(query.k)
+                             ? best[static_cast<std::size_t>(query.k) - 1]
+                             : std::numeric_limits<double>::infinity();
+      if (dp[stream[pos]] > kth) break;
+      std::size_t end = std::min(pos + wave, stream.size());
+      while (dp[stream[end - 1]] > kth) --end;
+      for (; pos < end; ++pos) {
+        const TuneCandidate& c = report.candidates[stream[pos]];
+        ASSERT_EQ(c.fate, Fate::Simulated)
+            << machine.name() << " replay simulates "
+            << order_to_string(c.order);
+        EXPECT_EQ(c.wave, static_cast<int>(w)) << order_to_string(c.order);
+        replayed.insert(stream[pos]);
+        best.insert(std::upper_bound(best.begin(), best.end(), c.score),
+                    c.score);
+        if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
+      }
+    }
+    std::set<std::size_t> simulated;
+    for (std::size_t i = 0; i < report.candidates.size(); ++i) {
+      if (report.candidates[i].fate == Fate::Simulated) simulated.insert(i);
+    }
+    EXPECT_EQ(replayed, simulated) << machine.name();
 
     Engine threaded_engine;
     query.threads = 4;
     std::ostringstream serial_json, threaded_json;
     write_json(serial_json, report, /*candidates=*/true);
-    write_json(threaded_json, tune(threaded_engine, machine, query),
-               /*candidates=*/true);
+    const TuneReport threaded = tune(threaded_engine, machine, query);
+    write_json(threaded_json, threaded, /*candidates=*/true);
     EXPECT_EQ(serial_json.str(), threaded_json.str()) << machine.name();
+    EXPECT_EQ(threaded.stats.bound_structures_built, built) << machine.name();
   }
 }
 
