@@ -3,9 +3,9 @@
 // far past what a hand-picked order list (or an exhaustive sweep) covers.
 // Instead the sweep's curves are produced from FUNNEL SURVIVORS ONLY:
 // SweepConfig::tune_top_k routes the whole 40320-order space through the
-// mr::tune multi-fidelity funnel (screen -> dedup -> branch-and-bound on
-// static bounds -> waved simulation) and plots the top-K orders it
-// returns, exactly like Fig. 3 plots its six.
+// mr::tune multi-fidelity funnel (dedup -> serialization floors -> lazy
+// critical-path bounds -> waved simulation, pruned against the k-th best)
+// and plots the top-K orders it returns, exactly like Fig. 3 plots its six.
 //
 //   $ ./fig_depth8_tuned                # top-4 survivors, sizes to 4 MiB
 //   $ ./fig_depth8_tuned --tune=6 --max-size=16777216

@@ -6,7 +6,6 @@
 //              --bytes 1048576,8388608 --json 1
 //   $ ./mrtune --machine testbox --size 4 --concurrency single --k 2
 //   $ ./mrtune --machine lumi:2 --size 32 --budget-points 40 --k 3
-//   $ ./mrtune --machine lumi:2 --size 32 --shard 0/4   # 1 of 4 workers
 //
 // Prints the top-k orders with their §3.3 metric tuples, simulated scores
 // and funnel provenance; --json 1 emits the canonical machine-readable
@@ -46,7 +45,6 @@ void usage() {
       "  --budget-points N   stop after N point simulations (anytime;\n"
       "                      0 = unlimited, else >= the query's points)\n"
       "  --budget-seconds S  wall-clock cap (non-deterministic)\n"
-      "  --shard i/n         search only candidate shard i of n\n"
       "  --json 1            canonical JSON report on stdout (cache and\n"
       "                      stage-2 stats go to stderr)\n";
 }
@@ -60,8 +58,7 @@ int main(int argc, char** argv) {
   static const std::set<std::string> kFlags = {
       "machine", "size",          "collective",     "bytes",
       "concurrency", "k",         "reps",           "threads",
-      "slack",   "budget-points", "budget-seconds", "shard",
-      "json"};
+      "slack",   "budget-points", "budget-seconds", "json"};
   std::optional<topo::Machine> machine;
   tune::TuneQuery query;
   bool json = false;
@@ -92,11 +89,6 @@ int main(int argc, char** argv) {
         "--budget-points", flags.get("budget-points", "0"));
     query.budget.max_seconds =
         number<double>("--budget-seconds", flags.get("budget-seconds", "0"));
-    const std::vector<std::string> shard =
-        util::split(flags.get("shard", "0/1"), '/');
-    if (shard.size() != 2) throw cli::InputError("--shard must be i/n");
-    query.shard_index = number<int>("--shard", shard[0]);
-    query.shard_count = number<int>("--shard", shard[1]);
     json = number<int>("--json", flags.get("json", "0")) != 0;
     // The ranges tune::tune requires, checked here so a bad value is
     // reported as bad input naming its flag.
@@ -127,10 +119,6 @@ int main(int argc, char** argv) {
                  "be 0 (unlimited) or at least the query's " +
                      std::to_string(points) + " points",
                  std::to_string(query.budget.max_points));
-    cli::require(query.shard_count >= 1 && query.shard_index >= 0 &&
-                     query.shard_index < query.shard_count,
-                 "--shard", "be i/n with 0 <= i < n",
-                 flags.get("shard", "0/1"));
   } catch (const std::exception& e) {
     std::cerr << "mrtune_cli: " << e.what() << "\n";
     usage();

@@ -21,6 +21,8 @@
 // an Engine per query: construction must stay as cheap as a few empty
 // containers and never spawn or join threads. The pool is created on the
 // first thread_pool() call, so callers that run serially never create it.
+// The layers reach it only through resolve_workers() and fan_out() /
+// fan_out_slots() below, which keep that serial fallback in one place.
 //
 // Thread safety: plan_cache(), thread_pool() and workspace() are safe to
 // call concurrently; an Engine must outlive every lease checked out of it
@@ -108,5 +110,32 @@ class Engine {
   std::mutex mutex_;
   std::vector<std::unique_ptr<simmpi::SimWorkspace>> idle_;  ///< LIFO.
 };
+
+/// The `threads` knob every evaluation layer takes, as a worker count:
+/// 0 = util::ThreadPool::default_threads(), 1 = serial. Throws
+/// mr::invalid_argument when negative.
+unsigned resolve_workers(int threads);
+
+/// Runs fn(slot, i) for every i in [0, n) on up to `workers` threads of
+/// engine.thread_pool(); `slot` in [0, workers) selects per-slot scratch.
+/// Results must land in pre-sized slots indexed by i, so the output never
+/// depends on the worker count. One worker or at most one item runs inline
+/// on the caller (slot 0) and never creates the pool.
+template <typename Fn>
+void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
+                   const Fn& fn) {
+  if (workers <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(0u, i);
+  } else {
+    engine.thread_pool().parallel_for_slots(n, fn, workers);
+  }
+}
+
+/// fan_out_slots for bodies that keep no per-slot scratch: fn(i).
+template <typename Fn>
+void fan_out(Engine& engine, std::size_t n, unsigned workers, const Fn& fn) {
+  fan_out_slots(engine, n, workers,
+                [&fn](unsigned /*slot*/, std::size_t i) { fn(i); });
+}
 
 }  // namespace mr

@@ -121,7 +121,7 @@ OrderCharacter characterize_order(const Hierarchy& h, const Order& order,
 /// the engine's thread pool. Element i describes orders[i], independent of
 /// the thread count. `threads`: 0 = util::ThreadPool::default_threads(),
 /// 1 = serial in-thread (the pool is never touched), N = at most N
-/// concurrent workers.
+/// concurrent workers; negative throws mr::invalid_argument.
 std::vector<OrderCharacter> characterize_orders(Engine& engine,
                                                 const Hierarchy& h,
                                                 const std::vector<Order>& orders,

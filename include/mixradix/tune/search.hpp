@@ -8,10 +8,9 @@
 // library's existing ingredients into a multi-fidelity funnel over the h!
 // orders:
 //
-//  * stage 0 — closed-form metric screening: every candidate is
-//    characterized with the O(h^2) ring-cost / pair-percentage kernels (no
-//    simulation); an optional `screen_keep` cap drops the heuristically
-//    worst candidates (forfeiting exactness — off by default).
+//  * stage 0 — closed-form characterization: every candidate gets the
+//    O(h^2) ring-cost / pair-percentage kernels (no simulation), for the
+//    report legend and as the stream's tie-break.
 //  * stage 1 — equivalence-class dedup: only one representative per class
 //    of orders PROVEN to simulate byte-identically is ever considered.
 //    Single-comm queries group by the first subcommunicator's core
@@ -39,14 +38,11 @@
 //    plan cache and per-slot workspaces leased from its pool, fanned over
 //    its thread pool in FIXED-SIZE waves with deterministic in-order merge:
 //    the set of simulated candidates, the DP batches and every byte of the
-//    report are identical for any --threads=N and any engine (shared or
-//    private).
+//    report are identical for any thread count and any fresh or reused
+//    Engine.
 //
 // The search is *anytime*: a point/seconds budget (mixradix/tune/budget.hpp)
-// returns the best-so-far ranking with `exhausted: false`. The candidate
-// stream is shardable (`shard_index`/`shard_count` partition the class list;
-// order_index_lexicographic anchors orders in the stream) for future
-// distributed runs.
+// returns the best-so-far ranking with `exhausted: false`.
 #pragma once
 
 #include <cstdint>
@@ -102,16 +98,8 @@ struct TuneQuery {
   /// waves, so larger waves prune less; the value is part of the query —
   /// NOT derived from the thread count — to keep reports thread-invariant.
   int wave_size = 16;
-  /// Stage-0 heuristic cap: keep only the `screen_keep` candidates with
-  /// the lowest ring cost (packed first). 0 = keep all (exact search).
-  std::int64_t screen_keep = 0;
   bool dedup = true;   ///< stage 1; off = every order its own candidate.
   bool prune = true;   ///< stage 2; off = simulate every candidate.
-  /// Shard `shard_index` of `shard_count` over the candidate stream: after
-  /// dedup, candidate i (in representative-lexicographic order) belongs to
-  /// shard i % shard_count. Shards partition the candidates exactly.
-  int shard_index = 0;
-  int shard_count = 1;
 };
 
 /// Simulated outcome of one (candidate, point) cell.
@@ -124,7 +112,6 @@ struct PointResult {
 enum class Fate : std::int8_t {
   Simulated,  ///< stage 3 ran; `score` is the simulated objective.
   Pruned,     ///< stage 2: lower bound strictly above the k-th best score.
-  Screened,   ///< stage 0: dropped by the screen_keep heuristic cap.
   Skipped,    ///< budget exhausted before this candidate was reached.
 };
 std::string_view fate_name(Fate fate);
@@ -153,9 +140,10 @@ struct TuneCandidate {
 struct TuneStats {
   std::int64_t orders = 0;        ///< h! orders in scope.
   std::int64_t classes = 0;       ///< candidates after stage-1 dedup.
-  std::int64_t shard_classes = 0; ///< candidates owned by this shard.
-  std::int64_t screened_out = 0;  ///< stage-0 heuristic drops.
-  /// Stage-2 serialization floors: every candidate in the active stream.
+  /// Always 0: the search drops no candidate before stage 2. Not in
+  /// write_json; kept only for callers that still add it to the accounting.
+  std::int64_t screened_out = 0;
+  /// Stage-2 serialization floors: every candidate, when pruning is on.
   std::int64_t bounds_computed = 0;
   std::int64_t pruned = 0;        ///< stage-2 discards.
   std::int64_t simulated = 0;     ///< candidates that reached stage 3.
@@ -171,9 +159,6 @@ struct TuneStats {
   /// document stays comparable with reports written before them.
   std::int64_t bound_structures_built = 0;
   std::int64_t bound_structure_reuses = 0;
-  /// Candidates simulated as wave 0 from a previous report's ranking
-  /// (incremental re-tune); 0 on a cold run. Deterministic, in write_json.
-  std::int64_t seeded_candidates = 0;
   mr::ClassifyStats classify;     ///< stage-1 hashed-classifier counters.
   /// True iff the funnel ran to completion; false = budget truncation, the
   /// ranking is best-so-far (anytime semantics).
@@ -190,34 +175,23 @@ struct TuneReport {
   std::string hierarchy;             ///< paper rendering, e.g. "[2, 2, 4]".
   TuneQuery query;
   std::vector<QueryPoint> points;    ///< expanded cross product.
-  /// Every candidate of this shard in stream order (serialization floor
-  /// ascending, then ring cost and order; screened candidates last), with
-  /// full per-candidate provenance.
+  /// Every candidate in stream order (serialization floor ascending, then
+  /// ring cost and order), with full per-candidate provenance.
   std::vector<TuneCandidate> candidates;
   /// Indices into `candidates`: the top-k simulated orders, ranked by
   /// (score, representative order) — exactly the exhaustive ranking when
-  /// the search ran unscreened to exhaustion.
+  /// the search ran to exhaustion.
   std::vector<std::size_t> top;
   TuneStats stats;
 };
 
 /// Run the funnel through `engine`: plans from its cache, survivor
 /// simulations on workspaces leased from its pool, stages fanned over its
-/// thread pool. Throws
-/// mr::invalid_argument on malformed queries (empty point lists, comm sizes
-/// not dividing the core count, bad shard spec).
-///
-/// Incremental re-tune: when `previous` is a report whose query is
-/// compatible with this one (same machine/hierarchy, same concurrency,
-/// repetitions and completion slack, unsharded, and the previous point grid
-/// is a SUBSET of the new one), the previous winners are re-simulated first
-/// as wave 0, so branch-and-bound starts with k real incumbents and prunes
-/// from the first wave. The top-k set and ranking are EXACTLY the cold
-/// run's — seeds carry true new-grid scores and pruning keeps its strict
-/// admissible cut — only the simulated-candidate count shrinks. An
-/// incompatible or null `previous` degenerates to a cold run byte for byte.
+/// thread pool. Throws mr::invalid_argument on malformed queries (empty
+/// point lists, comm sizes not dividing the core count, non-positive
+/// payloads, k, repetitions or wave size, negative slack or threads).
 TuneReport tune(Engine& engine, const topo::Machine& machine,
-                const TuneQuery& query, const TuneReport* previous = nullptr);
+                const TuneQuery& query);
 
 /// Collective <-> name, for CLIs and reports: "alltoall", "allgather",
 /// "allreduce", "bcast", "reduce", "reduce_scatter", "gather", "scatter",

@@ -2,11 +2,19 @@
 
 #include <utility>
 
+#include "mixradix/util/expect.hpp"
+
 namespace mr {
 
 util::ThreadPool& Engine::thread_pool() {
   static util::ThreadPool pool(util::ThreadPool::default_threads());
   return pool;
+}
+
+unsigned resolve_workers(int threads) {
+  MR_EXPECT(threads >= 0, "threads must be non-negative");
+  return threads > 0 ? static_cast<unsigned>(threads)
+                     : util::ThreadPool::default_threads();
 }
 
 Engine::WorkspaceLease Engine::workspace() {

@@ -2,7 +2,6 @@
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/tune/search.hpp"
 #include "mixradix/util/expect.hpp"
-#include "mixradix/util/thread_pool.hpp"
 
 namespace mr::harness {
 
@@ -58,7 +57,7 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
   MR_EXPECT(input.tune_top_k > 0 || !input.orders.empty(),
             "sweep needs orders (or tune_top_k to find them)");
   MR_EXPECT(!input.sizes.empty(), "sweep needs sizes");
-  MR_EXPECT(input.threads >= 0, "threads must be non-negative");
+  const unsigned workers = resolve_workers(input.threads);
   SweepConfig config = input;
   if (config.tune_top_k > 0) {
     config.orders = tuned_orders(engine, machine, input);
@@ -104,16 +103,7 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
     out[oi].results[si] = run_microbench(engine, machine, mb);
   };
 
-  const unsigned threads = config.threads > 0
-                               ? static_cast<unsigned>(config.threads)
-                               : util::ThreadPool::default_threads();
-  const std::size_t npoints = norders * nsizes;
-  if (threads <= 1) {
-    // Serial path: never touches the pool (no worker threads spawned).
-    for (std::size_t task = 0; task < npoints; ++task) point(task);
-  } else {
-    engine.thread_pool().parallel_for(npoints, point, threads);
-  }
+  fan_out(engine, norders * nsizes, workers, point);
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/util/expect.hpp"
-#include "mixradix/util/thread_pool.hpp"
 
 namespace mr {
 
@@ -39,37 +38,6 @@ Signature signature_of(const Hierarchy& h, const Order& order,
     std::sort(sig.begin(), sig.end());
   }
   return sig;
-}
-
-/// Resolve the `threads` knob shared by the classification entry points.
-unsigned resolve_workers(int threads) {
-  MR_EXPECT(threads >= 0, "threads must be non-negative");
-  return threads > 0 ? static_cast<unsigned>(threads)
-                     : util::ThreadPool::default_threads();
-}
-
-/// Indexed fan-out over the engine's pool with the serial fallback every
-/// classification pass uses; serial runs never touch the pool.
-template <typename Fn>
-void fan_out(Engine& engine, std::size_t n, unsigned workers, const Fn& fn) {
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    engine.thread_pool().parallel_for(n, fn, workers);
-  }
-}
-
-/// Slot-aware fan-out: the body receives a stable per-thread slot id in
-/// [0, workers) for indexing call-scoped scratch (the caller is slot 0 on
-/// the serial path).
-template <typename Fn>
-void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
-                   const Fn& fn) {
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0u, i);
-  } else {
-    engine.thread_pool().parallel_for_slots(n, fn, workers);
-  }
 }
 
 // ---- Map-based reference classifier (the pre-hashing baseline) -------------

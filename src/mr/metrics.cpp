@@ -5,7 +5,6 @@
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/strings.hpp"
-#include "mixradix/util/thread_pool.hpp"
 
 namespace mr {
 
@@ -231,18 +230,10 @@ std::vector<OrderCharacter> characterize_orders(Engine& engine,
                                                 const std::vector<Order>& orders,
                                                 std::int64_t comm_size,
                                                 int threads, MetricsImpl impl) {
-  MR_EXPECT(threads >= 0, "threads must be non-negative");
   std::vector<OrderCharacter> out(orders.size());
-  const auto one = [&](std::size_t i) {
+  fan_out(engine, orders.size(), resolve_workers(threads), [&](std::size_t i) {
     out[i] = characterize_order(h, orders[i], comm_size, impl);
-  };
-  const unsigned workers = threads > 0 ? static_cast<unsigned>(threads)
-                                       : util::ThreadPool::default_threads();
-  if (workers <= 1 || orders.size() <= 1) {
-    for (std::size_t i = 0; i < orders.size(); ++i) one(i);
-  } else {
-    engine.thread_pool().parallel_for(orders.size(), one, workers);
-  }
+  });
   return out;
 }
 

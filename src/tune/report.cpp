@@ -80,15 +80,9 @@ std::string to_string(const TuneReport& report) {
   os << "  points:";
   for (const QueryPoint& p : report.points) os << " " << p.to_string();
   os << "\n";
-  if (report.query.shard_count > 1) {
-    os << "  shard: " << report.query.shard_index << "/"
-       << report.query.shard_count << "\n";
-  }
   os << "  funnel: " << s.orders << " orders -> " << s.classes
-     << " classes -> " << s.shard_classes - s.screened_out << " screened -> "
-     << s.shard_classes - s.screened_out - s.pruned - s.budget_skipped
-     << " simulated (" << s.sim_points << " of " << s.exhaustive_points
-     << " exhaustive point sims";
+     << " classes -> " << s.simulated << " simulated (" << s.sim_points
+     << " of " << s.exhaustive_points << " exhaustive point sims";
   if (s.sim_points > 0) {
     os << ", " << std::setprecision(3)
        << static_cast<double>(s.exhaustive_points) /
@@ -99,10 +93,6 @@ std::string to_string(const TuneReport& report) {
   if (s.bounds_computed > 0) {
     os << "  stage 2: " << stage2_summary(s) << ", " << std::setprecision(4)
        << s.bound_seconds << " s\n";
-  }
-  if (s.seeded_candidates > 0) {
-    os << "  seeded: " << s.seeded_candidates
-       << " incumbents re-simulated from the previous report\n";
   }
   if (!s.exhausted) {
     os << "  BUDGET EXHAUSTED after " << s.sim_points
@@ -134,8 +124,6 @@ void write_json(std::ostream& os, const TuneReport& report, bool candidates) {
   os << "  \"completion_slack\": " << jnum(report.query.completion_slack)
      << ",\n";
   os << "  \"repetitions\": " << report.query.repetitions << ",\n";
-  os << "  \"shard\": {\"index\": " << report.query.shard_index
-     << ", \"count\": " << report.query.shard_count << "},\n";
   os << "  \"points\": [";
   for (std::size_t i = 0; i < report.points.size(); ++i) {
     if (i > 0) os << ", ";
@@ -145,15 +133,12 @@ void write_json(std::ostream& os, const TuneReport& report, bool candidates) {
   os << "  \"stats\": {\n";
   os << "    \"orders\": " << s.orders << ",\n";
   os << "    \"classes\": " << s.classes << ",\n";
-  os << "    \"shard_classes\": " << s.shard_classes << ",\n";
-  os << "    \"screened_out\": " << s.screened_out << ",\n";
   os << "    \"bounds_computed\": " << s.bounds_computed << ",\n";
   os << "    \"pruned\": " << s.pruned << ",\n";
   os << "    \"simulated\": " << s.simulated << ",\n";
   os << "    \"sim_points\": " << s.sim_points << ",\n";
   os << "    \"exhaustive_points\": " << s.exhaustive_points << ",\n";
   os << "    \"budget_skipped\": " << s.budget_skipped << ",\n";
-  os << "    \"seeded_candidates\": " << s.seeded_candidates << ",\n";
   os << "    \"hash_collisions\": " << s.classify.hash_collisions << ",\n";
   os << "    \"exhausted\": " << jbool(s.exhausted) << "\n";
   os << "  },\n";

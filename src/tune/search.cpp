@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -14,7 +13,6 @@
 #include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
-#include "mixradix/util/thread_pool.hpp"
 #include "mixradix/verify/binding.hpp"
 
 namespace mr::tune {
@@ -38,33 +36,6 @@ constexpr CollectiveName kCollectives[] = {
     {"scan", simmpi::Collective::Scan},
     {"barrier", simmpi::Collective::Barrier},
 };
-
-/// Resolve the `threads` knob (same contract as the sweep engine).
-unsigned resolve_workers(int threads) {
-  MR_EXPECT(threads >= 0, "threads must be non-negative");
-  return threads > 0 ? static_cast<unsigned>(threads)
-                     : util::ThreadPool::default_threads();
-}
-
-/// Indexed parallel_for_slots with the serial fallback every entry point
-/// uses: results land in pre-sized slots, so output never depends on the
-/// worker count; `fn(slot, i)` may keep per-slot scratch (slot < workers).
-/// Serial queries never touch the pool.
-template <typename Fn>
-void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
-                   const Fn& fn) {
-  if (workers <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(0u, i);
-  } else {
-    engine.thread_pool().parallel_for_slots(n, fn, workers);
-  }
-}
-
-template <typename Fn>
-void fan_out(Engine& engine, std::size_t n, unsigned workers, const Fn& fn) {
-  fan_out_slots(engine, n, workers,
-                [&fn](unsigned /*slot*/, std::size_t i) { fn(i); });
-}
 
 harness::MicrobenchConfig point_config(const TuneQuery& query,
                                        const QueryPoint& point,
@@ -362,42 +333,6 @@ void validate(const topo::Machine& machine, const TuneQuery& query) {
   MR_EXPECT(query.repetitions >= 1, "need at least one repetition");
   MR_EXPECT(query.completion_slack >= 0, "completion slack must be >= 0");
   MR_EXPECT(query.wave_size >= 1, "wave size must be at least 1");
-  MR_EXPECT(query.screen_keep >= 0, "screen_keep must be non-negative");
-  MR_EXPECT(query.shard_count >= 1 && query.shard_index >= 0 &&
-                query.shard_index < query.shard_count,
-            "shard index must lie in [0, shard_count)");
-}
-
-/// May `previous` seed this query's stage-3 incumbents? The previous
-/// winners' scores transfer as first-wave candidates only when both runs
-/// rank by the same objective family: same machine and hierarchy, same
-/// concurrency/repetitions/slack, both unsharded, and every previous point
-/// present in the new grid (a superset query — the canonical incremental
-/// shape: added payload sizes or collectives).
-bool seed_applicable(const TuneReport* previous, const topo::Machine& machine,
-                     const Hierarchy& h, const TuneQuery& query,
-                     const std::vector<QueryPoint>& points) {
-  if (previous == nullptr || previous->top.empty()) return false;
-  if (previous->machine != machine.name() ||
-      previous->hierarchy != h.to_string()) {
-    return false;
-  }
-  const TuneQuery& pq = previous->query;
-  if (pq.concurrency != query.concurrency ||
-      pq.repetitions != query.repetitions ||
-      pq.completion_slack != query.completion_slack ||
-      pq.shard_count != 1 || query.shard_count != 1) {
-    return false;
-  }
-  for (const QueryPoint& p : previous->points) {
-    const bool found = std::any_of(
-        points.begin(), points.end(), [&](const QueryPoint& q) {
-          return p.collective == q.collective && p.comm_size == q.comm_size &&
-                 p.total_bytes == q.total_bytes;
-        });
-    if (!found) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -411,7 +346,6 @@ std::string_view fate_name(Fate fate) {
   switch (fate) {
     case Fate::Simulated: return "simulated";
     case Fate::Pruned: return "pruned";
-    case Fate::Screened: return "screened";
     case Fate::Skipped: return "skipped";
   }
   return "?";
@@ -438,7 +372,7 @@ std::string_view collective_name(simmpi::Collective collective) {
 }
 
 TuneReport tune(Engine& engine, const topo::Machine& machine,
-                const TuneQuery& query, const TuneReport* previous) {
+                const TuneQuery& query) {
   validate(machine, query);
   const Hierarchy& h = machine.hierarchy();
   const unsigned workers = resolve_workers(query.threads);
@@ -461,199 +395,56 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   stats.orders = factorial(h.depth());
   stats.exhaustive_points = stats.orders * npoints;
 
-  // Stage 1: dedup into candidates (sorted by representative because the
-  // grouping walks orders in lexicographic rank order), then keep this
-  // shard's slice of the stream.
+  // Stage 1: dedup into candidates.
   std::vector<TuneCandidate> candidates =
       dedup_candidates(engine, h, query, stats);
-  stats.classes = static_cast<std::int64_t>(candidates.size());
-  if (query.shard_count > 1) {
-    std::vector<TuneCandidate> mine;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (static_cast<int>(i % static_cast<std::size_t>(query.shard_count)) ==
-          query.shard_index) {
-        mine.push_back(std::move(candidates[i]));
-      }
-    }
-    candidates = std::move(mine);
-  }
-  stats.shard_classes = static_cast<std::int64_t>(candidates.size());
+  const std::size_t n = candidates.size();
+  stats.classes = static_cast<std::int64_t>(n);
 
   // Stage 0: closed-form characterization of every representative (the
-  // report legend and the screening heuristic; never a simulation).
-  fan_out(engine, candidates.size(), workers, [&](std::size_t i) {
+  // report legend and the stream's tie-break; never a simulation).
+  fan_out(engine, n, workers, [&](std::size_t i) {
     candidates[i].character = characterize_order(
         h, candidates[i].order, query.comm_sizes.front(), MetricsImpl::Fast);
   });
 
-  // Funnel order over candidate indices; screened-out candidates keep
-  // their report slot but leave the active stream.
-  std::vector<std::size_t> active(candidates.size());
-  std::iota(active.begin(), active.end(), std::size_t{0});
-  if (query.screen_keep > 0 &&
-      static_cast<std::int64_t>(active.size()) > query.screen_keep) {
-    // Packedness heuristic: low ring cost first (ties lexicographic).
-    std::stable_sort(active.begin(), active.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       if (candidates[a].character.ring_cost !=
-                           candidates[b].character.ring_cost) {
-                         return candidates[a].character.ring_cost <
-                                candidates[b].character.ring_cost;
-                       }
-                       return candidates[a].order < candidates[b].order;
-                     });
-    for (std::size_t i = static_cast<std::size_t>(query.screen_keep);
-         i < active.size(); ++i) {
-      candidates[active[i]].fate = Fate::Screened;
-      ++stats.screened_out;
-    }
-    active.resize(static_cast<std::size_t>(query.screen_keep));
-  }
-
   // Stage 2, first tier: every candidate's serialization floor, computed in
   // parallel from per-component byte sums (no routes, no DP), each worker
-  // slot reusing one ComponentSums. The stream is visited in floor order
-  // (packed-first tie-break); the DP tier runs lazily in stage 3.
+  // slot reusing one ComponentSums. The DP tier runs lazily in stage 3.
   const auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
   if (query.prune) {
     const auto floor_start = std::chrono::steady_clock::now();
-    std::vector<double> floors(active.size());
     std::vector<verify::binding::ComponentSums> sums(workers);
-    fan_out_slots(engine, active.size(), workers,
-                  [&](unsigned slot, std::size_t i) {
-      floors[i] = candidate_floor(engine, machine, query, report.points,
-                                  candidates[active[i]].order, sums[slot]);
+    fan_out_slots(engine, n, workers, [&](unsigned slot, std::size_t i) {
+      candidates[i].lower_bound = candidate_floor(
+          engine, machine, query, report.points, candidates[i].order,
+          sums[slot]);
     });
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      candidates[active[i]].lower_bound = floors[i];
-    }
-    stats.bounds_computed = static_cast<std::int64_t>(active.size());
+    stats.bounds_computed = static_cast<std::int64_t>(n);
     stats.bound_seconds += seconds_since(floor_start);
   }
-  // Funnel key: lower bound, then ring cost, then order. An unrefined
-  // candidate's lower_bound holds its floor sum, a refined one's its DP
-  // sum, so one comparator orders the stream, `ready` and their mix.
+  // The stream: candidates sorted by lower bound, then ring cost (packed
+  // first), then order. An unrefined candidate's lower_bound holds its
+  // floor sum, a refined one's its DP sum, so one comparator orders the
+  // stream, `ready` and their mix.
+  const auto key_less = [](const TuneCandidate& a, const TuneCandidate& b) {
+    if (a.lower_bound != b.lower_bound) return a.lower_bound < b.lower_bound;
+    if (a.character.ring_cost != b.character.ring_cost) {
+      return a.character.ring_cost < b.character.ring_cost;
+    }
+    return a.order < b.order;
+  };
+  std::sort(candidates.begin(), candidates.end(), key_less);
   const auto before = [&](std::size_t a, std::size_t b) {
-    if (candidates[a].lower_bound != candidates[b].lower_bound) {
-      return candidates[a].lower_bound < candidates[b].lower_bound;
-    }
-    if (candidates[a].character.ring_cost != candidates[b].character.ring_cost) {
-      return candidates[a].character.ring_cost <
-             candidates[b].character.ring_cost;
-    }
-    return candidates[a].order < candidates[b].order;
+    return key_less(candidates[a], candidates[b]);
   };
-  std::sort(active.begin(), active.end(), before);
-
-  // Stage 2, second tier: the critical-path DP sums of `batch`, replacing
-  // their floors. Each worker slot leases one workspace per batch and
-  // bounds every candidate it draws against that workspace's route table,
-  // so routes stay warm across candidates (LIFO leases carry them into
-  // the next batch and into stage 3).
-  const auto refine = [&](const std::vector<std::size_t>& batch) {
-    const auto refine_start = std::chrono::steady_clock::now();
-    std::vector<BoundOutcome> outcomes(batch.size());
-    std::vector<Engine::WorkspaceLease> leases(workers);
-    std::vector<simnet::RouteTable*> routes(leases.size(), nullptr);
-    fan_out_slots(engine, batch.size(), workers,
-                  [&](unsigned slot, std::size_t i) {
-      if (routes[slot] == nullptr) {
-        leases[slot] = engine.workspace();
-        routes[slot] = &leases[slot]->route_table(machine);
-      }
-      outcomes[i] = candidate_bound(engine, machine, query, report.points,
-                                    candidates[batch[i]].order, *routes[slot]);
-    });
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      candidates[batch[i]].lower_bound = outcomes[i].bound;
-      stats.bound_structures_built += outcomes[i].passes;
-      stats.bound_structure_reuses += outcomes[i].extra_lanes;
-    }
-    stats.bound_seconds += seconds_since(refine_start);
-  };
-  // Simulate `wave_members` as wave `wave`, merging scores in order.
-  std::vector<double> best;  // ascending; at most k simulated scores.
-  int wave = 0;
-  const auto simulate = [&](const std::size_t* wave_members, std::size_t n) {
-    fan_out(engine, n, workers, [&](std::size_t i) {
-      simulate_candidate(engine, machine, query, report.points,
-                         candidates[wave_members[i]]);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      TuneCandidate& c = candidates[wave_members[i]];
-      c.fate = Fate::Simulated;
-      c.wave = wave;
-      ++stats.simulated;
-      best.insert(std::upper_bound(best.begin(), best.end(), c.score),
-                  c.score);
-      if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
-    }
-    meter.charge(static_cast<std::int64_t>(n) * npoints);
-    stats.sim_points += static_cast<std::int64_t>(n) * npoints;
-    ++wave;
-  };
-
-  // Incremental seeding: when a compatible previous report is supplied,
-  // re-simulate its winners FIRST (wave 0), in previous-score order, so the
-  // k-th best cut is a real incumbent before the bound-ordered sweep
-  // starts. Seeds earn true new-grid scores through the exact same
-  // simulate_candidate path (and carry their DP sums like every simulated
-  // candidate), so pruning keeps its admissible strict-cut guarantee and
-  // the final top-k equals the cold run's.
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> pending = active;  // floor order, minus any seeds.
-  if (seed_applicable(previous, machine, h, query, report.points) &&
-      !meter.exhausted()) {
-    // Previous winners' scores, addressable by ANY class member: the new
-    // dedup may split or relabel classes, but a member order identifies
-    // its old class regardless.
-    std::map<Order, double> prev_score;
-    for (const std::size_t t : previous->top) {
-      const TuneCandidate& c = previous->candidates[t];
-      for (const Order& m : c.members) prev_score.emplace(m, c.score);
-    }
-    std::vector<std::pair<double, std::size_t>> ranked;  // (score, active pos)
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      double sc = inf;
-      for (const Order& m : candidates[active[i]].members) {
-        const auto it = prev_score.find(m);
-        if (it != prev_score.end()) sc = std::min(sc, it->second);
-      }
-      if (sc < inf) ranked.push_back({sc, i});
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first < b.first;
-                return candidates[active[a.second]].order <
-                       candidates[active[b.second]].order;
-              });
-    // Only candidates whose every point fits the point budget run.
-    const std::size_t nseeds = static_cast<std::size_t>(std::min<std::int64_t>(
-        {static_cast<std::int64_t>(ranked.size()), query.k,
-         meter.remaining_points() / npoints}));
-    if (nseeds > 0) {
-      std::vector<std::size_t> seeds(nseeds);
-      std::vector<bool> seeded(active.size(), false);
-      for (std::size_t i = 0; i < nseeds; ++i) {
-        seeds[i] = active[ranked[i].second];
-        seeded[ranked[i].second] = true;
-      }
-      if (query.prune) refine(seeds);
-      simulate(seeds.data(), nseeds);
-      stats.seeded_candidates = static_cast<std::int64_t>(nseeds);
-      pending.clear();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!seeded[i]) pending.push_back(active[i]);
-      }
-    }
-  }
 
   // Stage 3: fixed-size simulation waves in DP-bound order, the DP run
   // lazily. `ready` holds the refined, unsimulated candidates sorted by
-  // their DP sums; `pending[next...]` the unrefined ones in floor order.
+  // their DP sums; candidates[next...] the unrefined ones in floor order.
   // Before each wave the next unrefined candidates are refined, in batches
   // of wave_size, while one could still join the wave: its floor is within
   // the k-th best, and `ready` lacks wave_size members or it sorts before
@@ -667,13 +458,16 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   // score is > the k-th best, never equal, so lexicographic tie-breaking
   // matches the exhaustive ranking bit for bit. Without pruning there is
   // no bound: the stream itself is the wave order.
+  const double inf = std::numeric_limits<double>::infinity();
   const auto wave_size = static_cast<std::size_t>(query.wave_size);
+  std::vector<double> best;  // ascending; at most k simulated scores.
   std::vector<std::size_t> ready;
   std::size_t head = 0;  // ready[head...] are live.
-  std::size_t next = 0;
+  std::size_t next = 0;  // candidates[next...] are unrefined.
   if (!query.prune) {
-    ready = std::move(pending);
-    pending.clear();
+    ready.resize(n);
+    std::iota(ready.begin(), ready.end(), std::size_t{0});
+    next = n;
   }
   const auto settle = [&](Fate fate) {
     std::int64_t& count =
@@ -682,35 +476,56 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
       candidates[ready[i]].fate = fate;
       ++count;
     }
-    for (std::size_t i = next; i < pending.size(); ++i) {
-      candidates[pending[i]].fate = fate;
+    for (std::size_t i = next; i < n; ++i) {
+      candidates[i].fate = fate;
       ++count;
     }
   };
-  while (head < ready.size() || next < pending.size()) {
+  for (int wave = 0; head < ready.size() || next < n; ++wave) {
     const double kth =
         static_cast<std::size_t>(query.k) <= best.size()
             ? best[static_cast<std::size_t>(query.k) - 1]
             : inf;
     const auto may_join = [&] {
-      if (next == pending.size() ||
-          candidates[pending[next]].lower_bound > kth) {
-        return false;
-      }
+      if (next == n || candidates[next].lower_bound > kth) return false;
       return ready.size() - head < wave_size ||
-             before(pending[next], ready[head + wave_size - 1]);
+             before(next, ready[head + wave_size - 1]);
     };
+    // Stage 2, second tier: the critical-path DP sums of the next batch,
+    // replacing their floors. Each worker slot leases one workspace per
+    // batch and bounds every candidate it draws against that workspace's
+    // route table, so routes stay warm across candidates (LIFO leases
+    // carry them into the next batch and into the simulations).
     while (query.prune && may_join()) {
-      std::vector<std::size_t> batch;
-      while (batch.size() < wave_size && next < pending.size() &&
-             candidates[pending[next]].lower_bound <= kth) {
-        batch.push_back(pending[next++]);
+      const auto refine_start = std::chrono::steady_clock::now();
+      const std::size_t first = next;
+      while (next - first < wave_size && next < n &&
+             candidates[next].lower_bound <= kth) {
+        ++next;
       }
-      refine(batch);
+      std::vector<BoundOutcome> outcomes(next - first);
+      std::vector<Engine::WorkspaceLease> leases(workers);
+      std::vector<simnet::RouteTable*> routes(workers, nullptr);
+      fan_out_slots(engine, outcomes.size(), workers,
+                    [&](unsigned slot, std::size_t i) {
+        if (routes[slot] == nullptr) {
+          leases[slot] = engine.workspace();
+          routes[slot] = &leases[slot]->route_table(machine);
+        }
+        outcomes[i] = candidate_bound(engine, machine, query, report.points,
+                                      candidates[first + i].order,
+                                      *routes[slot]);
+      });
       ready.erase(ready.begin(),
                   ready.begin() + static_cast<std::ptrdiff_t>(head));
       head = 0;
-      ready.insert(ready.end(), batch.begin(), batch.end());
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        candidates[first + i].lower_bound = outcomes[i].bound;
+        stats.bound_structures_built += outcomes[i].passes;
+        stats.bound_structure_reuses += outcomes[i].extra_lanes;
+        ready.push_back(first + i);
+      }
+      stats.bound_seconds += seconds_since(refine_start);
       std::sort(ready.begin(), ready.end(), before);
     }
     // Every unrefined floor is now above the k-th best, or sorts after the
@@ -729,31 +544,41 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
       break;
     }
     // Wave = the next wave_size candidates that survive the current k-th
-    // best and fit the point budget (all thread-count independent).
-    std::size_t n = std::min(ready.size() - head, wave_size);
+    // best and fit the point budget (all thread-count independent),
+    // simulated in parallel and merged in order.
+    std::size_t count = std::min(ready.size() - head, wave_size);
     if (query.prune) {
-      while (n > 0 && candidates[ready[head + n - 1]].lower_bound > kth) --n;
+      while (count > 0 &&
+             candidates[ready[head + count - 1]].lower_bound > kth) {
+        --count;
+      }
     }
-    n = static_cast<std::size_t>(
-        std::min(static_cast<std::int64_t>(n), affordable));
-    simulate(&ready[head], n);
-    head += n;
+    count = static_cast<std::size_t>(
+        std::min(static_cast<std::int64_t>(count), affordable));
+    const std::size_t* members = &ready[head];
+    fan_out(engine, count, workers, [&](std::size_t i) {
+      simulate_candidate(engine, machine, query, report.points,
+                         candidates[members[i]]);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      TuneCandidate& c = candidates[members[i]];
+      c.fate = Fate::Simulated;
+      c.wave = wave;
+      best.insert(std::upper_bound(best.begin(), best.end(), c.score),
+                  c.score);
+      if (best.size() > static_cast<std::size_t>(query.k)) best.pop_back();
+    }
+    const auto ran = static_cast<std::int64_t>(count);
+    stats.simulated += ran;
+    stats.sim_points += ran * npoints;
+    meter.charge(ran * npoints);
+    head += count;
   }
 
   // Final ranking: simulated candidates by (score, representative order).
-  // Keep the report's candidate table in stream (floor) order, so indices
-  // in `top` point into a stable provenance layout.
-  report.candidates.reserve(candidates.size());
-  std::vector<std::size_t> layout(candidates.size());
-  for (std::size_t i = 0; i < active.size(); ++i) layout[i] = active[i];
-  // Screened candidates come after the active stream, in lex order.
-  std::size_t tail = active.size();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].fate == Fate::Screened) layout[tail++] = i;
-  }
-  for (const std::size_t idx : layout) {
-    report.candidates.push_back(std::move(candidates[idx]));
-  }
+  // The candidate table stays in stream (floor) order, so indices in `top`
+  // point into a stable provenance layout.
+  report.candidates = std::move(candidates);
   std::vector<std::size_t> simulated;
   for (std::size_t i = 0; i < report.candidates.size(); ++i) {
     if (report.candidates[i].fate == Fate::Simulated) simulated.push_back(i);

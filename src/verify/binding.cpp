@@ -155,6 +155,23 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
                "different plan?");
     return false;
   }
+  // Endpoints index the binding and the round offsets below.
+  const auto in_range = [&](std::int32_t r) {
+    return r >= 0 && r < sched.nranks;
+  };
+  for (std::size_t m = 0; m < sched.messages.size(); ++m) {
+    const simmpi::MsgInfo& info = sched.messages[m];
+    if (!in_range(info.src) || !in_range(info.dst)) {
+      sink.error(in_range(info.src) ? info.src : -1, -1,
+                 static_cast<std::int32_t>(m), "message ", m,
+                 " runs from rank ", info.src, " to rank ", info.dst,
+                 ", outside the schedule's ", sched.nranks, " ranks");
+      ok = false;
+    }
+  }
+  if (!ok) {
+    return false;
+  }
 
   // Locate every message's send/recv round in the CSR, then resolve and
   // vet its route.

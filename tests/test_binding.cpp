@@ -279,6 +279,43 @@ TEST(BindingDiagnostics, BindingSizeMismatchIsError) {
   EXPECT_THROW(serialization_floor(m, one_lane(plan, cores)), invalid_argument);
 }
 
+TEST(BindingDiagnostics, MessageEndpointOutOfRangeIsALocatedError) {
+  // A message endpoint outside the schedule's ranks (the execution
+  // structure unchanged) must be reported against the message before any
+  // round offset or core of that endpoint is read.
+  const auto m = topo::testbox();
+  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 16);
+  const std::vector<std::int64_t> cores = packed_cores(4);
+  const std::int32_t src0 = plan.schedule.messages[0].src;
+  struct Case {
+    std::int32_t src, dst;
+    std::int32_t rank;  ///< the reported rank: the sender when in range.
+    std::string text;
+  };
+  const Case cases[] = {
+      {7, plan.schedule.messages[0].dst, -1, "message 0 runs from rank 7"},
+      {src0, -1, src0, "to rank -1, outside the schedule's 4 ranks"},
+  };
+  for (const Case& c : cases) {
+    simmpi::Schedule bad = plan.schedule;
+    bad.messages[0].src = c.src;
+    bad.messages[0].dst = c.dst;
+    const std::vector<JobBinding> jobs = {
+        {&bad, &plan.exec, plan.repetitions, &cores, 0.0}};
+    const Result r = analyze_jobs(m, jobs);
+    EXPECT_FALSE(r.clean());
+    ASSERT_EQ(r.report.count(Severity::Error), 1u) << r.report.to_string();
+    const Diagnostic& d = r.report.diagnostics.front();
+    EXPECT_EQ(d.check, Check::Binding);
+    EXPECT_EQ(d.rank, c.rank);
+    EXPECT_EQ(d.msg, 0);
+    EXPECT_NE(d.text.find(c.text), std::string::npos) << d.text;
+    EXPECT_EQ(r.bound.lower_bound, 0.0);
+    EXPECT_TRUE(r.load.rounds.empty());
+    EXPECT_THROW(serialization_floor(m, {jobs}), invalid_argument);
+  }
+}
+
 TEST(BindingDiagnostics, DuplicateCoreIsWarningOnly) {
   const auto m = topo::testbox();
   const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 16);

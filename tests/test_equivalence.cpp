@@ -125,6 +125,13 @@ TEST(Equivalence, ValidatesCommSize) {
                invalid_argument);
 }
 
+TEST(Equivalence, RejectsNegativeThreads) {
+  Engine engine;
+  const Hierarchy h{2, 2, 4};
+  EXPECT_THROW(classify_orders(engine, h, 4, Equivalence::SameSetsOnly, -1),
+               invalid_argument);
+}
+
 constexpr Equivalence kGranularities[] = {Equivalence::ExactPlacement,
                                           Equivalence::SameSetsAndInternal,
                                           Equivalence::SameSetsOnly};

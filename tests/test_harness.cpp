@@ -200,6 +200,16 @@ TEST(Sweep, DefaultThreadCountMatchesTheForcedSerialPath) {
   }
 }
 
+TEST(Sweep, RejectsNegativeThreads) {
+  Engine engine;
+  SweepConfig config;
+  config.orders = {parse_order("0-1-2-3")};
+  config.sizes = {16 << 10};
+  config.comm_size = 16;
+  config.threads = -1;
+  EXPECT_THROW(run_sweep(engine, small_hydra(), config), invalid_argument);
+}
+
 TEST(Report, PrintFigureContainsLegendAndRows) {
   Engine engine;
   SweepConfig config;

@@ -8,6 +8,7 @@
 
 #include <numeric>
 
+#include "mixradix/engine/engine.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/prng.hpp"
 
@@ -260,6 +261,34 @@ TEST(ClosedForm, MatchesReferenceOnRandomHierarchies) {
           << h.to_string() << " " << order_to_string(order) << " s=" << s;
     }
   }
+}
+
+// characterize_orders fans the per-order kernel over the engine's pool:
+// each result must equal its own characterize_order call bit for bit, at
+// any thread count and with either kernel.
+TEST(CharacterizeOrders, MatchesPerOrderCallsAtAnyThreadCount) {
+  Engine engine;
+  const Hierarchy h{2, 2, 2, 3, 3, 4};  // 720 orders, 288 procs
+  const std::vector<Order> orders = all_orders_lexicographic(h.depth());
+  const std::int64_t comm_size = 24;
+  for (const MetricsImpl impl : {MetricsImpl::Fast, MetricsImpl::Reference}) {
+    for (const int threads : {1, 4}) {
+      const std::vector<OrderCharacter> got =
+          characterize_orders(engine, h, orders, comm_size, threads, impl);
+      ASSERT_EQ(got.size(), orders.size());
+      for (std::size_t i = 0; i < orders.size(); ++i) {
+        const OrderCharacter want =
+            characterize_order(h, orders[i], comm_size, impl);
+        EXPECT_EQ(got[i].order, want.order) << "threads " << threads;
+        EXPECT_EQ(got[i].ring_cost, want.ring_cost)
+            << order_to_string(orders[i]) << " threads " << threads;
+        EXPECT_EQ(got[i].pair_pct, want.pair_pct)
+            << order_to_string(orders[i]) << " threads " << threads;
+      }
+    }
+  }
+  EXPECT_THROW(characterize_orders(engine, h, orders, comm_size, -1),
+               invalid_argument);
 }
 
 TEST(Spreadness, PackedIsZeroSpreadIsOne) {

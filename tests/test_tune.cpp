@@ -8,8 +8,7 @@
 //    regardless of threads;
 //  * SOUNDNESS — a pruned candidate's true score is strictly outside the
 //    top k, and every dedup class member scores exactly its
-//    representative;
-//  * SHARDING — shards partition the candidate classes exactly.
+//    representative.
 #include "mixradix/tune/search.hpp"
 
 #include <gtest/gtest.h>
@@ -57,8 +56,7 @@ topo::Machine deep6() {
 }
 
 /// The deep6 payload grid: six payloads in one algorithm regime, so every
-/// candidate's points share one plan structure. A wide first wave is where
-/// incremental seeding pays.
+/// candidate's points share one plan structure, bounded in one lane pass.
 TuneQuery deep6_grid() {
   TuneQuery query;
   query.comm_sizes = {16};
@@ -256,7 +254,7 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
       EXPECT_EQ(stats.sim_points, cap / 3 * 3) << "cap " << cap;
       EXPECT_FALSE(stats.exhausted) << "cap " << cap;
       EXPECT_EQ(stats.simulated + stats.pruned + stats.budget_skipped,
-                stats.shard_classes)
+                stats.classes)
           << "cap " << cap;
       if (cap == 2) {
         EXPECT_EQ(stats.simulated, 0);
@@ -313,8 +311,8 @@ FunnelVsExhaustive expect_sound_pruning(const topo::Machine& machine,
   EXPECT_EQ(pruned, funnel.stats.pruned);
   // Funnel accounting closes: every candidate class has exactly one fate.
   EXPECT_EQ(funnel.stats.simulated + funnel.stats.pruned +
-                funnel.stats.screened_out + funnel.stats.budget_skipped,
-            funnel.stats.shard_classes);
+                funnel.stats.budget_skipped,
+            funnel.stats.classes);
   return {funnel, brute.candidates[brute.top.front()].order};
 }
 
@@ -354,68 +352,6 @@ TEST(Tune, PrunesSoundlyAtDepthSixWithFiveTimesFewerSims) {
       << " classes";
 }
 
-TEST(Tune, ShardsPartitionTheCandidateClasses) {
-  Engine engine;
-  const auto machine = topo::hydra(2);
-  TuneQuery query;
-  query.comm_sizes = {16};
-  query.total_bytes = {64 << 10};
-  query.k = 1;
-  query.threads = 1;
-  const TuneReport whole = tune(engine, machine, query);
-
-  std::vector<Order> sharded;
-  std::int64_t total_classes = 0;
-  query.shard_count = 3;
-  for (int shard = 0; shard < query.shard_count; ++shard) {
-    query.shard_index = shard;
-    const TuneReport part = tune(engine, machine, query);
-    total_classes += part.stats.shard_classes;
-    for (const TuneCandidate& c : part.candidates) sharded.push_back(c.order);
-  }
-  EXPECT_EQ(total_classes, whole.stats.classes);
-
-  std::vector<Order> all;
-  for (const TuneCandidate& c : whole.candidates) all.push_back(c.order);
-  std::sort(all.begin(), all.end());
-  std::sort(sharded.begin(), sharded.end());
-  EXPECT_EQ(sharded, all);
-
-  // The global best is found by exactly one shard.
-  const Order& best = whole.candidates[whole.top.front()].order;
-  int holders = 0;
-  query.k = 1;
-  for (int shard = 0; shard < query.shard_count; ++shard) {
-    query.shard_index = shard;
-    const TuneReport part = tune(engine, machine, query);
-    if (!part.top.empty() &&
-        part.candidates[part.top.front()].order == best) {
-      ++holders;
-    }
-  }
-  EXPECT_EQ(holders, 1);
-}
-
-TEST(Tune, ScreenKeepCapsTheCandidateStream) {
-  Engine engine;
-  const auto machine = topo::hydra(2);
-  TuneQuery query;
-  query.comm_sizes = {16};
-  query.total_bytes = {64 << 10};
-  query.k = 1;
-  query.threads = 1;
-  query.screen_keep = 4;
-  const TuneReport report = tune(engine, machine, query);
-  EXPECT_EQ(report.stats.screened_out,
-            report.stats.shard_classes - query.screen_keep);
-  EXPECT_LE(report.stats.simulated, query.screen_keep);
-  std::int64_t screened = 0;
-  for (const TuneCandidate& c : report.candidates) {
-    if (c.fate == Fate::Screened) ++screened;
-  }
-  EXPECT_EQ(screened, report.stats.screened_out);
-}
-
 TEST(Tune, ValidatesQueries) {
   Engine engine;
   const auto machine = topo::testbox();
@@ -438,13 +374,27 @@ TEST(Tune, ValidatesQueries) {
   }
   {
     TuneQuery bad = query;
-    bad.shard_index = 2;
-    bad.shard_count = 2;
+    bad.completion_slack = -0.1;
     EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
   {
     TuneQuery bad = query;
-    bad.completion_slack = -0.1;
+    bad.wave_size = 0;
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
+  }
+  {
+    TuneQuery bad = query;
+    bad.repetitions = 0;
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
+  }
+  {
+    TuneQuery bad = query;
+    bad.total_bytes = {0};
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
+  }
+  {
+    TuneQuery bad = query;
+    bad.threads = -1;
     EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
 }
@@ -623,92 +573,6 @@ TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
     EXPECT_EQ(serial_json.str(), threaded_json.str()) << machine.name();
     EXPECT_EQ(threaded.stats.bound_structures_built, built) << machine.name();
   }
-}
-
-/// Tune `full` cold, then re-tune it seeded from a run over the first
-/// `subset_points` payloads (the payload grid grew). The seeded run must
-/// reproduce the cold top-k exactly — same orders, bit-identical scores —
-/// and returns (seeded, cold) simulated-candidate counts.
-std::pair<std::int64_t, std::int64_t> expect_incremental_matches_cold(
-    const topo::Machine& machine, const TuneQuery& full,
-    std::size_t subset_points) {
-  Engine engine;
-  const TuneReport cold = tune(engine, machine, full);
-
-  TuneQuery subset = full;
-  subset.total_bytes.resize(subset_points);
-  const TuneReport previous = tune(engine, machine, subset);
-  const TuneReport seeded = tune(engine, machine, full, &previous);
-
-  EXPECT_GT(seeded.stats.seeded_candidates, 0) << machine.name();
-  EXPECT_EQ(seeded.top.size(), cold.top.size()) << machine.name();
-  for (std::size_t rank = 0;
-       rank < std::min(cold.top.size(), seeded.top.size()); ++rank) {
-    const TuneCandidate& got = seeded.candidates[seeded.top[rank]];
-    const TuneCandidate& want = cold.candidates[cold.top[rank]];
-    EXPECT_EQ(got.order, want.order) << machine.name() << " rank " << rank;
-    EXPECT_EQ(got.score, want.score) << machine.name() << " rank " << rank;
-    EXPECT_EQ(got.points.size(), want.points.size());
-    for (std::size_t pt = 0;
-         pt < std::min(got.points.size(), want.points.size()); ++pt) {
-      EXPECT_EQ(got.points[pt].makespan, want.points[pt].makespan);
-    }
-  }
-  // Seeds are provenance-visible: wave 0, counted in the canonical stats.
-  std::int64_t wave0 = 0;
-  for (const TuneCandidate& c : seeded.candidates) {
-    if (c.fate == Fate::Simulated && c.wave == 0) ++wave0;
-  }
-  EXPECT_EQ(wave0, seeded.stats.seeded_candidates) << machine.name();
-  return {seeded.stats.simulated, cold.stats.simulated};
-}
-
-TEST(Tune, IncrementalReTuneMatchesColdTopK) {
-  // Seeding never simulates more candidates than the cold run...
-  TuneQuery hydra_grid;
-  hydra_grid.comm_sizes = {16};
-  hydra_grid.total_bytes = {256 << 10, 512 << 10, 1 << 20};
-  hydra_grid.k = 2;
-  hydra_grid.threads = 1;
-  const auto [hydra_seeded, hydra_cold] =
-      expect_incremental_matches_cold(topo::hydra(2), hydra_grid, 1);
-  EXPECT_LE(hydra_seeded, hydra_cold);
-
-  // ...and where the cold run's wide first wave simulates blind, the k
-  // seeded incumbents let branch-and-bound stop strictly earlier.
-  const auto [deep_seeded, deep_cold] =
-      expect_incremental_matches_cold(deep6(), deep6_grid(), 3);
-  EXPECT_LT(deep_seeded, deep_cold);
-}
-
-TEST(Tune, IncompatiblePreviousReportDegeneratesToColdRun) {
-  // A previous report that fails any compatibility gate (here: a point
-  // outside the new grid, and a different repetition count) must leave the
-  // run byte-identical to a cold one — not silently half-seed it.
-  const auto machine = topo::hydra(2);
-  TuneQuery query;
-  query.comm_sizes = {16};
-  query.total_bytes = {256 << 10};
-  query.k = 2;
-  query.threads = 1;
-
-  Engine engine;
-  const auto json_of = [&](const TuneReport& r) {
-    std::ostringstream os;
-    write_json(os, r, /*candidates=*/true);
-    return os.str();
-  };
-  const std::string cold = json_of(tune(engine, machine, query));
-
-  TuneQuery superset = query;
-  superset.total_bytes = {256 << 10, 1 << 20};  // NOT a subset of `query`.
-  const TuneReport wider = tune(engine, machine, superset);
-  EXPECT_EQ(json_of(tune(engine, machine, query, &wider)), cold);
-
-  TuneQuery reps = query;
-  reps.repetitions = query.repetitions + 1;
-  const TuneReport other_reps = tune(engine, machine, reps);
-  EXPECT_EQ(json_of(tune(engine, machine, query, &other_reps)), cold);
 }
 
 TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
