@@ -1,5 +1,6 @@
 // Shared plumbing for the figure-reproduction benches: CLI size caps,
-// thread-count pinning, and CSV sidecar output next to the textual tables.
+// thread-count pinning, --tune=K order screening, and the one sweep-and-
+// emit tail (text table, plan-cache line, CSV sidecar) every figure ends in.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/simmpi/plan_cache.hpp"
+#include "mixradix/tune/search.hpp"
 
 namespace bench {
 
@@ -26,9 +28,9 @@ struct Options {
   std::int64_t max_size = 512ll << 20;
   int repetitions = 2;
   int threads = 0;  ///< 0 = auto; passed through to SweepConfig::threads.
-  /// "--tune=K": opt-in autotuner screening — forwarded to
-  /// SweepConfig::tune_top_k, replacing the bench's fixed order list with
-  /// the top-K orders mr::tune finds for the same workload. 0 = off.
+  /// "--tune=K": opt-in autotuner screening — each block of the figure
+  /// sweeps the top-K orders mr::tune finds for its own workload instead
+  /// of the bench's fixed order list (see tuned_orders). 0 = off.
   int tune_k = 0;
   std::string csv_path;
 
@@ -79,13 +81,54 @@ struct Options {
   }
 };
 
-/// Print the figure, the plan-cache line of the engine the sweeps ran on,
-/// and the CSV sidecar when --csv is set.
-inline void emit(const std::string& figure, const Options& opts,
-                 mr::Engine& engine,
-                 const std::vector<mr::harness::SweepSeries>& single,
-                 const std::vector<mr::harness::SweepSeries>& simultaneous,
-                 const std::string& title) {
+/// --tune=K screening: the top-K orders mr::tune ranks, best first, for the
+/// workload `config` sweeps — its collective, comm size, sizes (as
+/// payloads), concurrency, repetitions, slack and threads — so the tuner's
+/// objective, the sum of point makespans, ranks orders by the very points
+/// the sweep draws.
+inline std::vector<mr::Order> tuned_orders(
+    mr::Engine& engine, const mr::topo::Machine& machine,
+    const mr::harness::SweepConfig& config, int k) {
+  mr::tune::TuneQuery query;
+  query.collectives = {config.collective};
+  query.comm_sizes = {config.comm_size};
+  query.total_bytes = config.sizes;
+  query.concurrency = config.all_comms ? mr::tune::Concurrency::AllComms
+                                       : mr::tune::Concurrency::SingleComm;
+  query.k = k;
+  query.repetitions = config.repetitions;
+  query.completion_slack = config.completion_slack;
+  query.threads = config.threads;
+  const mr::tune::TuneReport report = mr::tune::tune(engine, machine, query);
+  std::vector<mr::Order> orders;
+  for (const std::size_t idx : report.top) {
+    orders.push_back(report.candidates[idx].order);
+  }
+  return orders;
+}
+
+/// The figure benches' shared tail: sweep `config` (repetitions and
+/// threads from `opts`) with the collective in the first subcommunicator
+/// only, then in all of them, on one engine; print the figure and that
+/// engine's plan-cache line, and write the CSV sidecar when --csv is set.
+/// With --tune=K each block first replaces `config.orders` by its own
+/// tuned_orders.
+inline void sweep_and_emit(const std::string& figure, const Options& opts,
+                           const mr::topo::Machine& machine,
+                           mr::harness::SweepConfig config,
+                           const std::string& title) {
+  config.repetitions = opts.repetitions;
+  config.threads = opts.threads;
+  mr::Engine engine;
+  const auto block = [&](bool all_comms) {
+    config.all_comms = all_comms;
+    if (opts.tune_k > 0) {
+      config.orders = tuned_orders(engine, machine, config, opts.tune_k);
+    }
+    return mr::harness::run_sweep(engine, machine, config);
+  };
+  const auto single = block(false);
+  const auto simultaneous = block(true);
   mr::harness::print_figure(std::cout, title, single, simultaneous);
   const auto stats = engine.plan_cache().stats();
   std::cout << "plan cache: " << stats.entries << " plans, " << stats.hits

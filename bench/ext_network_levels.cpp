@@ -47,18 +47,11 @@ int main(int argc, char** argv) {
   config.sizes = mr::harness::paper_sizes(opts.max_size);
   config.comm_size = 16;
   config.collective = mr::simmpi::Collective::Alltoall;
-  config.repetitions = opts.repetitions;
-  config.threads = opts.threads;
 
-  mr::Engine engine;
-  config.all_comms = false;
-  const auto single = run_sweep(engine, machine, config);
-  config.all_comms = true;
-  const auto simultaneous = run_sweep(engine, machine, config);
-
-  bench::emit("ext-network", opts, engine, single, simultaneous,
-              "Extension — network levels in the hierarchy: 4 switches x 4 "
-              "Hydra nodes (1:2 oversubscribed), MPI_Alltoall, 16 procs/comm");
+  bench::sweep_and_emit(
+      "ext-network", opts, machine, config,
+      "Extension — network levels in the hierarchy: 4 switches x 4 "
+      "Hydra nodes (1:2 oversubscribed), MPI_Alltoall, 16 procs/comm");
   std::cout
       << "reading: with all communicators active, the switch-packed\n"
          "node-spread order [1-2-3-4-0] avoids the oversubscribed trunk\n"

@@ -20,20 +20,9 @@ int main(int argc, char** argv) {
   config.sizes = mr::harness::paper_sizes(opts.max_size);
   config.comm_size = 128;
   config.collective = mr::simmpi::Collective::Alltoall;
-  config.repetitions = opts.repetitions;
-  config.threads = opts.threads;
-  // --tune=K: replace the fixed legend with the autotuner's top-K orders
-  // for this exact workload (funnel survivors only; see mr::tune).
-  config.tune_top_k = opts.tune_k;
 
-  mr::Engine engine;
-  config.all_comms = false;
-  const auto single = run_sweep(engine, machine, config);
-  config.all_comms = true;
-  const auto simultaneous = run_sweep(engine, machine, config);
-
-  bench::emit("fig4", opts, engine, single, simultaneous,
-              "Fig. 4 — 16 Hydra nodes, 512 procs, MPI_Alltoall, "
-              "128 procs/comm (1 vs 4 simultaneous)");
+  bench::sweep_and_emit("fig4", opts, machine, config,
+                        "Fig. 4 — 16 Hydra nodes, 512 procs, MPI_Alltoall, "
+                        "128 procs/comm (1 vs 4 simultaneous)");
   return 0;
 }

@@ -21,20 +21,9 @@ int main(int argc, char** argv) {
   config.sizes = mr::harness::paper_sizes(opts.max_size);
   config.comm_size = 256;
   config.collective = mr::simmpi::Collective::Allgather;
-  config.repetitions = opts.repetitions;
-  config.threads = opts.threads;
-  // --tune=K: replace the fixed legend with the autotuner's top-K orders
-  // for this exact workload (funnel survivors only; see mr::tune).
-  config.tune_top_k = opts.tune_k;
 
-  mr::Engine engine;
-  config.all_comms = false;
-  const auto single = run_sweep(engine, machine, config);
-  config.all_comms = true;
-  const auto simultaneous = run_sweep(engine, machine, config);
-
-  bench::emit("fig7", opts, engine, single, simultaneous,
-              "Fig. 7 — 16 LUMI nodes, 2048 procs, MPI_Allgather, "
-              "256 procs/comm (1 vs 8 simultaneous)");
+  bench::sweep_and_emit("fig7", opts, machine, config,
+                        "Fig. 7 — 16 LUMI nodes, 2048 procs, MPI_Allgather, "
+                        "256 procs/comm (1 vs 8 simultaneous)");
   return 0;
 }

@@ -1,11 +1,12 @@
 // Depth-8 figure: the paper's protocol on a hierarchy deep enough that a
 // fixed legend is impossible — 8 levels mean 8! = 40320 enumeration orders,
 // far past what a hand-picked order list (or an exhaustive sweep) covers.
-// Instead the sweep's curves are produced from FUNNEL SURVIVORS ONLY:
-// SweepConfig::tune_top_k routes the whole 40320-order space through the
-// mr::tune multi-fidelity funnel (dedup -> serialization floors -> lazy
-// critical-path bounds -> waved simulation, pruned against the k-th best)
-// and plots the top-K orders it returns, exactly like Fig. 3 plots its six.
+// Instead the sweep's curves are produced from FUNNEL SURVIVORS ONLY: the
+// benches' --tune=K screening (bench::tuned_orders) routes the whole
+// 40320-order space through the mr::tune multi-fidelity funnel (dedup ->
+// serialization floors -> lazy critical-path bounds -> waved simulation,
+// pruned against the k-th best) and plots the top-K orders it returns,
+// exactly like Fig. 3 plots its six.
 //
 //   $ ./fig_depth8_tuned                # top-4 survivors, sizes to 4 MiB
 //   $ ./fig_depth8_tuned --tune=6 --max-size=16777216
@@ -39,13 +40,13 @@ mr::topo::Machine deep8() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::Options::parse(argc, argv);
+  auto opts = bench::Options::parse(argc, argv);
   const auto machine = deep8();
-
-  mr::harness::SweepConfig config;
   // No fixed legend at depth 8: the tuner IS the order selection. --tune=K
   // overrides the survivor count; the default keeps the figure readable.
-  config.tune_top_k = opts.tune_k > 0 ? opts.tune_k : 4;
+  if (opts.tune_k == 0) opts.tune_k = 4;
+
+  mr::harness::SweepConfig config;
   // 40320 orders x paper sizes is a tuner workload, not a sweep workload —
   // cap the size axis lower than the 512 MiB figure default unless the
   // caller explicitly asks for more.
@@ -53,18 +54,11 @@ int main(int argc, char** argv) {
       mr::harness::paper_sizes(std::min<std::int64_t>(opts.max_size, 4ll << 20));
   config.comm_size = 16;
   config.collective = mr::simmpi::Collective::Alltoall;
-  config.repetitions = opts.repetitions;
-  config.threads = opts.threads;
 
-  mr::Engine engine;
-  config.all_comms = false;
-  const auto single = run_sweep(engine, machine, config);
-  config.all_comms = true;
-  const auto simultaneous = run_sweep(engine, machine, config);
-
-  bench::emit("fig_depth8", opts, engine, single, simultaneous,
-              "Depth-8 tree, 256 procs, MPI_Alltoall, 16 procs/comm — "
-              "top-" + std::to_string(config.tune_top_k) +
-              " funnel survivors of 40320 orders (1 vs 16 simultaneous)");
+  bench::sweep_and_emit(
+      "fig_depth8", opts, machine, config,
+      "Depth-8 tree, 256 procs, MPI_Alltoall, 16 procs/comm — top-" +
+          std::to_string(opts.tune_k) +
+          " funnel survivors of 40320 orders (1 vs 16 simultaneous)");
   return 0;
 }

@@ -12,6 +12,7 @@
 // report instead (byte-identical across runs and thread counts when the
 // budget is a point budget or absent). Unknown flags and malformed values
 // exit with status 2 and a message naming the offending input.
+#include <cmath>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -41,10 +42,12 @@ void usage() {
       "  --k K               orders to return (default 3)\n"
       "  --reps N            repetitions per point (default 2)\n"
       "  --threads N         0 = default pool width, 1 = serial\n"
-      "  --slack S           completion slack (default 0 = exact)\n"
+      "  --slack S           completion slack in [0, 0.5)\n"
+      "                      (default 0 = exact)\n"
       "  --budget-points N   stop after N point simulations (anytime;\n"
       "                      0 = unlimited, else >= the query's points)\n"
-      "  --budget-seconds S  wall-clock cap (non-deterministic)\n"
+      "  --budget-seconds S  wall-clock cap (non-deterministic;\n"
+      "                      0 = unlimited)\n"
       "  --json 1            canonical JSON report on stdout (cache and\n"
       "                      stage-2 stats go to stderr)\n";
 }
@@ -107,13 +110,18 @@ int main(int argc, char** argv) {
                  std::to_string(query.repetitions));
     cli::require(query.threads >= 0, "--threads", "be >= 0",
                  std::to_string(query.threads));
-    cli::require(query.completion_slack >= 0, "--slack", "be >= 0",
-                 flags.get("slack", "0"));
+    cli::require(
+        query.completion_slack >= 0 && query.completion_slack < 0.5,
+        "--slack", "lie in [0, 0.5)", flags.get("slack", "0"));
+    cli::require(std::isfinite(query.budget.max_seconds) &&
+                     query.budget.max_seconds >= 0,
+                 "--budget-seconds", "be finite and >= 0 (0 = unlimited)",
+                 flags.get("budget-seconds", "0"));
     // A candidate runs only when all its points fit the budget.
     const auto points = static_cast<std::int64_t>(
         query.collectives.size() * query.comm_sizes.size() *
         query.total_bytes.size());
-    cli::require(query.budget.max_points <= 0 ||
+    cli::require(query.budget.max_points == 0 ||
                      query.budget.max_points >= points,
                  "--budget-points",
                  "be 0 (unlimited) or at least the query's " +

@@ -39,6 +39,7 @@ struct MicrobenchConfig {
 };
 
 struct MicrobenchResult {
+  double makespan = 0;             ///< completion of the last communicator.
   double mean_seconds_per_op = 0;  ///< averaged over communicators and reps.
   double mean_bandwidth = 0;       ///< total_bytes / seconds_per_op, mean.
   double bw_p10 = 0;               ///< first decile over communicators.
@@ -47,15 +48,17 @@ struct MicrobenchResult {
 };
 
 /// Run one protocol instance on `machine` (one process per core), resolving
-/// plans and workspaces through `engine`.
+/// plans and workspaces through `engine`. The one implementation of a
+/// protocol point: run_sweep runs one per (order, size), and mr::tune's
+/// stage 3 one per (candidate, query point).
 MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
                                 const MicrobenchConfig& config);
 
 /// Steps 1-2 of the protocol without running anything: the compiled plan
 /// (from the engine's plan cache) and per-communicator core bindings
 /// run_microbench would execute (`config.completion_slack` is ignored).
-/// Shared with mr::tune, whose funnel needs the same jobs twice: once for
-/// the static lower bound and once for the simulation of the survivors.
+/// mr::tune's stage 2 bounds these jobs statically before its stage 3
+/// simulates the survivors through run_microbench.
 std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
                                            const topo::Machine& machine,
                                            const MicrobenchConfig& config);
@@ -82,12 +85,6 @@ struct SweepConfig {
   int threads = 0;
   /// Forwarded to MicrobenchConfig::completion_slack.
   double completion_slack = simmpi::kDefaultCompletionSlack;
-  /// Opt-in tuner screening (bench `--tune=K`): when > 0, `orders` is
-  /// REPLACED by the top-K orders mr::tune finds for this sweep's
-  /// (collective, comm_size, sizes, all_comms) workload — the multi-fidelity
-  /// funnel screens the full h! space so the sweep only simulates mappings
-  /// worth plotting. 0 = off (sweep exactly the given orders).
-  int tune_top_k = 0;
 };
 
 /// Run the sweep through `engine`: plans from its cache, point workspaces
@@ -103,7 +100,9 @@ std::vector<std::int64_t> paper_sizes(std::int64_t max_bytes = 512ll << 20);
 // ---- Reporting -------------------------------------------------------------
 
 /// Print a figure as an aligned text table: one row per size, one column
-/// pair (bandwidth MB/s) per order; legend lines first.
+/// pair (bandwidth MB/s) per order; legend lines first, one per plotted
+/// order (single-comm block first, then orders only the all-comms block
+/// plots).
 void print_figure(std::ostream& os, const std::string& title,
                   const std::vector<SweepSeries>& single,
                   const std::vector<SweepSeries>& simultaneous);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "mixradix/simmpi/schedule.hpp"
+#include "mixradix/topo/machine.hpp"
 
 namespace mr::simmpi {
 
@@ -55,6 +56,24 @@ struct PlanExec {
            rank_rounds_begin[static_cast<std::size_t>(rank)];
   }
 };
+
+/// CPU-serial seconds of flattened round `round` under `costs`: algorithm
+/// compute + per-message overheads + local copy costs. The one definition
+/// the timed executor charges and verify::binding's bound reads, so the
+/// bound cannot drift above the simulated makespan through it.
+inline double round_cpu_time(const PlanExec& exec,
+                             const topo::MessagingCosts& costs,
+                             std::int64_t round) {
+  const auto i = static_cast<std::size_t>(round);
+  double cpu = exec.round_compute[i];
+  cpu += costs.send_overhead *
+         static_cast<double>(exec.send_begin[i + 1] - exec.send_begin[i]);
+  cpu += costs.recv_overhead *
+         static_cast<double>(exec.recv_begin[i + 1] - exec.recv_begin[i]);
+  cpu += static_cast<double>(exec.round_copy_doubles[i]) * 8.0 *
+         costs.reduce_seconds_per_byte;
+  return cpu;
+}
 
 /// Derive the flattened execution structure from a schedule.
 PlanExec derive_exec(const Schedule& schedule);

@@ -20,10 +20,12 @@
 namespace mr::tune {
 
 struct Budget {
-  /// Point simulations the search may run; 0 = unlimited.
+  /// Point simulations the search may run; 0 = unlimited, negative is
+  /// rejected by tune().
   std::int64_t max_points = 0;
-  /// Wall-clock cap in seconds, checked between waves; 0 = unlimited.
-  /// Non-deterministic by nature — see the header comment.
+  /// Wall-clock cap in seconds, checked between waves; 0 = unlimited,
+  /// negative or non-finite is rejected by tune(). Non-deterministic by
+  /// nature — see the header comment.
   double max_seconds = 0;
 };
 

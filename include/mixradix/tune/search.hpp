@@ -34,12 +34,12 @@
 //    remaining candidate is discarded without running FlowSim. The strict
 //    inequality keeps exact ties simulable, so the returned ranking equals
 //    the exhaustive one even under lexicographic tie-breaking.
-//  * stage 3 — full timed simulation of the survivors through the engine's
-//    plan cache and per-slot workspaces leased from its pool, fanned over
-//    its thread pool in FIXED-SIZE waves with deterministic in-order merge:
-//    the set of simulated candidates, the DP batches and every byte of the
-//    report are identical for any thread count and any fresh or reused
-//    Engine.
+//  * stage 3 — full timed simulation of the survivors: one
+//    harness::run_microbench per (candidate, point), the same protocol
+//    point run_sweep runs, fanned over the engine's thread pool in
+//    FIXED-SIZE waves with deterministic in-order merge: the set of
+//    simulated candidates, the DP batches and every byte of the report
+//    are identical for any thread count and any fresh or reused Engine.
 //
 // The search is *anytime*: a point/seconds budget (mixradix/tune/budget.hpp)
 // returns the best-so-far ranking with `exhausted: false`.
@@ -50,6 +50,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/equivalence.hpp"
 #include "mixradix/mr/metrics.hpp"
 #include "mixradix/mr/permutation.hpp"
@@ -89,6 +90,7 @@ struct TuneQuery {
   /// Tuner default 0 (exact max-min timing): keeps the all-comms dedup at
   /// SameSetsAndInternal byte-identical and the lower bound undeflated.
   /// Matching a slack-merged sweep costs both (see the header comment).
+  /// Must lie in [0, 0.5), like the flow simulator's.
   double completion_slack = 0.0;
   Budget budget;
   /// Worker threads (0 = ThreadPool::default_threads(), 1 = serial). The
@@ -98,14 +100,6 @@ struct TuneQuery {
   /// waves, so larger waves prune less; the value is part of the query —
   /// NOT derived from the thread count — to keep reports thread-invariant.
   int wave_size = 16;
-  bool dedup = true;   ///< stage 1; off = every order its own candidate.
-  bool prune = true;   ///< stage 2; off = simulate every candidate.
-};
-
-/// Simulated outcome of one (candidate, point) cell.
-struct PointResult {
-  double makespan = 0;        ///< completion of the last communicator.
-  double mean_bandwidth = 0;  ///< total_bytes / per-op seconds, comm mean.
 };
 
 /// How a candidate left the funnel (per-candidate provenance).
@@ -126,11 +120,12 @@ struct TuneCandidate {
   std::vector<Order> members;     ///< the whole class, sorted.
   /// Stage-2 bound, summed over points in point order: the critical-path
   /// DP sum for every candidate the DP tier refined, which includes every
-  /// simulated one; the serialization-floor sum for the rest; 0 for all
-  /// with pruning off.
+  /// simulated one; the serialization-floor sum for the rest.
   double lower_bound = 0;
   double score = 0;               ///< sum of point makespans (Simulated only).
-  std::vector<PointResult> points;  ///< per query point (Simulated only).
+  /// One run_microbench per query point, in point order (Simulated only);
+  /// `score` sums their makespans in that order.
+  std::vector<harness::MicrobenchResult> points;
   Fate fate = Fate::Skipped;
   int wave = -1;                  ///< stage-3 wave index (Simulated only).
 };
@@ -143,7 +138,7 @@ struct TuneStats {
   /// Always 0: the search drops no candidate before stage 2. Not in
   /// write_json; kept only for callers that still add it to the accounting.
   std::int64_t screened_out = 0;
-  /// Stage-2 serialization floors: every candidate, when pruning is on.
+  /// Stage-2 serialization floors: one per candidate.
   std::int64_t bounds_computed = 0;
   std::int64_t pruned = 0;        ///< stage-2 discards.
   std::int64_t simulated = 0;     ///< candidates that reached stage 3.
@@ -186,10 +181,12 @@ struct TuneReport {
 };
 
 /// Run the funnel through `engine`: plans from its cache, survivor
-/// simulations on workspaces leased from its pool, stages fanned over its
-/// thread pool. Throws mr::invalid_argument on malformed queries (empty
-/// point lists, comm sizes not dividing the core count, non-positive
-/// payloads, k, repetitions or wave size, negative slack or threads).
+/// simulations through harness::run_microbench, stages fanned over its
+/// thread pool. Throws mr::invalid_argument, before any stage runs, on
+/// malformed queries: empty point lists, comm sizes not dividing the core
+/// count, non-positive payloads, k, repetitions or wave size, a slack
+/// outside [0, 0.5), negative threads or point budget, or a negative or
+/// non-finite seconds budget.
 TuneReport tune(Engine& engine, const topo::Machine& machine,
                 const TuneQuery& query);
 

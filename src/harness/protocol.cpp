@@ -88,6 +88,7 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
   std::sort(bandwidths.begin(), bandwidths.end());
 
   MicrobenchResult result;
+  result.makespan = timed.makespan;
   result.mean_seconds_per_op = sum_seconds / static_cast<double>(jobs.size());
   double mean_bw = 0;
   for (double bw : bandwidths) mean_bw += bw;

@@ -49,14 +49,24 @@ void print_figure(std::ostream& os, const std::string& title,
                   const std::vector<SweepSeries>& simultaneous) {
   os << "== " << title << " ==\n";
   os << "legend (order (ring cost - % of process pairs per level)):\n";
-  const auto& legend_src = single.empty() ? simultaneous : single;
-  for (const auto& series : legend_src) {
-    os << "  " << series.character.to_string();
-    if (!series.results.empty() && !series.results.front().algorithm.empty()) {
-      os << "   [" << series.results.front().algorithm << " -> "
-         << series.results.back().algorithm << "]";
+  // Every plotted order once: with --tune=K the two blocks plot the top K
+  // of their own workloads, which need not be the same orders.
+  std::vector<Order> listed;
+  for (const auto* block : {&single, &simultaneous}) {
+    for (const auto& series : *block) {
+      const Order& order = series.character.order;
+      if (std::find(listed.begin(), listed.end(), order) != listed.end()) {
+        continue;
+      }
+      listed.push_back(order);
+      os << "  " << series.character.to_string();
+      if (!series.results.empty() &&
+          !series.results.front().algorithm.empty()) {
+        os << "   [" << series.results.front().algorithm << " -> "
+           << series.results.back().algorithm << "]";
+      }
+      os << "\n";
     }
-    os << "\n";
   }
   os << "bandwidth in MB/s:\n";
   print_block(os, "1 simultaneous comm.", single);

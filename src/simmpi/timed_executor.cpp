@@ -257,21 +257,6 @@ class Engine {
                msg % messages_per_rep(job))] <= machine_.costs().eager_threshold;
   }
 
-  /// CPU-serial portion of a round, from the plan's precomputed cost
-  /// inputs: algorithm compute + per-message overheads + local copy costs.
-  double round_cpu_time(const PlanExec& exec, std::int64_t round) const {
-    const auto& costs = machine_.costs();
-    const auto i = static_cast<std::size_t>(round);
-    double cpu = exec.round_compute[i];
-    cpu += costs.send_overhead *
-           static_cast<double>(exec.send_begin[i + 1] - exec.send_begin[i]);
-    cpu += costs.recv_overhead *
-           static_cast<double>(exec.recv_begin[i + 1] - exec.recv_begin[i]);
-    cpu += static_cast<double>(exec.round_copy_doubles[i]) * 8.0 *
-           costs.reduce_seconds_per_byte;
-    return cpu;
-  }
-
   void post_round(std::int32_t job, std::int32_t rank, double t) {
     const auto j = static_cast<std::size_t>(job);
     const Plan& plan = plan_of(job);
@@ -292,7 +277,7 @@ class Engine {
     const std::int32_t shift = static_cast<std::int32_t>(
         state.round / rounds_per_rep * messages_per_rep(job));
     const auto i = static_cast<std::size_t>(gi);
-    const double ready = t + round_cpu_time(exec, gi);
+    const double ready = t + round_cpu_time(exec, machine_.costs(), gi);
     state.posted = true;
     state.outstanding = static_cast<int>(
         (exec.send_begin[i + 1] - exec.send_begin[i]) +

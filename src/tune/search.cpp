@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/decompose.hpp"
-#include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/binding.hpp"
@@ -103,9 +102,7 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
   // form one candidate class.
   std::vector<std::vector<std::int32_t>> labels;
 
-  if (!query.dedup) {
-    // Every order its own class: no labels, grouped by identity below.
-  } else if (query.concurrency == Concurrency::SingleComm) {
+  if (query.concurrency == Concurrency::SingleComm) {
     // Group by the concatenated first-subcommunicator core sequences.
     std::vector<std::vector<std::int64_t>> first_comm(orders.size());
     fan_out(engine, orders.size(), resolve_workers(query.threads),
@@ -154,11 +151,6 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
   std::map<std::vector<std::int32_t>, std::size_t> group_of;
   std::vector<std::int32_t> key(labels.size());
   for (std::size_t i = 0; i < orders.size(); ++i) {
-    if (labels.empty()) {
-      candidates.emplace_back().order = orders[i];
-      candidates.back().members.push_back(orders[i]);
-      continue;
-    }
     for (std::size_t l = 0; l < labels.size(); ++l) key[l] = labels[l][i];
     const auto [it, inserted] = group_of.try_emplace(key, candidates.size());
     if (inserted) {
@@ -283,40 +275,6 @@ BoundOutcome candidate_bound(Engine& engine, const topo::Machine& machine,
   return out;
 }
 
-/// Stage-3 full-fidelity evaluation of one candidate. The workspace is
-/// leased from the engine's pool for the candidate's whole point loop
-/// (LIFO reuse keeps interned routes warm across candidates on the same
-/// driving thread) — reuse has no effect on results (enforced by the
-/// determinism tests), and unlike the old function-scoped thread_local the
-/// memory dies with the engine instead of the pool threads.
-void simulate_candidate(Engine& engine, const topo::Machine& machine,
-                        const TuneQuery& query,
-                        const std::vector<QueryPoint>& points,
-                        TuneCandidate& candidate) {
-  Engine::WorkspaceLease lease = engine.workspace();
-  candidate.points.clear();
-  candidate.points.reserve(points.size());
-  candidate.score = 0;
-  for (const QueryPoint& point : points) {
-    const auto jobs = harness::protocol_jobs(
-        engine, machine, point_config(query, point, candidate.order));
-    simmpi::ExecOptions exec;
-    exec.completion_slack = query.completion_slack;
-    exec.workspace = lease.get();
-    const simmpi::TimedResult timed = simmpi::run_timed(machine, jobs, exec);
-    PointResult pr;
-    pr.makespan = timed.makespan;
-    double bw = 0;
-    for (const double finish : timed.job_finish) {
-      bw += static_cast<double>(point.total_bytes) /
-            (finish / query.repetitions);
-    }
-    pr.mean_bandwidth = bw / static_cast<double>(timed.job_finish.size());
-    candidate.points.push_back(pr);
-    candidate.score += pr.makespan;
-  }
-}
-
 void validate(const topo::Machine& machine, const TuneQuery& query) {
   const Hierarchy& h = machine.hierarchy();
   MR_EXPECT(!query.collectives.empty(), "query needs at least one collective");
@@ -331,8 +289,13 @@ void validate(const topo::Machine& machine, const TuneQuery& query) {
   }
   MR_EXPECT(query.k >= 1, "k must be at least 1");
   MR_EXPECT(query.repetitions >= 1, "need at least one repetition");
-  MR_EXPECT(query.completion_slack >= 0, "completion slack must be >= 0");
+  MR_EXPECT(query.completion_slack >= 0 && query.completion_slack < 0.5,
+            "completion slack must be in [0, 0.5)");
   MR_EXPECT(query.wave_size >= 1, "wave size must be at least 1");
+  MR_EXPECT(query.budget.max_points >= 0, "point budget must be >= 0");
+  MR_EXPECT(std::isfinite(query.budget.max_seconds) &&
+                query.budget.max_seconds >= 0,
+            "seconds budget must be finite and >= 0");
 }
 
 }  // namespace
@@ -415,17 +378,15 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
-  if (query.prune) {
-    const auto floor_start = std::chrono::steady_clock::now();
-    std::vector<verify::binding::ComponentSums> sums(workers);
-    fan_out_slots(engine, n, workers, [&](unsigned slot, std::size_t i) {
-      candidates[i].lower_bound = candidate_floor(
-          engine, machine, query, report.points, candidates[i].order,
-          sums[slot]);
-    });
-    stats.bounds_computed = static_cast<std::int64_t>(n);
-    stats.bound_seconds += seconds_since(floor_start);
-  }
+  const auto floor_start = std::chrono::steady_clock::now();
+  std::vector<verify::binding::ComponentSums> sums(workers);
+  fan_out_slots(engine, n, workers, [&](unsigned slot, std::size_t i) {
+    candidates[i].lower_bound = candidate_floor(
+        engine, machine, query, report.points, candidates[i].order,
+        sums[slot]);
+  });
+  stats.bounds_computed = static_cast<std::int64_t>(n);
+  stats.bound_seconds += seconds_since(floor_start);
   // The stream: candidates sorted by lower bound, then ring cost (packed
   // first), then order. An unrefined candidate's lower_bound holds its
   // floor sum, a refined one's its DP sum, so one comparator orders the
@@ -456,19 +417,13 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   // search: everything after is provably outside the top k. The strict
   // inequality keeps exact ties simulable — a pruned candidate's true
   // score is > the k-th best, never equal, so lexicographic tie-breaking
-  // matches the exhaustive ranking bit for bit. Without pruning there is
-  // no bound: the stream itself is the wave order.
+  // matches the exhaustive ranking bit for bit.
   const double inf = std::numeric_limits<double>::infinity();
   const auto wave_size = static_cast<std::size_t>(query.wave_size);
   std::vector<double> best;  // ascending; at most k simulated scores.
   std::vector<std::size_t> ready;
   std::size_t head = 0;  // ready[head...] are live.
   std::size_t next = 0;  // candidates[next...] are unrefined.
-  if (!query.prune) {
-    ready.resize(n);
-    std::iota(ready.begin(), ready.end(), std::size_t{0});
-    next = n;
-  }
   const auto settle = [&](Fate fate) {
     std::int64_t& count =
         fate == Fate::Pruned ? stats.pruned : stats.budget_skipped;
@@ -496,7 +451,7 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     // batch and bounds every candidate it draws against that workspace's
     // route table, so routes stay warm across candidates (LIFO leases
     // carry them into the next batch and into the simulations).
-    while (query.prune && may_join()) {
+    while (may_join()) {
       const auto refine_start = std::chrono::steady_clock::now();
       const std::size_t first = next;
       while (next - first < wave_size && next < n &&
@@ -531,8 +486,7 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     // Every unrefined floor is now above the k-th best, or sorts after the
     // wave_size-th refined bound; either way an empty `ready` or a front
     // bound above the k-th best leaves nothing simulable.
-    if (query.prune &&
-        (head == ready.size() || candidates[ready[head]].lower_bound > kth)) {
+    if (head == ready.size() || candidates[ready[head]].lower_bound > kth) {
       settle(Fate::Pruned);
       break;
     }
@@ -547,18 +501,21 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
     // best and fit the point budget (all thread-count independent),
     // simulated in parallel and merged in order.
     std::size_t count = std::min(ready.size() - head, wave_size);
-    if (query.prune) {
-      while (count > 0 &&
-             candidates[ready[head + count - 1]].lower_bound > kth) {
-        --count;
-      }
+    while (count > 0 && candidates[ready[head + count - 1]].lower_bound > kth) {
+      --count;
     }
     count = static_cast<std::size_t>(
         std::min(static_cast<std::int64_t>(count), affordable));
     const std::size_t* members = &ready[head];
+    // Each member runs one protocol point (run_microbench, as a sweep
+    // does) per query point; its score sums their makespans in point order.
     fan_out(engine, count, workers, [&](std::size_t i) {
-      simulate_candidate(engine, machine, query, report.points,
-                         candidates[members[i]]);
+      TuneCandidate& c = candidates[members[i]];
+      for (const QueryPoint& point : report.points) {
+        c.points.push_back(harness::run_microbench(
+            engine, machine, point_config(query, point, c.order)));
+        c.score += c.points.back().makespan;
+      }
     });
     for (std::size_t i = 0; i < count; ++i) {
       TuneCandidate& c = candidates[members[i]];

@@ -68,19 +68,6 @@ struct JobFacts {
   std::vector<MsgFacts> msgs;  ///< indexed by message id (one rep).
 };
 
-double round_cpu_time(const simmpi::PlanExec& exec,
-                      const topo::MessagingCosts& costs, std::int64_t round) {
-  const auto i = static_cast<std::size_t>(round);
-  double cpu = exec.round_compute[i];
-  cpu += costs.send_overhead *
-         static_cast<double>(exec.send_begin[i + 1] - exec.send_begin[i]);
-  cpu += costs.recv_overhead *
-         static_cast<double>(exec.recv_begin[i + 1] - exec.recv_begin[i]);
-  cpu += static_cast<double>(exec.round_copy_doubles[i]) * 8.0 *
-         costs.reduce_seconds_per_byte;
-  return cpu;
-}
-
 /// Validate one job's binding; returns false when later phases must not
 /// trust its indices. Fills `facts` (rounds/routes) only on success.
 bool check_job(const topo::Machine& machine, const JobBinding& job,
@@ -496,7 +483,7 @@ void build_bound(const topo::Machine& machine,
       }
       const std::size_t rounds = round_base[j + 1] - round_base[j];
       for (std::size_t gi = 0; gi < rounds; ++gi) {
-        round_cpu[(round_base[j] + gi) * nlanes + l] = round_cpu_time(
+        round_cpu[(round_base[j] + gi) * nlanes + l] = simmpi::round_cpu_time(
             *job.exec, costs, static_cast<std::int64_t>(gi));
       }
     }

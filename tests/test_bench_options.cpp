@@ -1,7 +1,10 @@
-// CLI parsing shared by the figure benches (bench/bench_common.hpp).
+// CLI parsing and --tune=K screening shared by the figure benches
+// (bench/bench_common.hpp).
 #include "bench/bench_common.hpp"
 
 #include <gtest/gtest.h>
+
+#include "mixradix/topo/presets.hpp"
 
 namespace bench {
 namespace {
@@ -47,6 +50,37 @@ TEST(BenchOptions, RejectsOutOfRangeValues) {
 TEST(BenchOptions, LastFlagWins) {
   const Options o = Options::parse_args({"--reps=3", "--reps=9"});
   EXPECT_EQ(o.repetitions, 9);
+}
+
+TEST(BenchTune, ScreensTheSweepsWorkloadToTheTunersTopK) {
+  // --tune=K sweeps exactly the top K of the tune query that mirrors the
+  // sweep (collective, comm size, sizes as payloads, concurrency,
+  // repetitions, slack), best first, in either concurrency.
+  mr::Engine engine;
+  const auto machine = mr::topo::testbox();
+  mr::harness::SweepConfig sweep;
+  sweep.sizes = {64 << 10, 1 << 20};
+  sweep.comm_size = 4;
+  sweep.threads = 1;
+  for (const bool all_comms : {false, true}) {
+    sweep.all_comms = all_comms;
+    mr::tune::TuneQuery query;
+    query.comm_sizes = {4};
+    query.total_bytes = {64 << 10, 1 << 20};
+    query.concurrency = all_comms ? mr::tune::Concurrency::AllComms
+                                  : mr::tune::Concurrency::SingleComm;
+    query.k = 2;
+    query.completion_slack = sweep.completion_slack;
+    query.threads = 1;
+    const mr::tune::TuneReport report = mr::tune::tune(engine, machine, query);
+    const std::vector<mr::Order> orders =
+        tuned_orders(engine, machine, sweep, 2);
+    ASSERT_EQ(orders.size(), 2u);
+    for (std::size_t rank = 0; rank < orders.size(); ++rank) {
+      EXPECT_EQ(orders[rank], report.candidates[report.top[rank]].order)
+          << "all_comms " << all_comms << " rank " << rank;
+    }
+  }
 }
 
 }  // namespace

@@ -230,6 +230,39 @@ TEST(Report, PrintFigureContainsLegendAndRows) {
   EXPECT_NE(text.find("all simultaneous comms."), std::string::npos);
 }
 
+TEST(Report, LegendListsEveryPlottedOrderOnce) {
+  // With --tune=K the blocks plot the top K of their own workloads: every
+  // order either block plots gets one legend line, single-comm first.
+  Engine engine;
+  SweepConfig config;
+  config.sizes = {16 << 10};
+  config.comm_size = 16;
+  config.repetitions = 1;
+  config.orders = {parse_order("0-1-2-3"), parse_order("3-2-1-0")};
+  const auto single = run_sweep(engine, small_hydra(), config);
+  config.all_comms = true;
+  config.orders = {parse_order("3-2-1-0"), parse_order("1-3-2-0")};
+  const auto simultaneous = run_sweep(engine, small_hydra(), config);
+  std::ostringstream os;
+  print_figure(os, "Test figure", single, simultaneous);
+  const std::string text = os.str();
+  const std::string legend =
+      text.substr(0, text.find("bandwidth in MB/s:"));
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = legend.find(needle); at != std::string::npos;
+         at = legend.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\n  0-1-2-3 ("), 1u) << legend;
+  EXPECT_EQ(count("\n  3-2-1-0 ("), 1u) << legend;
+  EXPECT_EQ(count("\n  1-3-2-0 ("), 1u) << legend;
+  EXPECT_LT(legend.find("0-1-2-3 ("), legend.find("3-2-1-0 ("));
+  EXPECT_LT(legend.find("3-2-1-0 ("), legend.find("1-3-2-0 ("));
+}
+
 TEST(Report, CsvIsWellFormed) {
   Engine engine;
   SweepConfig config;

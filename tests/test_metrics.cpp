@@ -73,6 +73,12 @@ struct LegendCase {
   const char* legend;  // exact paper text: "order (ring - pcts)"
 };
 
+// Prints the case's text, not its pointer bytes, so the discovered ctest
+// names stay the same from build to build.
+void PrintTo(const LegendCase& c, std::ostream* os) {
+  *os << "fig" << c.figure << " p" << c.comm_size << " " << c.legend;
+}
+
 class FigureLegends : public ::testing::TestWithParam<LegendCase> {};
 
 TEST_P(FigureLegends, MatchesPaper) {

@@ -64,6 +64,13 @@ struct Fig2Row {
   const char* distribution;  // nullptr = "Not possible"
 };
 
+// Prints the row's text, not its pointer bytes, so the discovered ctest
+// names stay the same from build to build.
+void PrintTo(const Fig2Row& row, std::ostream* os) {
+  *os << row.order << " "
+      << (row.distribution == nullptr ? "not-possible" : row.distribution);
+}
+
 class Fig2 : public ::testing::TestWithParam<Fig2Row> {};
 
 TEST_P(Fig2, DistributionEquivalence) {

@@ -1,8 +1,9 @@
 // mr::tune — the multi-fidelity order-search funnel. The load-bearing
 // guarantees under test:
-//  * EXACTNESS — with dedup and pruning on (the defaults), the top-k
-//    ranking equals the exhaustive one (every order simulated, ranked by
-//    (score, order)) across collectives, machines and comm sizes;
+//  * EXACTNESS — the top-k ranking equals the exhaustive one across
+//    collectives, machines and comm sizes. The oracle is independent of
+//    the funnel: harness::run_sweep over all h! orders, each order's
+//    makespans summed in the query's point order, ranked by (score, order);
 //  * DETERMINISM — the canonical JSON report is byte-identical for every
 //    thread count, and point-budget truncation cuts at the same candidate
 //    regardless of threads;
@@ -32,12 +33,48 @@
 namespace mr::tune {
 namespace {
 
-TuneReport exhaustive(const topo::Machine& machine, TuneQuery query) {
-  query.dedup = false;
-  query.prune = false;
-  query.budget = Budget{};
+/// The exhaustive oracle: every order's score from run_sweep, one sweep per
+/// (collective, comm size) over the query's payloads, its makespans summed
+/// in the query's point order (collective, comm size, payload).
+std::map<Order, double> exhaustive_scores(const topo::Machine& machine,
+                                          const TuneQuery& query) {
   Engine engine;
-  return tune(engine, machine, query);
+  harness::SweepConfig sweep;
+  sweep.orders = all_orders_lexicographic(machine.depth());
+  sweep.sizes = query.total_bytes;
+  sweep.all_comms = query.concurrency == Concurrency::AllComms;
+  sweep.repetitions = query.repetitions;
+  sweep.completion_slack = query.completion_slack;
+  sweep.threads = query.threads;
+  std::vector<double> score(sweep.orders.size(), 0.0);
+  for (const simmpi::Collective collective : query.collectives) {
+    for (const std::int64_t comm_size : query.comm_sizes) {
+      sweep.collective = collective;
+      sweep.comm_size = comm_size;
+      const auto series = harness::run_sweep(engine, machine, sweep);
+      for (std::size_t oi = 0; oi < series.size(); ++oi) {
+        for (const harness::MicrobenchResult& point : series[oi].results) {
+          score[oi] += point.makespan;
+        }
+      }
+    }
+  }
+  std::map<Order, double> out;
+  for (std::size_t oi = 0; oi < score.size(); ++oi) {
+    out[sweep.orders[oi]] = score[oi];
+  }
+  return out;
+}
+
+/// All orders ranked by (exhaustive score, order).
+std::vector<Order> exhaustive_ranking(const std::map<Order, double>& scores) {
+  std::vector<Order> ranked;
+  for (const auto& [order, score] : scores) ranked.push_back(order);
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [&](const Order& a, const Order& b) {
+                     return scores.at(a) < scores.at(b);
+                   });
+  return ranked;
 }
 
 /// Depth-6 variant of Hydra — node/socket/numa/half/l3/core, 256 cores —
@@ -79,20 +116,17 @@ void expect_matches_exhaustive(const topo::Machine& machine,
                                const TuneQuery& query) {
   Engine engine;
   const TuneReport funnel = tune(engine, machine, query);
-  TuneQuery all = query;
-  all.k = 1 << 20;  // full exhaustive ranking, not just the top k.
-  const TuneReport brute = exhaustive(machine, all);
+  const std::map<Order, double> brute_score =
+      exhaustive_scores(machine, query);
 
   std::map<Order, const TuneCandidate*> class_of;
   for (const TuneCandidate& c : funnel.candidates) {
     for (const Order& member : c.members) class_of[member] = &c;
   }
-  std::map<Order, double> brute_score;
-  for (const TuneCandidate& c : brute.candidates) brute_score[c.order] = c.score;
   std::vector<const TuneCandidate*> expected;
   std::set<const TuneCandidate*> seen;
-  for (const std::size_t idx : brute.top) {
-    const TuneCandidate* cls = class_of.at(brute.candidates[idx].order);
+  for (const Order& order : exhaustive_ranking(brute_score)) {
+    const TuneCandidate* cls = class_of.at(order);
     if (!seen.insert(cls).second) continue;
     expected.push_back(cls);
     if (expected.size() == funnel.top.size()) break;
@@ -211,21 +245,21 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
   TuneQuery query;
   query.comm_sizes = {16};
   query.total_bytes = {256 << 10};
-  query.k = 2;
-  query.wave_size = 4;
-  // Dedup and pruning off so the candidate stream (all 24 orders) genuinely
-  // outlives the budget — with them on, pruning can finish the set first
-  // and the budget never trips.
-  query.dedup = false;
-  query.prune = false;
-  query.budget.max_points = 6;  // not enough for the whole candidate set.
+  // The default k and wave over hydra:2's 18 all-comms classes: the first
+  // wave would simulate 16 of them, and a 4-point cap stops it after 4,
+  // too few to prune the other 14 against the 3rd best.
+  query.budget.max_points = 4;
   std::string baseline;
   for (const int threads : {1, 4}) {
     query.threads = threads;
     const TuneReport report = tune(engine, machine, query);
+    EXPECT_EQ(report.stats.classes, 18);
     EXPECT_FALSE(report.stats.exhausted);
     EXPECT_GT(report.stats.budget_skipped, 0);
-    EXPECT_LE(report.stats.sim_points, query.budget.max_points);
+    EXPECT_EQ(report.stats.sim_points, query.budget.max_points);
+    EXPECT_EQ(report.stats.simulated + report.stats.pruned +
+                  report.stats.budget_skipped,
+              report.stats.classes);
     std::ostringstream os;
     write_json(os, report);
     if (threads == 1) {
@@ -240,9 +274,6 @@ TEST(Tune, PointBudgetTruncatesDeterministically) {
   // 4 one candidate, at any thread count.
   TuneQuery three = query;
   three.total_bytes = {64 << 10, 1 << 20, 8 << 20};
-  three.dedup = true;
-  three.prune = true;
-  three.wave_size = TuneQuery{}.wave_size;
   for (const std::int64_t cap : {2, 4}) {
     three.budget.max_points = cap;
     std::string json;
@@ -284,10 +315,7 @@ FunnelVsExhaustive expect_sound_pruning(const topo::Machine& machine,
                                         const TuneQuery& query) {
   Engine engine;
   const TuneReport funnel = tune(engine, machine, query);
-  const TuneReport brute = exhaustive(machine, query);
-
-  std::map<Order, double> score_of;
-  for (const TuneCandidate& c : brute.candidates) score_of[c.order] = c.score;
+  const std::map<Order, double> score_of = exhaustive_scores(machine, query);
   std::vector<double> scores;
   for (const auto& [order, score] : score_of) scores.push_back(score);
   std::sort(scores.begin(), scores.end());
@@ -313,7 +341,7 @@ FunnelVsExhaustive expect_sound_pruning(const topo::Machine& machine,
   EXPECT_EQ(funnel.stats.simulated + funnel.stats.pruned +
                 funnel.stats.budget_skipped,
             funnel.stats.classes);
-  return {funnel, brute.candidates[brute.top.front()].order};
+  return {funnel, exhaustive_ranking(score_of).front()};
 }
 
 TEST(Tune, PruningIsSound) {
@@ -397,6 +425,26 @@ TEST(Tune, ValidatesQueries) {
     bad.threads = -1;
     EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
   }
+  // The flow simulator's slack range, and budgets that cannot mean
+  // "unlimited" or a cap, are rejected before any stage runs.
+  for (const double slack : {0.5, 0.7, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    TuneQuery bad = query;
+    bad.completion_slack = slack;
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument) << slack;
+  }
+  {
+    TuneQuery bad = query;
+    bad.budget.max_points = -5;
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument);
+  }
+  for (const double seconds : {-1.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    TuneQuery bad = query;
+    bad.budget.max_seconds = seconds;
+    EXPECT_THROW(tune(engine, machine, bad), invalid_argument) << seconds;
+  }
+  EXPECT_EQ(engine.plan_cache().stats().misses, 0);
 }
 
 TEST(Tune, CollectiveNamesRoundTrip) {
@@ -572,45 +620,6 @@ TEST(Tune, LaneBoundsEqualPerPointAnalysis) {
     write_json(threaded_json, threaded, /*candidates=*/true);
     EXPECT_EQ(serial_json.str(), threaded_json.str()) << machine.name();
     EXPECT_EQ(threaded.stats.bound_structures_built, built) << machine.name();
-  }
-}
-
-TEST(Tune, SweepScreeningReplacesOrdersWithTheTopK) {
-  // SweepConfig::tune_top_k: the sweep runs exactly the tuner's top-k, in
-  // ranked order, and its curves match sweeping those orders directly.
-  Engine engine;
-  const auto machine = topo::testbox();
-  TuneQuery query;
-  query.comm_sizes = {4};
-  query.total_bytes = {64 << 10, 1 << 20};
-  query.concurrency = Concurrency::AllComms;
-  query.k = 2;
-  query.threads = 1;
-  const TuneReport report = tune(engine, machine, query);
-
-  harness::SweepConfig sweep;
-  sweep.sizes = {64 << 10, 1 << 20};
-  sweep.comm_size = 4;
-  sweep.all_comms = true;
-  sweep.threads = 1;
-  sweep.completion_slack = 0.0;
-  sweep.tune_top_k = 2;
-  const auto tuned = run_sweep(engine, machine, sweep);
-  ASSERT_EQ(tuned.size(), 2u);
-  for (std::size_t rank = 0; rank < tuned.size(); ++rank) {
-    EXPECT_EQ(tuned[rank].character.order,
-              report.candidates[report.top[rank]].order);
-  }
-
-  sweep.tune_top_k = 0;
-  sweep.orders = {tuned[0].character.order, tuned[1].character.order};
-  const auto direct = run_sweep(engine, machine, sweep);
-  for (std::size_t rank = 0; rank < tuned.size(); ++rank) {
-    ASSERT_EQ(tuned[rank].results.size(), direct[rank].results.size());
-    for (std::size_t si = 0; si < tuned[rank].results.size(); ++si) {
-      EXPECT_EQ(tuned[rank].results[si].mean_bandwidth,
-                direct[rank].results[si].mean_bandwidth);
-    }
   }
 }
 
