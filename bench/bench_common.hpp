@@ -19,11 +19,12 @@
 namespace bench {
 
 /// Parse "--max-size=<bytes>" / "--reps=<n>" / "--threads=<n>" /
-/// "--csv=<path>" / "--tune=<k>" flags; the defaults reproduce the paper's
-/// axes but can be shrunk for smoke runs. Threads defaults to 0 = auto (the
-/// MIXRADIX_THREADS environment variable when set, else
-/// hardware_concurrency); "--threads=1" forces the serial path. Output is
-/// identical for every thread count.
+/// "--csv=<path>" / "--tune=<k>" flags over a bench's defaults; the
+/// default-constructed ones reproduce the paper's axes but can be shrunk
+/// for smoke runs. Threads defaults to 0 = auto (the MIXRADIX_THREADS
+/// environment variable when set, else hardware_concurrency);
+/// "--threads=1" forces the serial path. Output is identical for every
+/// thread count.
 struct Options {
   std::int64_t max_size = 512ll << 20;
   int repetitions = 2;
@@ -34,10 +35,15 @@ struct Options {
   int tune_k = 0;
   std::string csv_path;
 
-  /// Testable core: throws cli::InputError naming the flag on unknown
-  /// flags and on malformed or out-of-range values.
+  /// Testable core: the flags in `args` applied over `o`, a bench's
+  /// defaults (default-constructed unless given). Throws cli::InputError
+  /// naming the flag on unknown flags and on malformed or out-of-range
+  /// values.
   static Options parse_args(const std::vector<std::string>& args) {
-    Options o;
+    return parse_args(args, Options{});
+  }
+  static Options parse_args(const std::vector<std::string>& args,
+                            Options o) {
     for (const std::string& arg : args) {
       if (arg.rfind("--max-size=", 0) == 0) {
         o.max_size = at_least<std::int64_t>("--max-size", arg.substr(11), 1);
@@ -60,8 +66,11 @@ struct Options {
 
   /// CLI entry point: parse_args with exit(2)-on-error reporting.
   static Options parse(int argc, char** argv) {
+    return parse(argc, argv, Options{});
+  }
+  static Options parse(int argc, char** argv, const Options& defaults) {
     try {
-      return parse_args({argv + 1, argv + argc});
+      return parse_args({argv + 1, argv + argc}, defaults);
     } catch (const cli::InputError& e) {
       std::cerr << e.what() << "\n";
       std::exit(2);

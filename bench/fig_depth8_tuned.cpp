@@ -40,18 +40,19 @@ mr::topo::Machine deep8() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::Options::parse(argc, argv);
+  // No fixed legend at depth 8: the tuner IS the order selection, so
+  // --tune defaults to 4 survivors, which keeps the figure readable. 40320
+  // orders x paper sizes is a tuner workload, not a sweep workload, so the
+  // size axis defaults to 4 MiB instead of the 512 MiB figure default.
+  // Explicit --tune=K and --max-size=B flags override both.
+  bench::Options defaults;
+  defaults.tune_k = 4;
+  defaults.max_size = 4ll << 20;
+  const auto opts = bench::Options::parse(argc, argv, defaults);
   const auto machine = deep8();
-  // No fixed legend at depth 8: the tuner IS the order selection. --tune=K
-  // overrides the survivor count; the default keeps the figure readable.
-  if (opts.tune_k == 0) opts.tune_k = 4;
 
   mr::harness::SweepConfig config;
-  // 40320 orders x paper sizes is a tuner workload, not a sweep workload —
-  // cap the size axis lower than the 512 MiB figure default unless the
-  // caller explicitly asks for more.
-  config.sizes =
-      mr::harness::paper_sizes(std::min<std::int64_t>(opts.max_size, 4ll << 20));
+  config.sizes = mr::harness::paper_sizes(opts.max_size);
   config.comm_size = 16;
   config.collective = mr::simmpi::Collective::Alltoall;
 

@@ -21,14 +21,16 @@
 // an Engine per query: construction must stay as cheap as a few empty
 // containers and never spawn or join threads. The pool is created on the
 // first thread_pool() call, so callers that run serially never create it.
-// The layers reach it only through resolve_workers() and fan_out() /
-// fan_out_slots() below, which keep that serial fallback in one place.
+// The layers reach it only through resolve_workers(), fan_out_slot_count()
+// and fan_out() / fan_out_slots() below, which keep that serial fallback
+// in one place.
 //
 // Thread safety: plan_cache(), thread_pool() and workspace() are safe to
 // call concurrently; an Engine must outlive every lease checked out of it
 // and every call it is passed to.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -116,18 +118,30 @@ class Engine {
 /// mr::invalid_argument when negative.
 unsigned resolve_workers(int threads);
 
-/// Runs fn(slot, i) for every i in [0, n) on up to `workers` threads of
-/// engine.thread_pool(); `slot` in [0, workers) selects per-slot scratch.
-/// Results must land in pre-sized slots indexed by i, so the output never
-/// depends on the worker count. One worker or at most one item runs inline
-/// on the caller (slot 0) and never creates the pool.
+/// The number of slots fan_out_slots(engine, n, workers, …) hands out:
+/// 1 when it runs inline (one worker or at most one item, without
+/// creating the pool), else min(workers, pool size, n). Size per-slot
+/// scratch by it, never by the requested worker count.
+inline unsigned fan_out_slot_count(Engine& engine, std::size_t n,
+                                   unsigned workers) {
+  if (workers <= 1 || n <= 1) return 1;
+  return static_cast<unsigned>(
+      std::min<std::size_t>({workers, engine.thread_pool().size(), n}));
+}
+
+/// Runs fn(slot, i) for every i in [0, n) on the threads of
+/// engine.thread_pool(); `slot` in [0, fan_out_slot_count(engine, n,
+/// workers)) selects per-slot scratch. Results must land in pre-sized
+/// slots indexed by i, so the output never depends on the worker count.
+/// One slot runs inline on the caller (slot 0).
 template <typename Fn>
 void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
                    const Fn& fn) {
-  if (workers <= 1 || n <= 1) {
+  const unsigned slots = fan_out_slot_count(engine, n, workers);
+  if (slots <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(0u, i);
   } else {
-    engine.thread_pool().parallel_for_slots(n, fn, workers);
+    engine.thread_pool().parallel_for_slots(n, fn, slots);
   }
 }
 

@@ -34,8 +34,8 @@ struct MicrobenchConfig {
   std::int64_t total_bytes = 0;
   bool all_comms = false;  ///< false: first subcommunicator only.
   int repetitions = 2;     ///< back-to-back operations per communicator.
-  /// Forwarded to simmpi::ExecOptions::completion_slack.
-  double completion_slack = simmpi::kDefaultCompletionSlack;
+  /// Forwarded to simmpi::ExecOptions::completion_slack (0 = exact).
+  double completion_slack = 0.0;
 };
 
 struct MicrobenchResult {
@@ -83,8 +83,8 @@ struct SweepConfig {
   /// Results are merged in input order, so the output is bit-identical
   /// for every thread count.
   int threads = 0;
-  /// Forwarded to MicrobenchConfig::completion_slack.
-  double completion_slack = simmpi::kDefaultCompletionSlack;
+  /// Forwarded to MicrobenchConfig::completion_slack (0 = exact).
+  double completion_slack = 0.0;
 };
 
 /// Run the sweep through `engine`: plans from its cache, point workspaces

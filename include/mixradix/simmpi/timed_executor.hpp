@@ -65,14 +65,6 @@ struct TimedResult {
   EngineStats engine_stats;           ///< executor-level counters.
 };
 
-/// Default completion slack handed to the flow simulator (see
-/// FlowSim::FlowSim): 2% merges the cascades of nearly simultaneous
-/// completions that collective traffic produces — cutting event counts by
-/// an order of magnitude on big collectives — while keeping the relative
-/// timing error well below the variation the experiments measure. Pass 0
-/// for exact max-min timing.
-inline constexpr double kDefaultCompletionSlack = 0.02;
-
 /// Reusable engine scratch arena: the flow simulator (channel lists, flow
 /// arrays, completion heap), the route table, per-job message/rank state
 /// and the event heap, plus the machine's channel capacities. A sweep
@@ -105,7 +97,11 @@ class SimWorkspace {
 
 /// Tuning knobs for run_timed.
 struct ExecOptions {
-  double completion_slack = kDefaultCompletionSlack;
+  /// Handed to the flow simulator (see FlowSim::FlowSim). 0, the default,
+  /// is exact max-min timing; a positive slack merges nearly simultaneous
+  /// completions, which pays only where imbalanced traffic makes exact
+  /// refills dominate (apps::splatt's proxy passes 2%).
+  double completion_slack = 0.0;
   /// Scratch arena to reuse across runs; nullptr = a private arena per run.
   SimWorkspace* workspace = nullptr;
 };

@@ -17,7 +17,7 @@
 //    sequence (the only thing the simulation sees); all-comms queries use
 //    the hashed SameSetsAndInternal classifier, intersected across comm
 //    sizes — sound because exact max-min timing (completion slack 0, the
-//    tuner's default) is invariant under communicator exchange. At slack
+//    library's default) is invariant under communicator exchange. At slack
 //    > 0 the engine's completion merging is job-order sensitive, so
 //    all-comms dedup falls back to ExactPlacement.
 //  * stage 2 — two-tier branch-and-bound: every candidate gets the cheap
@@ -87,9 +87,10 @@ struct TuneQuery {
   Concurrency concurrency = Concurrency::AllComms;
   int k = 3;               ///< orders to return.
   int repetitions = 2;     ///< back-to-back ops per point (steady state).
-  /// Tuner default 0 (exact max-min timing): keeps the all-comms dedup at
-  /// SameSetsAndInternal byte-identical and the lower bound undeflated.
-  /// Matching a slack-merged sweep costs both (see the header comment).
+  /// Default 0 (exact max-min timing, as in a default sweep): keeps the
+  /// all-comms dedup at SameSetsAndInternal byte-identical and the lower
+  /// bound undeflated. Matching a slack-merged sweep costs both (see the
+  /// header comment).
   /// Must lie in [0, 0.5), like the flow simulator's.
   double completion_slack = 0.0;
   Budget budget;

@@ -23,6 +23,12 @@ constexpr double kImbalance = 4.0;
 // column normalisation) -- calibrated against the paper's absolute CPD
 // durations on 1024 Hydra cores.
 constexpr double kFixedBlockSeconds = 0.11;
+// Completion slack of both proxy simulations, the library's one slack
+// user (FlowSim::FlowSim; exact is the default everywhere else). The
+// imbalanced layer alltoallv keeps ~100 flows in one component, so every
+// exact completion batch refills them; 2% defers those refills, and the
+// 24-order Fig-8 set runs about 1.8x faster than exact (DESIGN §10).
+constexpr double kCompletionSlack = 0.02;
 
 double mttkrp_seconds(const topo::Machine& machine, const TensorSpec& spec,
                       std::int32_t nprocs, std::int64_t factor_rank) {
@@ -158,14 +164,17 @@ CpdResult simulate_cpd_placement(const topo::Machine& machine,
   const double scale =
       3.0 * static_cast<double>(config.iterations) / config.sim_iterations;
 
+  simmpi::ExecOptions exec;
+  exec.completion_slack = kCompletionSlack;
   CpdResult result;
-  result.seconds = simmpi::run_timed(machine, {job}).makespan * scale;
+  result.seconds = simmpi::run_timed(machine, {job}, exec).makespan * scale;
 
   // The 16-process-layer alltoallv portion alone, for the §4.2 correlation.
   job.plan = std::make_shared<const simmpi::Plan>(simmpi::make_plan(
       mode_alltoallv(spec, grid, 0, config.factor_rank), config.sim_iterations,
       "cpd_mode_alltoallv"));
-  result.alltoallv_seconds = simmpi::run_timed(machine, {job}).makespan * scale;
+  result.alltoallv_seconds =
+      simmpi::run_timed(machine, {job}, exec).makespan * scale;
 
   result.compute_seconds =
       3.0 * mttkrp_seconds(machine, spec, grid.nprocs(), config.factor_rank) *

@@ -272,8 +272,9 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
 
   // Call-scoped scratch, one per fan_out_slots slot: freed when the
   // classification returns, never pinned to pool threads or shared across
-  // engines.
-  std::vector<Scratch> scratch(workers);
+  // engines. Pass 2 fans out over at most norders groups, so it needs no
+  // more slots than pass 1.
+  std::vector<Scratch> scratch(fan_out_slot_count(engine, norders, workers));
 
   // Pass 1 (parallel): one 128-bit hash per order.
   std::vector<Hash128> hashes(norders);

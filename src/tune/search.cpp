@@ -379,7 +379,8 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
         .count();
   };
   const auto floor_start = std::chrono::steady_clock::now();
-  std::vector<verify::binding::ComponentSums> sums(workers);
+  std::vector<verify::binding::ComponentSums> sums(
+      fan_out_slot_count(engine, n, workers));
   fan_out_slots(engine, n, workers, [&](unsigned slot, std::size_t i) {
     candidates[i].lower_bound = candidate_floor(
         engine, machine, query, report.points, candidates[i].order,
@@ -459,8 +460,10 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
         ++next;
       }
       std::vector<BoundOutcome> outcomes(next - first);
-      std::vector<Engine::WorkspaceLease> leases(workers);
-      std::vector<simnet::RouteTable*> routes(workers, nullptr);
+      const unsigned slots =
+          fan_out_slot_count(engine, outcomes.size(), workers);
+      std::vector<Engine::WorkspaceLease> leases(slots);
+      std::vector<simnet::RouteTable*> routes(slots, nullptr);
       fan_out_slots(engine, outcomes.size(), workers,
                     [&](unsigned slot, std::size_t i) {
         if (routes[slot] == nullptr) {

@@ -47,6 +47,21 @@ TEST(BenchOptions, RejectsOutOfRangeValues) {
   EXPECT_THROW(Options::parse_args({"--max-size=-1"}), cli::InputError);
 }
 
+TEST(BenchOptions, FlagsOverrideABenchsDefaults) {
+  // fig_depth8_tuned's defaults: a 4 MiB size axis and --tune=4, each
+  // overridden by an explicit flag.
+  Options defaults;
+  defaults.max_size = 4ll << 20;
+  defaults.tune_k = 4;
+  const Options none = Options::parse_args({}, defaults);
+  EXPECT_EQ(none.max_size, 4ll << 20);
+  EXPECT_EQ(none.tune_k, 4);
+  const Options explicit_flags =
+      Options::parse_args({"--max-size=16777216", "--tune=6"}, defaults);
+  EXPECT_EQ(explicit_flags.max_size, 16ll << 20);
+  EXPECT_EQ(explicit_flags.tune_k, 6);
+}
+
 TEST(BenchOptions, LastFlagWins) {
   const Options o = Options::parse_args({"--reps=3", "--reps=9"});
   EXPECT_EQ(o.repetitions, 9);

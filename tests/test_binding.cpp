@@ -129,7 +129,7 @@ std::string check_point(const topo::Machine& machine, const std::string& alg,
   std::string failures = check_floor(
       machine, plan, cores, analysis,
       alg + " on " + machine.name() + " count=" + std::to_string(count));
-  for (const double slack : {0.0, simmpi::kDefaultCompletionSlack}) {
+  for (const double slack : {0.0, 0.02}) {
     const double sim = run_sim(machine, plan, cores, slack);
     const double lb = analysis.bound.for_slack(slack);
     if (!(lb <= sim * kFpSlop)) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +69,32 @@ TEST(Engine, EnginesShareOneProcessPool) {
   Engine b;
   EXPECT_EQ(&a.thread_pool(), &b.thread_pool());
   EXPECT_EQ(a.thread_pool().size(), util::ThreadPool::default_threads());
+}
+
+TEST(Engine, FanOutSlotCountNeverExceedsThePool) {
+  // Per-slot scratch is sized by fan_out_slot_count, so a huge requested
+  // worker count must not size it past the pool or the item count, and
+  // every slot fan_out_slots hands out must index into it.
+  Engine engine;
+  const unsigned pool = engine.thread_pool().size();
+  constexpr unsigned kHuge = 200000;
+  EXPECT_EQ(fan_out_slot_count(engine, 1000, 1), 1u);
+  EXPECT_EQ(fan_out_slot_count(engine, 1, kHuge), 1u);
+  EXPECT_EQ(fan_out_slot_count(engine, 0, kHuge), 1u);
+  EXPECT_EQ(fan_out_slot_count(engine, 1000, kHuge), std::min(pool, 1000u));
+  EXPECT_EQ(fan_out_slot_count(engine, 2, kHuge), std::min(pool, 2u));
+  EXPECT_LE(fan_out_slot_count(engine, 1000, kHuge), pool);
+
+  constexpr std::size_t kItems = 64;
+  const unsigned slots = fan_out_slot_count(engine, kItems, kHuge);
+  std::vector<std::size_t> per_slot(slots, 0);
+  fan_out_slots(engine, kItems, kHuge, [&](unsigned slot, std::size_t) {
+    ASSERT_LT(slot, slots);
+    ++per_slot[slot];
+  });
+  std::size_t total = 0;
+  for (const std::size_t count : per_slot) total += count;
+  EXPECT_EQ(total, kItems);
 }
 
 TEST(Engine, WorkspacePoolChecksOutLifoAndReusesMemory) {

@@ -2,6 +2,8 @@
 // monotonicity properties of the timed simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/core_select.hpp"
@@ -23,27 +25,32 @@ TEST(Integration, EquivalentOrdersTimeIdentically) {
   const auto machine = topo::hydra(4);  // 128 procs
   const auto classes = classify_orders(engine, machine.hierarchy(), 16,
                                        Equivalence::SameSetsAndInternal);
+  harness::MicrobenchConfig config;
+  config.comm_size = 16;
+  config.collective = simmpi::Collective::Allgather;
+  config.total_bytes = 1 << 18;
+  config.all_comms = true;
+  config.repetitions = 1;
   int checked = 0;
   for (const auto& cls : classes) {
     if (cls.members.size() < 2) continue;
-    harness::MicrobenchConfig config;
-    config.comm_size = 16;
-    config.collective = simmpi::Collective::Allgather;
-    config.total_bytes = 1 << 18;
-    config.all_comms = true;
-    config.repetitions = 1;
     config.order = cls.members[0];
-    const double t0 =
-        run_microbench(engine, machine, config).mean_seconds_per_op;
-    config.order = cls.members[1];
-    const double t1 =
-        run_microbench(engine, machine, config).mean_seconds_per_op;
-    // Identical up to the simulator's fast-path tolerance: the deferred /
-    // steal rate allocation (see FlowSim) trades < ~2% determinism under
-    // event-order ties for an order of magnitude of simulation speed.
-    EXPECT_NEAR(t0, t1, t0 * 0.02) << order_to_string(cls.members[0]) << " vs "
-                                   << order_to_string(cls.members[1]);
-    if (++checked == 3) break;
+    const harness::MicrobenchResult first =
+        run_microbench(engine, machine, config);
+    for (std::size_t m = 1; m < cls.members.size(); ++m) {
+      config.order = cls.members[m];
+      const harness::MicrobenchResult other =
+          run_microbench(engine, machine, config);
+      // Exact max-min timing (the default) is invariant under exchanging
+      // whole communicators, so every member matches bit for bit.
+      const std::string pair = order_to_string(cls.members[0]) + " vs " +
+                               order_to_string(cls.members[m]);
+      EXPECT_EQ(first.mean_seconds_per_op, other.mean_seconds_per_op) << pair;
+      EXPECT_EQ(first.mean_bandwidth, other.mean_bandwidth) << pair;
+      EXPECT_EQ(first.bw_p10, other.bw_p10) << pair;
+      EXPECT_EQ(first.bw_p90, other.bw_p90) << pair;
+      ++checked;
+    }
   }
   EXPECT_GE(checked, 1);
 }
@@ -72,7 +79,9 @@ TEST(Integration, RankOrderMattersForAllgatherNotAlltoall) {
   config.order = low_ring;
   const double a2a_low =
       run_microbench(engine, machine, config).mean_seconds_per_op;
-  EXPECT_NEAR(a2a_high, a2a_low, a2a_low * 0.02);
+  // Exact timing: the two single communicators differ at most in the
+  // last bits of their sums.
+  EXPECT_NEAR(a2a_high, a2a_low, a2a_low * 1e-12);
 
   config.collective = simmpi::Collective::Allgather;
   config.order = high_ring;

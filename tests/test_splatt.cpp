@@ -151,6 +151,37 @@ TEST(SimulateCpd, ReorderingChangesDurationNotCompute) {
   EXPECT_GE(packed.seconds, packed.compute_seconds);
 }
 
+TEST(SimulateCpd, RunsAtTheProxysCompletionSlack) {
+  // The proxy is the library's one completion-slack user: its CPD
+  // duration is the 2%-slack simulation of the iteration schedule, which
+  // on this placement differs from the exact default.
+  const auto machine = topo::hydra(2);
+  const auto spec = tiny_tensor();
+  CpdConfig config;
+  config.iterations = 4;
+  config.sim_iterations = 1;
+  const auto placement =
+      placement_of_new_ranks(machine.hierarchy(), parse_order("0-1-2-3"));
+  simmpi::PlanJob job;
+  job.plan = std::make_shared<const simmpi::Plan>(simmpi::make_plan(
+      cpd_iteration_schedule(machine, spec,
+                             default_grid(static_cast<std::int32_t>(
+                                 machine.cores())),
+                             config),
+      1, "cpd_mode_block"));
+  job.core_of_rank.assign(placement.begin(), placement.end());
+  const double scale = 3.0 * config.iterations / config.sim_iterations;
+  const auto seconds_at = [&](double slack) {
+    simmpi::ExecOptions options;
+    options.completion_slack = slack;
+    return simmpi::run_timed(machine, {job}, options).makespan * scale;
+  };
+  const CpdResult result =
+      simulate_cpd_placement(machine, spec, job.core_of_rank, config);
+  EXPECT_EQ(result.seconds, seconds_at(0.02));
+  EXPECT_NE(result.seconds, seconds_at(0.0));
+}
+
 TEST(SimulateCpd, RefillStaysLocal) {
   // The Fig-8 CPD block under order 0-1-2-3 keeps ~390 flows active, but a
   // flow that starts or finishes shares channels with only ~14 of them: a
@@ -165,7 +196,10 @@ TEST(SimulateCpd, RefillStaysLocal) {
   const auto placement =
       placement_of_new_ranks(machine.hierarchy(), parse_order("0-1-2-3"));
   job.core_of_rank.assign(placement.begin(), placement.end());
-  const auto stats = simmpi::run_timed(machine, {job}).flow_stats;
+  // At the proxy's 2% completion slack, as simulate_cpd runs it.
+  simmpi::ExecOptions options;
+  options.completion_slack = 0.02;
+  const auto stats = simmpi::run_timed(machine, {job}, options).flow_stats;
   ASSERT_GT(stats.full_recomputes, 0);
   EXPECT_GT(stats.peak_active_flows, 256);
   EXPECT_LE(stats.refilled_flows, 64 * stats.full_recomputes)

@@ -286,13 +286,13 @@ TEST(TimedExecutor, CompletionSlackIsATunableParameter) {
   const auto m = topo::testbox();
   const Schedule coll = alltoall_pairwise(8, 16384);
   const std::vector<std::int64_t> cores{0, 1, 2, 3, 4, 5, 6, 7};
-  // Exact timing (slack 0) and the default 2% slack must agree to within
-  // the documented per-hop error bound, scaled by the rounds in flight.
+  // Exact timing (the default) and 2% slack must agree to within 10% on
+  // this short pairwise exchange.
   const PlanJob job = job_of(coll, cores);
+  const double exact = run_timed(m, {job}).makespan;
   ExecOptions options;
-  options.completion_slack = 0.0;
-  const double exact = run_timed(m, {job}, options).makespan;
-  const double slack = run_timed(m, {job}).makespan;
+  options.completion_slack = 0.02;
+  const double slack = run_timed(m, {job}, options).makespan;
   EXPECT_GT(exact, 0);
   EXPECT_NEAR(slack, exact, exact * 0.1);
   options.completion_slack = -0.1;

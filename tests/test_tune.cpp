@@ -213,7 +213,7 @@ TEST(Tune, MatchesExhaustiveAtNonzeroSlack) {
   TuneQuery query;
   query.comm_sizes = {16};
   query.total_bytes = {256 << 10};
-  query.completion_slack = simmpi::kDefaultCompletionSlack;
+  query.completion_slack = 0.02;
   query.k = 2;
   query.threads = 1;
   expect_matches_exhaustive(machine, query);
