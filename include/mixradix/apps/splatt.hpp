@@ -66,13 +66,18 @@ struct CpdConfig {
 
 struct CpdResult {
   double seconds = 0;            ///< full CPD duration estimate.
-  double alltoallv_seconds = 0;  ///< time of the layer alltoallvs alone.
+  /// Time of the layer alltoallvs, measured inside the CPD run as mpisee
+  /// measures MPI_Alltoallv: the first simulated iteration's mode-0 layer
+  /// alltoallv (block start to the last rank's last alltoallv round) times
+  /// 3 * iterations mode blocks. Independent of sim_iterations.
+  double alltoallv_seconds = 0;
   double compute_seconds = 0;    ///< MTTKRP roofline portion.
 };
 
-/// One full CPD iteration as a single 'nprocs'-rank schedule: for each
-/// mode, layer alltoallv -> MTTKRP compute -> world-wide Gram allreduce and
-/// a small factor broadcast.
+/// One CPD mode block as a single 'nprocs'-rank schedule, the one
+/// simulate_cpd runs per placement and scales by 3 modes per iteration:
+/// mode-0 layer alltoallv -> MTTKRP compute -> world-wide Gram
+/// reduce+bcast -> quarter-communicator norms.
 simmpi::Schedule cpd_iteration_schedule(const topo::Machine& machine,
                                         const TensorSpec& spec, const Grid3& grid,
                                         const CpdConfig& config);

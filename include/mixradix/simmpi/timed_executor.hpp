@@ -59,6 +59,12 @@ struct EngineStats {
 struct TimedResult {
   double makespan = 0;              ///< completion time of the last job.
   std::vector<double> job_finish;   ///< per job, absolute completion time.
+  /// Per job, the absolute time each round of the plan's first repetition
+  /// completed (its last op done, or its CPU time spent), indexed like
+  /// PlanExec::rank_rounds_begin: rank r's round k of job j finished at
+  /// round_finish[j][plan.exec.rank_rounds_begin[r] + k]. The timeline of
+  /// a phase inside a concat()ed schedule, read without a second run.
+  std::vector<std::vector<double>> round_finish;
   std::int64_t total_messages = 0;  ///< counts every executed repetition.
   std::int64_t total_flow_events = 0;
   simnet::FlowSim::Stats flow_stats;  ///< network-simulator event counters.

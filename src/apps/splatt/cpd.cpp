@@ -23,11 +23,11 @@ constexpr double kImbalance = 4.0;
 // column normalisation) -- calibrated against the paper's absolute CPD
 // durations on 1024 Hydra cores.
 constexpr double kFixedBlockSeconds = 0.11;
-// Completion slack of both proxy simulations, the library's one slack
-// user (FlowSim::FlowSim; exact is the default everywhere else). The
-// imbalanced layer alltoallv keeps ~100 flows in one component, so every
-// exact completion batch refills them; 2% defers those refills, and the
-// 24-order Fig-8 set runs about 1.8x faster than exact (DESIGN §10).
+// Completion slack of the proxy's one simulation per placement, the
+// library's one slack user (FlowSim::FlowSim; exact is the default
+// elsewhere). The imbalanced layer alltoallv keeps ~100 flows in one
+// component, so every exact completion batch refills them; 2% defers those
+// refills, and the 24-order Fig-8 set runs about 2x faster (DESIGN §10).
 constexpr double kCompletionSlack = 0.02;
 
 double mttkrp_seconds(const topo::Machine& machine, const TensorSpec& spec,
@@ -106,22 +106,19 @@ std::vector<simmpi::Schedule> quarter_comm_phase(std::int32_t nprocs,
   return phases;
 }
 
-}  // namespace
-
-simmpi::Schedule cpd_iteration_schedule(const topo::Machine& machine,
-                                        const TensorSpec& spec, const Grid3& grid,
-                                        const CpdConfig& config) {
+/// One *mode block* opened by `alltoallv`: layer alltoallv -> MTTKRP ->
+/// Gram reduce+bcast -> quarter-communicator norms. The three modes of a
+/// CPD iteration are statistically identical (volumes drawn from the same
+/// distribution), so simulate_cpd simulates one block and scales by three —
+/// a 3x event-count saving that leaves the order sensitivity untouched.
+simmpi::Schedule mode_block(const topo::Machine& machine, const TensorSpec& spec,
+                            const Grid3& grid, const CpdConfig& config,
+                            simmpi::Schedule alltoallv) {
   const std::int32_t nprocs = grid.nprocs();
   const double mttkrp =
       mttkrp_seconds(machine, spec, nprocs, config.factor_rank);
-
-  // One *mode block*: layer alltoallv -> MTTKRP -> Gram reduce+bcast ->
-  // quarter-communicator norms. The three modes of a CPD iteration are
-  // statistically identical (volumes drawn from the same distribution), so
-  // simulate_cpd simulates one block and scales by three — a 3x event-count
-  // saving that leaves the order sensitivity untouched.
   std::vector<simmpi::Schedule> phases;
-  phases.push_back(mode_alltoallv(spec, grid, 0, config.factor_rank));
+  phases.push_back(std::move(alltoallv));
   phases.push_back(compute_schedule(nprocs, mttkrp));
   for (auto& s : world_reduce_bcast(nprocs, config.factor_rank * config.factor_rank)) {
     phases.push_back(std::move(s));
@@ -130,6 +127,15 @@ simmpi::Schedule cpd_iteration_schedule(const topo::Machine& machine,
     phases.push_back(std::move(s));
   }
   return simmpi::concat(phases);
+}
+
+}  // namespace
+
+simmpi::Schedule cpd_iteration_schedule(const topo::Machine& machine,
+                                        const TensorSpec& spec, const Grid3& grid,
+                                        const CpdConfig& config) {
+  return mode_block(machine, spec, grid, config,
+                    mode_alltoallv(spec, grid, 0, config.factor_rank));
 }
 
 CpdResult simulate_cpd(const topo::Machine& machine, const TensorSpec& spec,
@@ -153,28 +159,45 @@ CpdResult simulate_cpd_placement(const topo::Machine& machine,
   MR_EXPECT(static_cast<std::int64_t>(core_of_rank.size()) == machine.cores(),
             "need one core per rank");
 
+  // The layer alltoallv opens the block; its per-rank round counts locate
+  // its end in the run's round timeline.
+  simmpi::Schedule alltoallv = mode_alltoallv(spec, grid, 0, config.factor_rank);
+  std::vector<std::size_t> alltoallv_rounds;
+  for (const auto& program : alltoallv.programs) {
+    alltoallv_rounds.push_back(program.rounds.size());
+  }
   // One compiled mode block, looped sim_iterations times by the executor —
   // no materialized repeat() copies of the IR.
-  simmpi::PlanJob job{
+  const simmpi::PlanJob job{
       std::make_shared<const simmpi::Plan>(simmpi::make_plan(
-          cpd_iteration_schedule(machine, spec, grid, config),
+          mode_block(machine, spec, grid, config, std::move(alltoallv)),
           config.sim_iterations, "cpd_mode_block")),
       std::move(core_of_rank)};
   // 3 mode blocks per iteration, `iterations` iterations.
-  const double scale =
-      3.0 * static_cast<double>(config.iterations) / config.sim_iterations;
+  const double blocks = 3.0 * static_cast<double>(config.iterations);
 
   simmpi::ExecOptions exec;
   exec.completion_slack = kCompletionSlack;
+  const simmpi::TimedResult run = simmpi::run_timed(machine, {job}, exec);
   CpdResult result;
-  result.seconds = simmpi::run_timed(machine, {job}, exec).makespan * scale;
+  result.seconds = run.makespan * (blocks / config.sim_iterations);
 
-  // The 16-process-layer alltoallv portion alone, for the §4.2 correlation.
-  job.plan = std::make_shared<const simmpi::Plan>(simmpi::make_plan(
-      mode_alltoallv(spec, grid, 0, config.factor_rank), config.sim_iterations,
-      "cpd_mode_alltoallv"));
-  result.alltoallv_seconds =
-      simmpi::run_timed(machine, {job}, exec).makespan * scale;
+  // The layer alltoallv's time inside the run, as mpisee measures it: from
+  // the block's start to the last rank's last alltoallv round, in the first
+  // simulated iteration. While each rank's MTTKRP round (at least
+  // kFixedBlockSeconds) outlasts the spread of the ranks' alltoallv ends,
+  // no later message overlaps the alltoallv, and this equals its standalone
+  // makespan bit for bit (SimulateCpd.AlltoallvTimeMatchesStandaloneRun).
+  const auto& rounds_begin = job.plan->exec.rank_rounds_begin;
+  double alltoallv_end = 0;
+  for (std::size_t rank = 0; rank < alltoallv_rounds.size(); ++rank) {
+    if (alltoallv_rounds[rank] == 0) continue;
+    alltoallv_end = std::max(
+        alltoallv_end,
+        run.round_finish[0][static_cast<std::size_t>(rounds_begin[rank]) +
+                            alltoallv_rounds[rank] - 1]);
+  }
+  result.alltoallv_seconds = alltoallv_end * blocks;
 
   result.compute_seconds =
       3.0 * mttkrp_seconds(machine, spec, grid.nprocs(), config.factor_rank) *

@@ -105,6 +105,7 @@ class Engine {
     ws_.rank_state.resize(njobs);
     ws_.msg_route.resize(njobs);
     ws_.finish.assign(njobs, 0.0);
+    result_.round_finish.resize(njobs);
     route_hits_before_ = ws_.routes.stats().hits;
     route_misses_before_ = ws_.routes.stats().misses;
     for (std::size_t j = 0; j < njobs; ++j) {
@@ -129,6 +130,8 @@ class Engine {
                               MsgState{});
       ws_.rank_state[j].assign(static_cast<std::size_t>(plan.nranks()),
                                RankState{});
+      result_.round_finish[j].assign(
+          static_cast<std::size_t>(plan.exec.rank_rounds_begin.back()), 0.0);
       // Pre-resolve every base message's route once per (plan, binding) —
       // repetitions and StartFlow events then index straight into the
       // interned table.
@@ -187,7 +190,7 @@ class Engine {
         ws_.routes.stats().hits - route_hits_before_;
     result_.engine_stats.route_cache_misses =
         ws_.routes.stats().misses - route_misses_before_;
-    return result_;
+    return std::move(result_);
   }
 
  private:
@@ -264,6 +267,12 @@ class Engine {
     auto& state = ws_.rank_state[j][static_cast<std::size_t>(rank)];
     const std::int64_t rounds_per_rep = exec.rounds_of(rank);
     const std::int64_t total_rounds = rounds_per_rep * plan.repetitions;
+    // This post (or the rank's finish) is when its previous round ended.
+    if (state.round > 0 && state.round <= rounds_per_rep) {
+      result_.round_finish[j][static_cast<std::size_t>(
+          exec.rank_rounds_begin[static_cast<std::size_t>(rank)] +
+          state.round - 1)] = t;
+    }
     if (state.round >= total_rounds) {
       state.finished = true;
       state.last_time = t;

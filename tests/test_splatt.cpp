@@ -182,6 +182,45 @@ TEST(SimulateCpd, RunsAtTheProxysCompletionSlack) {
   EXPECT_NE(result.seconds, seconds_at(0.0));
 }
 
+TEST(SimulateCpd, AlltoallvTimeMatchesStandaloneRun) {
+  // The alltoallv time comes from the CPD block's own run. The MTTKRP
+  // round keeps the later phases off the alltoallv, so for every order it
+  // is the proxy-slack run of the merged mode-0 layer alltoallv alone, bit
+  // for bit, and it does not depend on how many iterations are simulated.
+  const auto machine = topo::hydra(2);
+  const auto spec = tiny_tensor();
+  const Grid3 grid = default_grid(static_cast<std::int32_t>(machine.cores()));
+  CpdConfig config;
+  config.iterations = 4;
+  config.sim_iterations = 1;
+  CpdConfig twice = config;
+  twice.sim_iterations = 2;
+  const auto comms = layer_comms(grid, 0);
+  std::vector<simmpi::Schedule> parts;
+  for (std::size_t layer = 0; layer < comms.size(); ++layer) {
+    parts.push_back(simmpi::alltoallv_pairwise(
+        layer_volumes(spec, grid, 0, static_cast<std::int64_t>(layer),
+                      config.factor_rank)));
+  }
+  const auto alltoallv = std::make_shared<const simmpi::Plan>(
+      simmpi::make_plan(simmpi::merge(parts, comms, grid.nprocs())));
+  simmpi::ExecOptions options;
+  options.completion_slack = 0.02;
+  for (const Order& order : all_orders_lexicographic(machine.depth())) {
+    const auto placement = placement_of_new_ranks(machine.hierarchy(), order);
+    const simmpi::PlanJob job{
+        alltoallv, std::vector<std::int64_t>(placement.begin(), placement.end())};
+    const double standalone = simmpi::run_timed(machine, {job}, options).makespan *
+                              (3.0 * config.iterations);
+    EXPECT_EQ(simulate_cpd(machine, spec, order, config).alltoallv_seconds,
+              standalone)
+        << order_to_string(order);
+    EXPECT_EQ(simulate_cpd(machine, spec, order, twice).alltoallv_seconds,
+              standalone)
+        << order_to_string(order);
+  }
+}
+
 TEST(SimulateCpd, RefillStaysLocal) {
   // The Fig-8 CPD block under order 0-1-2-3 keeps ~390 flows active, but a
   // flow that starts or finishes shares channels with only ~14 of them: a

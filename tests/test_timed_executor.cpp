@@ -175,6 +175,67 @@ TEST(TimedExecutor, StaggeredJobStartTimes) {
   EXPECT_NEAR(result.job_finish[1], 16e-3, 1e-12);
 }
 
+/// When rank r's round k of job j completed, from the run's timeline.
+double round_end(const TimedResult& result, const std::vector<PlanJob>& jobs,
+                 std::size_t j, std::int32_t r, std::int64_t k) {
+  const PlanExec& exec = jobs[j].plan->exec;
+  return result.round_finish[j][static_cast<std::size_t>(
+      exec.rank_rounds_begin[static_cast<std::size_t>(r)] + k)];
+}
+
+TEST(TimedExecutor, RoundTimelineEndsAtEachJobsFinish) {
+  // Three contending jobs: each one's latest last-round completion is its
+  // finish time, bit for bit.
+  const auto m = topo::testbox();
+  const std::vector<PlanJob> jobs = {
+      job_of(alltoall_pairwise(4, 4096), {0, 4, 8, 12}),
+      job_of(allgather_ring(4, 8192), {1, 5, 9, 13}),
+      job_of(one_message(kBig), {2, 10}, 1e-3)};
+  const TimedResult result = run_timed(m, jobs);
+  ASSERT_EQ(result.round_finish.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const PlanExec& exec = jobs[j].plan->exec;
+    ASSERT_EQ(static_cast<std::int64_t>(result.round_finish[j].size()),
+              exec.rank_rounds_begin.back());
+    double last = 0;
+    for (std::int32_t r = 0; r < jobs[j].plan->nranks(); ++r) {
+      ASSERT_GT(exec.rounds_of(r), 0);
+      last = std::max(last, round_end(result, jobs, j, r, exec.rounds_of(r) - 1));
+    }
+    EXPECT_EQ(last, result.job_finish[j]) << "job " << j;
+  }
+
+  // Only the first repetition is recorded: a rendezvous message looped
+  // twice finishes its first copy at 8 ms and the job at 16 ms.
+  const std::vector<PlanJob> twice = {
+      {std::make_shared<const Plan>(make_plan(one_message(kBig), 2)), {0, 8}}};
+  const TimedResult looped = run_timed(m, twice);
+  EXPECT_EQ(looped.round_finish[0],
+            run_timed(m, {job_of(one_message(kBig), {0, 8})}).round_finish[0]);
+  EXPECT_GT(looped.job_finish[0], round_end(looped, twice, 0, 0, 0));
+}
+
+TEST(TimedExecutor, RoundTimelineLocatesAPhaseInsideAConcat) {
+  // a, then a 1 s compute round, then b: the compute round keeps b's
+  // messages off a's, so a's end inside the run is a's standalone makespan.
+  const auto m = topo::testbox();
+  const std::vector<std::int64_t> cores{0, 2, 4, 6, 8, 10, 12, 14};
+  const Schedule a = alltoall_pairwise(8, 16384);
+  ScheduleBuilder pause(8, 0);
+  for (std::int32_t r = 0; r < 8; ++r) pause.compute(0, r, 1.0);
+  const std::vector<PlanJob> whole = {job_of(
+      concat({a, std::move(pause).build(), allgather_ring(8, 16384)}), cores)};
+  const TimedResult result = run_timed(m, whole);
+  double a_end = 0;
+  for (std::int32_t r = 0; r < 8; ++r) {
+    const auto a_rounds = static_cast<std::int64_t>(
+        a.programs[static_cast<std::size_t>(r)].rounds.size());
+    a_end = std::max(a_end, round_end(result, whole, 0, r, a_rounds - 1));
+  }
+  EXPECT_EQ(a_end, run_timed(m, {job_of(a, cores)}).makespan);
+  EXPECT_GT(result.makespan, a_end + 1.0);
+}
+
 TEST(TimedExecutor, ValidatesJobs) {
   const auto m = topo::testbox();
   const Schedule s = one_message(4);
