@@ -49,10 +49,25 @@ struct MicrobenchResult {
 
 /// Run one protocol instance on `machine` (one process per core), resolving
 /// plans and workspaces through `engine`. The one implementation of a
-/// protocol point: run_sweep runs one per (order, size), and mr::tune's
-/// stage 3 one per (candidate, query point).
+/// protocol point: run_sweep runs one per (sound class, size), and
+/// mr::tune's stage 3 one per (candidate, query point).
 MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
                                 const MicrobenchConfig& config);
+
+/// The one sound dedup rule for protocol points, shared by run_sweep and
+/// mr::tune's stage 1: two configs that differ only in `order` simulate bit
+/// for bit alike when their keys are equal, so one run_microbench serves
+/// both. The key is the part of the simulation input the order decides:
+///  * first subcommunicator only: its core sequence, the run's whole input
+///    at any slack;
+///  * all subcommunicators at slack 0: the sorted multiset of their core
+///    sequences (mr::Equivalence::SameSetsAndInternal), because exact
+///    max-min timing does not depend on the order of the job list;
+///  * all subcommunicators at slack > 0: the whole placement
+///    (ExactPlacement), because completion merging does.
+/// Validates `config` as protocol_jobs does; reads no plan and no engine.
+std::vector<std::int64_t> sound_class_key(const Hierarchy& h,
+                                          const MicrobenchConfig& config);
 
 /// Steps 1-2 of the protocol without running anything: the compiled plan
 /// (from the engine's plan cache) and per-communicator core bindings
@@ -77,7 +92,7 @@ struct SweepConfig {
   simmpi::Collective collective = simmpi::Collective::Alltoall;
   bool all_comms = false;
   int repetitions = 2;
-  /// Worker threads fanning the (order, size) points out. 0 = use
+  /// Worker threads fanning the (class, size) points out. 0 = use
   /// util::ThreadPool::default_threads() (MIXRADIX_THREADS env override,
   /// else hardware_concurrency); 1 = force the serial in-thread path.
   /// Results are merged in input order, so the output is bit-identical
@@ -88,8 +103,11 @@ struct SweepConfig {
 };
 
 /// Run the sweep through `engine`: plans from its cache, point workspaces
-/// leased from its pool, points fanned over its thread pool. Output is
-/// byte-identical for every engine and thread count.
+/// leased from its pool, points fanned over its thread pool. Orders with
+/// equal sound_class_keys share one run_microbench per size and get
+/// copies of its result; each order gets its own legend character. Output
+/// is byte-identical for every engine and thread count, and to one
+/// run_microbench per (order, size).
 std::vector<SweepSeries> run_sweep(Engine& engine,
                                    const topo::Machine& machine,
                                    const SweepConfig& config);

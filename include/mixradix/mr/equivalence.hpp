@@ -40,6 +40,18 @@ struct OrderClass {
   OrderCharacter representative;  ///< metrics of members.front().
 };
 
+/// The canonical signature classify_orders groups by, flattened: `order`'s
+/// placement (the old core of each new rank) cut into blocks of comm_size
+/// ranks, each block sorted at SameSetsOnly, the blocks sorted among
+/// themselves unless ExactPlacement. Two orders share a class at
+/// `granularity` iff their signatures are equal. Throws
+/// mr::invalid_argument unless `order` permutes h's levels and comm_size
+/// >= 1 divides h.total().
+std::vector<std::int64_t> canonical_signature(const Hierarchy& h,
+                                              const Order& order,
+                                              std::int64_t comm_size,
+                                              Equivalence granularity);
+
 /// Kernel counters of one classification run (explore_orders prints them;
 /// perfbench records them per layer). The hashed fast path hashes one
 /// 128-bit signature per order and then proves every hash group sound by

@@ -4,6 +4,7 @@
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
 #include "mixradix/mr/decompose.hpp"
+#include "mixradix/mr/equivalence.hpp"
 #include "mixradix/simmpi/plan_cache.hpp"
 #include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/util/expect.hpp"
@@ -19,17 +20,37 @@ std::int64_t count_for(std::int64_t total_bytes, std::int64_t comm_size) {
   return std::max<std::int64_t>(1, total_bytes / (8 * comm_size));
 }
 
-}  // namespace
-
-std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
-                                           const topo::Machine& machine,
-                                           const MicrobenchConfig& config) {
-  const Hierarchy& h = machine.hierarchy();
+void validate(const Hierarchy& h, const MicrobenchConfig& config) {
   MR_EXPECT(config.comm_size >= 2, "communicator needs at least two ranks");
   MR_EXPECT(h.total() % config.comm_size == 0,
             "comm size must divide the process count");
   MR_EXPECT(config.total_bytes >= 1, "total_bytes must be positive");
   MR_EXPECT(config.repetitions >= 1, "need at least one repetition");
+}
+
+}  // namespace
+
+std::vector<std::int64_t> sound_class_key(const Hierarchy& h,
+                                          const MicrobenchConfig& config) {
+  validate(h, config);
+  if (!config.all_comms) {
+    // Rank j of the one communicator sits on the core of reordered rank j.
+    std::vector<std::int64_t> first = canonical_signature(
+        h, config.order, config.comm_size, Equivalence::ExactPlacement);
+    first.resize(static_cast<std::size_t>(config.comm_size));
+    return first;
+  }
+  return canonical_signature(h, config.order, config.comm_size,
+                             config.completion_slack > 0
+                                 ? Equivalence::ExactPlacement
+                                 : Equivalence::SameSetsAndInternal);
+}
+
+std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,
+                                           const topo::Machine& machine,
+                                           const MicrobenchConfig& config) {
+  const Hierarchy& h = machine.hierarchy();
+  validate(h, config);
 
   const std::int64_t count = count_for(config.total_bytes, config.comm_size);
   const auto p = static_cast<std::int32_t>(config.comm_size);

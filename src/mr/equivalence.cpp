@@ -366,6 +366,20 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
 
 }  // namespace
 
+std::vector<std::int64_t> canonical_signature(const Hierarchy& h,
+                                              const Order& order,
+                                              std::int64_t comm_size,
+                                              Equivalence granularity) {
+  MR_EXPECT(static_cast<int>(order.size()) == h.depth() &&
+                is_permutation_of_iota(order),
+            "order must be a permutation of the hierarchy's levels");
+  MR_EXPECT(comm_size >= 1 && h.total() % comm_size == 0,
+            "communicator size must divide the number of processes");
+  Scratch s;
+  build_canonical_signature(h, order, comm_size, granularity, s);
+  return std::move(s.sig);
+}
+
 std::vector<OrderClass> classify_orders(Engine& engine, const Hierarchy& h,
                                         std::int64_t comm_size,
                                         Equivalence granularity, int threads,

@@ -9,7 +9,6 @@
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
-#include "mixradix/mr/decompose.hpp"
 #include "mixradix/simnet/route_table.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/verify/binding.hpp"
@@ -53,20 +52,20 @@ harness::MicrobenchConfig point_config(const TuneQuery& query,
 // ---- Stage 1: sound dedup ---------------------------------------------------
 //
 // A class may share one simulation only if every member is BYTE-identical
-// to the representative under the query's exact configuration:
-//  * SingleComm — the engine sees nothing but the first subcommunicator's
-//    core sequence, so that sequence (concatenated over the query's comm
-//    sizes) is the complete simulation input; grouping by it is maximal
-//    sound dedup at any slack.
-//  * AllComms + slack 0 — exact max-min fairness is invariant under
-//    exchanging whole communicators (the job list is a set), so the hashed
-//    SameSetsAndInternal classifier applies, intersected across comm sizes
-//    when the query has several (an order pair must be equivalent at EVERY
-//    size to share a simulation).
-//  * AllComms + slack > 0 — completion merging is job-order sensitive
-//    (measured at up to ~3% relative in the design probe), so only
-//    identical placements are byte-identical: ExactPlacement, which is
-//    size-independent and needs no intersection.
+// to the representative at every query point. The rule is
+// harness::sound_class_key, the one run_sweep dedups by, applied at each of
+// the query's comm sizes (a pair must share a key at EVERY size):
+//  * SingleComm — the first subcommunicator's core sequence, the complete
+//    simulation input at any slack; the keys are concatenated over the
+//    comm sizes.
+//  * AllComms + slack 0 — SameSetsAndInternal, through the hashed
+//    classifier (h! orders reach 40,320 at depth 8), intersected across
+//    comm sizes.
+//  * AllComms + slack > 0 — ExactPlacement (completion merging is
+//    job-order sensitive, up to ~3% relative in the design probe), which
+//    is size-independent and needs no intersection.
+// Tune.CandidatesPartitionOrdersAsTheSweepDoes checks that both paths give
+// the key's partition.
 
 /// Distinct values of `values` in first-occurrence order.
 std::vector<std::int64_t> distinct(const std::vector<std::int64_t>& values) {
@@ -103,15 +102,18 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
   std::vector<std::vector<std::int32_t>> labels;
 
   if (query.concurrency == Concurrency::SingleComm) {
-    // Group by the concatenated first-subcommunicator core sequences.
+    // Group by the sound class keys (the first subcommunicator's core
+    // sequence), concatenated over the query's comm sizes.
     std::vector<std::vector<std::int64_t>> first_comm(orders.size());
     fan_out(engine, orders.size(), resolve_workers(query.threads),
             [&](std::size_t i) {
-      const auto placement = placement_of_new_ranks(h, orders[i]);
       std::vector<std::int64_t> key;
       for (const std::int64_t s : sizes) {
-        key.insert(key.end(), placement.begin(),
-                   placement.begin() + static_cast<std::ptrdiff_t>(s));
+        const QueryPoint point{query.collectives.front(), s,
+                               query.total_bytes.front()};
+        const std::vector<std::int64_t> part =
+            harness::sound_class_key(h, point_config(query, point, orders[i]));
+        key.insert(key.end(), part.begin(), part.end());
       }
       first_comm[i] = std::move(key);
     });

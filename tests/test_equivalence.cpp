@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mixradix/engine/engine.hpp"
+#include "mixradix/mr/decompose.hpp"
 #include "mixradix/util/expect.hpp"
 
 namespace mr {
@@ -280,6 +283,60 @@ TEST(CoarsenClasses, MatchesDirectClassificationAtBothGranularities) {
       }
     }
   }
+}
+
+// The exposed canonical signature is the placement itself, cut into
+// communicators and canonicalised per granularity; harness::sound_class_key
+// builds the sweep's dedup key from it, so it must equal the direct
+// construction from placement_of_new_ranks for every order.
+TEST(CanonicalSignature, IsThePlacementCutIntoCommunicators) {
+  for (const Hierarchy& h :
+       {Hierarchy{2, 2, 4}, Hierarchy{2, 2, 2, 8}, Hierarchy{3, 2, 4}}) {
+    for (const Order& order : all_orders_lexicographic(h.depth())) {
+      const std::vector<std::int64_t> placement =
+          placement_of_new_ranks(h, order);
+      for (std::int64_t comm_size = 1; comm_size <= h.total(); ++comm_size) {
+        if (h.total() % comm_size != 0) continue;
+        std::vector<std::vector<std::int64_t>> internal, sets;
+        for (auto it = placement.begin(); it != placement.end();
+             it += comm_size) {
+          internal.emplace_back(it, it + comm_size);
+          sets.push_back(internal.back());
+          std::sort(sets.back().begin(), sets.back().end());
+        }
+        std::sort(internal.begin(), internal.end());
+        std::sort(sets.begin(), sets.end());
+        const auto flat = [](const std::vector<std::vector<std::int64_t>>& v) {
+          std::vector<std::int64_t> out;
+          for (const auto& block : v) {
+            out.insert(out.end(), block.begin(), block.end());
+          }
+          return out;
+        };
+        const std::string at =
+            order_to_string(order) + " comm " + std::to_string(comm_size);
+        EXPECT_EQ(canonical_signature(h, order, comm_size,
+                                      Equivalence::ExactPlacement),
+                  placement)
+            << at;
+        EXPECT_EQ(canonical_signature(h, order, comm_size,
+                                      Equivalence::SameSetsAndInternal),
+                  flat(internal))
+            << at;
+        EXPECT_EQ(canonical_signature(h, order, comm_size,
+                                      Equivalence::SameSetsOnly),
+                  flat(sets))
+            << at;
+      }
+    }
+  }
+  const Hierarchy h{2, 2, 4};
+  EXPECT_THROW(canonical_signature(h, {0, 1, 2}, 3, Equivalence::ExactPlacement),
+               invalid_argument);
+  EXPECT_THROW(canonical_signature(h, {0, 1}, 4, Equivalence::ExactPlacement),
+               invalid_argument);
+  EXPECT_THROW(canonical_signature(h, {0, 1, 1}, 4, Equivalence::ExactPlacement),
+               invalid_argument);
 }
 
 TEST(CoarsenClasses, ExactGranularityIsIdentity) {

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mixradix/engine/engine.hpp"
+#include "mixradix/mr/decompose.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
@@ -113,6 +120,18 @@ TEST(PaperSizes, EdgeCasesAroundTheFirstTick) {
   EXPECT_EQ(paper_sizes((128 << 10) - 1).size(), 1u);
 }
 
+TEST(PaperSizes, NeverOverflowsNearTheTopOfInt64) {
+  // The tick after 2^62 would overflow int64, so both caps stop there.
+  for (const std::int64_t cap :
+       {std::numeric_limits<std::int64_t>::max(), std::int64_t{1} << 62}) {
+    const auto sizes = paper_sizes(cap);
+    ASSERT_EQ(sizes.size(), 17u) << cap;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(sizes[i], std::int64_t{1} << (14 + 3 * i)) << cap;
+    }
+  }
+}
+
 TEST(Sweep, SeriesCarryLegendsAndResults) {
   Engine engine;
   SweepConfig config;
@@ -138,8 +157,11 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
   // in exact timing (the default) and with 2% completion slack alike.
   Engine engine;
   SweepConfig config;
+  // 1-3-0-2 and 1-3-2-0 share a sound class in exact timing (they only
+  // exchange whole communicators), so the parallel path also fills in a
+  // member from its class's run; at 2% slack each runs on its own.
   config.orders = {parse_order("0-1-2-3"), parse_order("1-3-2-0"),
-                   parse_order("3-2-1-0")};
+                   parse_order("3-2-1-0"), parse_order("1-3-0-2")};
   config.sizes = {16 << 10, 128 << 10, 1 << 20};
   config.comm_size = 16;
   config.collective = simmpi::Collective::Alltoall;
@@ -165,6 +187,7 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
         const auto& a = serial[s].results[r];
         const auto& b = parallel[s].results[r];
         // EXPECT_EQ, not NEAR: identical inputs must give identical bits.
+        EXPECT_EQ(a.makespan, b.makespan) << slack;
         EXPECT_EQ(a.mean_seconds_per_op, b.mean_seconds_per_op) << slack;
         EXPECT_EQ(a.mean_bandwidth, b.mean_bandwidth) << slack;
         EXPECT_EQ(a.bw_p10, b.bw_p10) << slack;
@@ -177,6 +200,129 @@ TEST(Sweep, ParallelAndSerialResultsAreBitIdentical) {
     write_figure_csv(serial_csv, "det", serial, {});
     write_figure_csv(parallel_csv, "det", parallel, {});
     EXPECT_EQ(serial_csv.str(), parallel_csv.str()) << "slack " << slack;
+  }
+}
+
+/// Every field of two protocol points, bit for bit.
+void expect_same_point(const MicrobenchResult& a, const MicrobenchResult& b,
+                       const std::string& at) {
+  EXPECT_EQ(a.makespan, b.makespan) << at;
+  EXPECT_EQ(a.mean_seconds_per_op, b.mean_seconds_per_op) << at;
+  EXPECT_EQ(a.mean_bandwidth, b.mean_bandwidth) << at;
+  EXPECT_EQ(a.bw_p10, b.bw_p10) << at;
+  EXPECT_EQ(a.bw_p90, b.bw_p90) << at;
+  EXPECT_EQ(a.algorithm, b.algorithm) << at;
+}
+
+/// The sweep's soundness over every order of `machine`: run_sweep, which
+/// simulates one order per sound class, must equal one run_microbench per
+/// (order, size) in every field, for alltoall, allgather and allreduce, one
+/// and all communicators, exact and 2%-slack timing, and 1 and 4 threads.
+/// The oracle runs are fanned over the engine's pool.
+void expect_sweep_equals_one_run_per_order(
+    const topo::Machine& machine, std::int64_t comm_size,
+    const std::vector<std::int64_t>& sizes) {
+  SweepConfig config;
+  config.orders = all_orders_lexicographic(machine.depth());
+  config.sizes = sizes;
+  config.comm_size = comm_size;
+  config.repetitions = 1;
+  const std::size_t norders = config.orders.size();
+  const std::size_t nsizes = sizes.size();
+  const std::pair<const char*, simmpi::Collective> collectives[] = {
+      {"alltoall", simmpi::Collective::Alltoall},
+      {"allgather", simmpi::Collective::Allgather},
+      {"allreduce", simmpi::Collective::Allreduce}};
+  for (const auto& [name, collective] : collectives) {
+    for (const bool all_comms : {false, true}) {
+      for (const double slack : {0.0, 0.02}) {
+        config.collective = collective;
+        config.all_comms = all_comms;
+        config.completion_slack = slack;
+        Engine engine;
+        std::vector<MicrobenchResult> oracle(norders * nsizes);
+        fan_out(engine, oracle.size(), 4, [&](std::size_t task) {
+          MicrobenchConfig mb;
+          mb.order = config.orders[task / nsizes];
+          mb.comm_size = comm_size;
+          mb.collective = collective;
+          mb.total_bytes = sizes[task % nsizes];
+          mb.all_comms = all_comms;
+          mb.repetitions = config.repetitions;
+          mb.completion_slack = slack;
+          oracle[task] = run_microbench(engine, machine, mb);
+        });
+        for (const int threads : {1, 4}) {
+          config.threads = threads;
+          const auto series = run_sweep(engine, machine, config);
+          ASSERT_EQ(series.size(), norders);
+          for (std::size_t oi = 0; oi < norders; ++oi) {
+            EXPECT_EQ(series[oi].character.order, config.orders[oi]);
+            ASSERT_EQ(series[oi].results.size(), nsizes);
+            for (std::size_t si = 0; si < nsizes; ++si) {
+              expect_same_point(
+                  series[oi].results[si], oracle[oi * nsizes + si],
+                  machine.name() + " " + name +
+                      (all_comms ? " all" : " single") + " slack " +
+                      std::to_string(slack) + " threads " +
+                      std::to_string(threads) + " " +
+                      order_to_string(config.orders[oi]) + " " +
+                      std::to_string(sizes[si]) + " B");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Sweep, OneRunPerClassEqualsOneRunPerOrderOnHydra2) {
+  expect_sweep_equals_one_run_per_order(topo::hydra(2), 16,
+                                        {16 << 10, 1 << 20});
+}
+
+TEST(Sweep, OneRunPerClassEqualsOneRunPerOrderOnHydra4) {
+  expect_sweep_equals_one_run_per_order(topo::hydra(4), 16, {64 << 10});
+}
+
+TEST(Sweep, OneRunPerClassEqualsOneRunPerOrderOnLumi2) {
+  expect_sweep_equals_one_run_per_order(topo::lumi(2), 16, {4 << 10});
+}
+
+TEST(Sweep, RunsOneProtocolPointPerClassAndSize) {
+  // Fig. 3's machine: on hydra(16) with 16-process communicators the 24
+  // orders form 12 classes in each scenario, so a two-size sweep runs 24
+  // protocol points per scenario, not 48. Each run_microbench looks its
+  // plan up once, so the engine's plan-cache lookups count the points.
+  // The classes are counted here from the placements themselves.
+  const auto machine = topo::hydra(16);
+  const Hierarchy& h = machine.hierarchy();
+  constexpr std::int64_t kComm = 16;
+  SweepConfig config;
+  config.orders = all_orders_lexicographic(h.depth());
+  config.sizes = {16 << 10, 128 << 10};
+  config.comm_size = kComm;
+  for (const bool all_comms : {false, true}) {
+    std::set<std::vector<std::vector<std::int64_t>>> classes;
+    for (const Order& order : config.orders) {
+      const auto placement = placement_of_new_ranks(h, order);
+      std::vector<std::vector<std::int64_t>> comms;
+      const std::int64_t ncomms = all_comms ? h.total() / kComm : 1;
+      for (std::int64_t c = 0; c < ncomms; ++c) {
+        comms.emplace_back(placement.begin() + c * kComm,
+                           placement.begin() + (c + 1) * kComm);
+      }
+      std::sort(comms.begin(), comms.end());
+      classes.insert(comms);
+    }
+    EXPECT_EQ(classes.size(), 12u) << (all_comms ? "all" : "single");
+
+    Engine engine;
+    config.all_comms = all_comms;
+    (void)run_sweep(engine, machine, config);
+    const auto stats = engine.plan_cache().stats();
+    EXPECT_EQ(stats.hits + stats.misses, classes.size() * config.sizes.size())
+        << (all_comms ? "all" : "single");
   }
 }
 

@@ -1,15 +1,18 @@
 // mr::tune — the multi-fidelity order-search funnel. The load-bearing
 // guarantees under test:
 //  * EXACTNESS — the top-k ranking equals the exhaustive one across
-//    collectives, machines and comm sizes. The oracle is independent of
-//    the funnel: harness::run_sweep over all h! orders, each order's
-//    makespans summed in the query's point order, ranked by (score, order);
+//    collectives, machines and comm sizes. The oracle dedups nothing, so it
+//    is independent of the funnel and of run_sweep's one run per sound
+//    class: one harness::run_microbench per (order, query point), each
+//    order's makespans summed in the query's point order, ranked by
+//    (score, order);
 //  * DETERMINISM — the canonical JSON report is byte-identical for every
 //    thread count, and point-budget truncation cuts at the same candidate
 //    regardless of threads;
 //  * SOUNDNESS — a pruned candidate's true score is strictly outside the
-//    top k, and every dedup class member scores exactly its
-//    representative.
+//    top k, every dedup class member's own simulations score exactly its
+//    representative's, and the candidates partition the orders exactly as
+//    harness::sound_class_key, the sweep's rule, does.
 #include "mixradix/tune/search.hpp"
 
 #include <gtest/gtest.h>
@@ -33,35 +36,42 @@
 namespace mr::tune {
 namespace {
 
-/// The exhaustive oracle: every order's score from run_sweep, one sweep per
-/// (collective, comm size) over the query's payloads, its makespans summed
-/// in the query's point order (collective, comm size, payload).
+/// The exhaustive oracle: one run_microbench per (order, query point),
+/// fanned over the engine's pool, each order's makespans summed in the
+/// query's point order (collective, comm size, payload).
 std::map<Order, double> exhaustive_scores(const topo::Machine& machine,
                                           const TuneQuery& query) {
   Engine engine;
-  harness::SweepConfig sweep;
-  sweep.orders = all_orders_lexicographic(machine.depth());
-  sweep.sizes = query.total_bytes;
-  sweep.all_comms = query.concurrency == Concurrency::AllComms;
-  sweep.repetitions = query.repetitions;
-  sweep.completion_slack = query.completion_slack;
-  sweep.threads = query.threads;
-  std::vector<double> score(sweep.orders.size(), 0.0);
+  const std::vector<Order> orders = all_orders_lexicographic(machine.depth());
+  std::vector<harness::MicrobenchConfig> points;
   for (const simmpi::Collective collective : query.collectives) {
     for (const std::int64_t comm_size : query.comm_sizes) {
-      sweep.collective = collective;
-      sweep.comm_size = comm_size;
-      const auto series = harness::run_sweep(engine, machine, sweep);
-      for (std::size_t oi = 0; oi < series.size(); ++oi) {
-        for (const harness::MicrobenchResult& point : series[oi].results) {
-          score[oi] += point.makespan;
-        }
+      for (const std::int64_t bytes : query.total_bytes) {
+        harness::MicrobenchConfig mb;
+        mb.comm_size = comm_size;
+        mb.collective = collective;
+        mb.total_bytes = bytes;
+        mb.all_comms = query.concurrency == Concurrency::AllComms;
+        mb.repetitions = query.repetitions;
+        mb.completion_slack = query.completion_slack;
+        points.push_back(mb);
       }
     }
   }
+  const std::size_t npoints = points.size();
+  std::vector<double> makespan(orders.size() * npoints);
+  fan_out(engine, makespan.size(), resolve_workers(0), [&](std::size_t task) {
+    harness::MicrobenchConfig mb = points[task % npoints];
+    mb.order = orders[task / npoints];
+    makespan[task] = harness::run_microbench(engine, machine, mb).makespan;
+  });
   std::map<Order, double> out;
-  for (std::size_t oi = 0; oi < score.size(); ++oi) {
-    out[sweep.orders[oi]] = score[oi];
+  for (std::size_t oi = 0; oi < orders.size(); ++oi) {
+    double score = 0;
+    for (std::size_t p = 0; p < npoints; ++p) {
+      score += makespan[oi * npoints + p];
+    }
+    out[orders[oi]] = score;
   }
   return out;
 }
@@ -378,6 +388,78 @@ TEST(Tune, PrunesSoundlyAtDepthSixWithFiveTimesFewerSims) {
   EXPECT_LE(5 * stats.bound_structures_built, stats.classes)
       << stats.bound_structures_built << " DP passes for " << stats.classes
       << " classes";
+}
+
+TEST(Tune, CandidatesPartitionOrdersAsTheSweepDoes) {
+  // Stage 1 and run_sweep dedup by one rule, harness::sound_class_key: the
+  // tuner's candidates must group every order exactly as that key does
+  // (concatenated over the query's comm sizes), for one and all
+  // communicators, in exact and 2%-slack timing. The all-comms candidates
+  // come from the hashed classifier, so this ties it to the rule the sweep
+  // applies directly. One 64 B point and a one-point budget keep the
+  // funnel past stage 1 cheap.
+  struct Case {
+    topo::Machine machine;
+    std::vector<std::vector<std::int64_t>> comm_sizes;  ///< one per query.
+  };
+  const Case cases[] = {
+      {topo::testbox(), {{4}, {8}, {16}, {4, 8}}},
+      {topo::hydra(2), {{8}, {16}, {32}}},
+      {topo::hydra_node(), {{8}, {16}}},
+      {topo::lumi(2), {{16}, {32}}},
+  };
+  for (const Case& c : cases) {
+    const std::vector<Order> orders =
+        all_orders_lexicographic(c.machine.depth());
+    for (const auto& comm_sizes : c.comm_sizes) {
+      for (const Concurrency concurrency :
+           {Concurrency::SingleComm, Concurrency::AllComms}) {
+        for (const double slack : {0.0, 0.02}) {
+          TuneQuery query;
+          query.comm_sizes = comm_sizes;
+          query.total_bytes = {64};
+          query.concurrency = concurrency;
+          query.completion_slack = slack;
+          query.k = 1;
+          query.wave_size = 1;
+          query.budget.max_points = 1;
+          query.threads = 1;
+          Engine engine;
+          std::set<std::vector<Order>> funnel;
+          for (const TuneCandidate& candidate :
+               tune(engine, c.machine, query).candidates) {
+            funnel.insert(candidate.members);
+          }
+
+          std::map<std::vector<std::int64_t>, std::vector<Order>> by_key;
+          for (const Order& order : orders) {
+            std::vector<std::int64_t> key;
+            for (const std::int64_t comm_size : comm_sizes) {
+              harness::MicrobenchConfig mb;
+              mb.order = order;
+              mb.comm_size = comm_size;
+              mb.total_bytes = 64;
+              mb.all_comms = concurrency == Concurrency::AllComms;
+              mb.completion_slack = slack;
+              const std::vector<std::int64_t> part =
+                  harness::sound_class_key(c.machine.hierarchy(), mb);
+              key.insert(key.end(), part.begin(), part.end());
+            }
+            by_key[key].push_back(order);
+          }
+          std::set<std::vector<Order>> sweep;
+          for (const auto& entry : by_key) sweep.insert(entry.second);
+
+          EXPECT_EQ(funnel, sweep)
+              << c.machine.name() << " comm sizes " << comm_sizes.size()
+              << " starting " << comm_sizes.front()
+              << (concurrency == Concurrency::AllComms ? " all" : " single")
+              << " slack " << slack << ": " << funnel.size()
+              << " candidates vs " << sweep.size() << " key classes";
+        }
+      }
+    }
+  }
 }
 
 TEST(Tune, ValidatesQueries) {
