@@ -7,10 +7,11 @@
 // Prints, for a hierarchy given on the command line, the equivalence
 // classes of orders at each granularity and the metric tuple of each class
 // representative — the screening step before any expensive benchmarking.
-// The optional third argument selects the classifier: the hashed
-// closed-form fast path (default) or the map-based reference; the classes
-// printed are identical, only the kernel counters differ. A malformed or
-// out-of-range argument exits with status 2 and a message naming it.
+// The optional third argument selects the classifier: the O(h) digit keys
+// with the closed-form kernels (default) or the map of materialised
+// placements with the brute-force kernels; the output is identical. A
+// malformed or out-of-range argument exits with status 2 and a message
+// naming it.
 #include <iostream>
 #include <optional>
 #include <string>
@@ -61,23 +62,16 @@ int main(int argc, char** argv) {
   std::cout << "hierarchy " << h.to_string() << ", " << h.total()
             << " processes, subcommunicators of " << comm_size << "\n";
   std::cout << factorial(h.depth()) << " orders total ("
-            << (impl == MetricsImpl::Fast ? "hashed fast" : "map-based reference")
+            << (impl == MetricsImpl::Fast ? "digit-key fast" : "map-based reference")
             << " classifier)\n\n";
 
-  // Classify the full h! set once, at the finest granularity; the coarser
-  // partitions are refinements of it, so they merge from the exact classes
-  // (one signature per class, not per order) instead of re-classifying the
-  // whole order space twice more. Output is identical to three
-  // classify_orders calls — enforced by the equivalence test suite.
   Engine engine;
-  ClassifyStats stats;
-  const auto exact = classify_orders(engine, h, comm_size,
-                                     Equivalence::ExactPlacement, 0, impl,
-                                     &stats);
-  const auto internal =
-      coarsen_classes(h, comm_size, exact, Equivalence::SameSetsAndInternal);
-  const auto sets =
-      coarsen_classes(h, comm_size, exact, Equivalence::SameSetsOnly);
+  const auto classify = [&](Equivalence granularity) {
+    return classify_orders(engine, h, comm_size, granularity, 0, impl);
+  };
+  const auto exact = classify(Equivalence::ExactPlacement);
+  const auto internal = classify(Equivalence::SameSetsAndInternal);
+  const auto sets = classify(Equivalence::SameSetsOnly);
 
   std::cout << "distinct placements:                     " << exact.size() << "\n";
   std::cout << "distinct (comm sets + internal order):   " << internal.size()
@@ -92,13 +86,6 @@ int main(int argc, char** argv) {
       std::cout << " " << order_to_string(member);
     }
     std::cout << "\n";
-  }
-  if (impl == MetricsImpl::Fast) {
-    std::cout << "\nexact pass kernels: " << stats.signatures_hashed
-              << " signatures hashed, " << stats.collision_checks
-              << " collision checks, " << stats.hash_collisions
-              << " hash collisions; coarser granularities merged from "
-              << exact.size() << " class representatives\n";
   }
   std::cout << "\nwithin one core-set class, members differing in ring cost "
                "can still\nperform differently for rank-order-sensitive "

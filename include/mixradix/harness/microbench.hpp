@@ -57,15 +57,18 @@ MicrobenchResult run_microbench(Engine& engine, const topo::Machine& machine,
 /// The one sound dedup rule for protocol points, shared by run_sweep and
 /// mr::tune's stage 1: two configs that differ only in `order` simulate bit
 /// for bit alike when their keys are equal, so one run_microbench serves
-/// both. The key is the part of the simulation input the order decides:
+/// both. The key stands for the part of the simulation input the order
+/// decides, and is read in O(h) off the order's digits (mr::class_key):
 ///  * first subcommunicator only: its core sequence, the run's whole input
-///    at any slack;
+///    at any slack (mr::first_comm_key);
 ///  * all subcommunicators at slack 0: the sorted multiset of their core
 ///    sequences (mr::Equivalence::SameSetsAndInternal), because exact
 ///    max-min timing does not depend on the order of the job list;
 ///  * all subcommunicators at slack > 0: the whole placement
 ///    (ExactPlacement), because completion merging does.
-/// Validates `config` as protocol_jobs does; reads no plan and no engine.
+/// Each key is tagged and length-prefixed, so keys concatenated over comm
+/// sizes stay unambiguous. Validates `config` as protocol_jobs does; reads
+/// no plan and no engine.
 std::vector<std::int64_t> sound_class_key(const Hierarchy& h,
                                           const MicrobenchConfig& config);
 

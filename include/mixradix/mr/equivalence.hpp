@@ -40,46 +40,68 @@ struct OrderClass {
   OrderCharacter representative;  ///< metrics of members.front().
 };
 
-/// The canonical signature classify_orders groups by, flattened: `order`'s
-/// placement (the old core of each new rank) cut into blocks of comm_size
-/// ranks, each block sorted at SameSetsOnly, the blocks sorted among
-/// themselves unless ExactPlacement. Two orders share a class at
-/// `granularity` iff their signatures are equal. Throws
-/// mr::invalid_argument unless `order` permutes h's levels and comm_size
-/// >= 1 divides h.total().
+/// The canonical signature of `order`, flattened: its placement (the old
+/// core of each new rank) cut into blocks of comm_size ranks, each block
+/// sorted at SameSetsOnly, the blocks sorted among themselves unless
+/// ExactPlacement. Two orders share a class at `granularity` iff their
+/// signatures are equal. The ground truth class_key is tested against, and
+/// its fallback where comm_size cuts the permuted space inside a digit.
+/// Throws mr::invalid_argument unless `order` permutes h's levels and
+/// comm_size >= 1 divides h.total().
 std::vector<std::int64_t> canonical_signature(const Hierarchy& h,
                                               const Order& order,
                                               std::int64_t comm_size,
                                               Equivalence granularity);
 
-/// Kernel counters of one classification run (explore_orders prints them;
-/// perfbench records them per layer). The hashed fast path hashes one
-/// 128-bit signature per order and then proves every hash group sound by
-/// comparing real signatures (collision_checks); hash_collisions counts
-/// groups that had to be split because distinct signatures shared a hash —
-/// expected to be 0, but handled correctly if it ever happens.
+/// The key classify_orders groups by: two orders share a class at
+/// `granularity` iff their keys are equal, as they are iff their
+/// canonical_signatures are. O(h), read off the order's leading digits.
+/// order[0] varies fastest, so a communicator is the block of new ranks
+/// that runs through the permuted digits order[0..i-1] (radix product P)
+/// and m = comm_size / P values of digit order[i], where i is the first
+/// position at which P * radix(order[i]) no longer divides comm_size. The
+/// cut is aligned iff m == 1 or m divides radix(order[i]); then the key is
+///  * ExactPlacement: the order itself (every radix is >= 2, so distinct
+///    orders never share a placement; this needs no alignment);
+///  * SameSetsAndInternal: m and the sequence order[0..i], or
+///    order[0..i-1] when m == 1;
+///  * SameSetsOnly: m, the set of order[0..i-1], then order[i] if m > 1.
+/// An unaligned order's key is its canonical_signature. Every key is
+/// tagged (digits or signature) and length-prefixed, so a digit key never
+/// equals a signature key and concatenated keys stay unambiguous. Throws
+/// as canonical_signature does.
+std::vector<std::int64_t> class_key(const Hierarchy& h, const Order& order,
+                                    std::int64_t comm_size,
+                                    Equivalence granularity);
+
+/// The same for the first communicator alone (new ranks [0, comm_size),
+/// the block whose higher digits are all 0): two orders' keys are equal
+/// iff that communicator has the same core sequence under both. An
+/// aligned order's key is its SameSetsAndInternal class_key, which fixes
+/// that sequence; an unaligned order's key is the tagged sequence itself.
+std::vector<std::int64_t> first_comm_key(const Hierarchy& h,
+                                         const Order& order,
+                                         std::int64_t comm_size);
+
+/// Counters of one classification run (perfbench records them per layer).
 struct ClassifyStats {
-  std::int64_t orders = 0;            ///< orders classified (= h!).
-  std::int64_t classes = 0;           ///< equivalence classes found.
-  std::int64_t signatures_hashed = 0; ///< pass-1 hashes (0 on the map path).
-  std::int64_t collision_checks = 0;  ///< real-signature comparisons in pass 2.
-  std::int64_t hash_collisions = 0;   ///< groups split on a real mismatch.
+  std::int64_t orders = 0;   ///< orders classified (= h!).
+  std::int64_t classes = 0;  ///< equivalence classes found.
 };
 
 /// Partition all h.depth()! orders into equivalence classes at the given
-/// granularity. Classes are sorted by their representative order.
-/// Signature computation fans out over the engine's thread pool;
-/// `threads`: 0 = util::ThreadPool::default_threads(), 1 = serial
-/// in-thread (the pool is never touched), N = at most N concurrent
-/// workers. The classification is identical for every thread count and
-/// every engine.
+/// granularity. Classes are sorted by their representative order, the
+/// members of each lexicographically. Keys and characters fan out over
+/// the engine's thread pool; `threads`: 0 =
+/// util::ThreadPool::default_threads(), 1 = serial in-thread (the pool is
+/// never touched), N = at most N concurrent workers. The classification
+/// is identical for every thread count and every engine.
 ///
-/// `impl` selects the grouping machinery (byte-identical results either
-/// way): MetricsImpl::Fast groups by a 128-bit signature hash computed
-/// into per-slot flat buffers scoped to the call, verifies each group
-/// against the real signatures, and characterizes representatives with the
-/// closed-form kernels; MetricsImpl::Reference is the original
-/// map-of-placement-vectors classifier kept as the differential baseline.
+/// `impl` selects the machinery (byte-identical results either way):
+/// MetricsImpl::Fast groups by class_key and characterizes representatives
+/// with the closed-form kernels; MetricsImpl::Reference groups by
+/// canonical_signature (every placement materialised) and characterizes
+/// with the brute-force kernels, the differential baseline.
 std::vector<OrderClass> classify_orders(Engine& engine, const Hierarchy& h,
                                         std::int64_t comm_size,
                                         Equivalence granularity, int threads = 0,
@@ -91,19 +113,5 @@ std::vector<Order> distinct_orders(Engine& engine, const Hierarchy& h,
                                    std::int64_t comm_size,
                                    Equivalence granularity, int threads = 0,
                                    MetricsImpl impl = MetricsImpl::Fast);
-
-/// Merge an ExactPlacement classification into a coarser granularity by
-/// re-signing ONE representative per exact class (orders in an exact class
-/// share a placement, hence every coarser signature). Equal to
-/// classify_orders(h, comm_size, granularity) but with exact.size()
-/// signature computations instead of h! — the cheap path for tools that
-/// already hold the exact partition and want the coarser views too
-/// (explore_orders). Characters are reused from the exact classes, never
-/// recomputed. Precondition: `exact` is a classify_orders(...,
-/// ExactPlacement, ...) result for the same (h, comm_size).
-std::vector<OrderClass> coarsen_classes(const Hierarchy& h,
-                                        std::int64_t comm_size,
-                                        const std::vector<OrderClass>& exact,
-                                        Equivalence granularity);
 
 }  // namespace mr

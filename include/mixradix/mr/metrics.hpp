@@ -111,7 +111,7 @@ struct OrderCharacter {
 };
 
 /// Both implementations produce bit-identical characters (enforced by the
-/// ClosedForm and HashedClassifier tests); Fast is O(h^2) per order,
+/// ClosedForm and DigitClassifier tests); Fast is O(h^2) per order,
 /// Reference materialises the placement and scans all pairs.
 OrderCharacter characterize_order(const Hierarchy& h, const Order& order,
                                   std::int64_t comm_size,

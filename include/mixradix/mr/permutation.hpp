@@ -43,13 +43,6 @@ std::vector<Order> all_orders_lexicographic(int n);
 /// in [0, n!).
 Order nth_order_lexicographic(int n, long long index);
 
-/// Lexicographic rank of a permutation — the inverse of
-/// nth_order_lexicographic: order_index_lexicographic(
-/// nth_order_lexicographic(n, i)) == i. Lets a consumer holding an Order
-/// locate it in a sharded enumeration stream (mrenum `orders --shard i/n`,
-/// mr::tune's candidate partitioning) without materialising the stream.
-long long order_index_lexicographic(const Order& order);
-
 /// All n! permutations in the order produced by Heap's algorithm [8].
 std::vector<Order> all_orders_heap(int n);
 

@@ -13,13 +13,14 @@
 //    report legend and as the stream's tie-break.
 //  * stage 1 — equivalence-class dedup: only one representative per class
 //    of orders PROVEN to simulate byte-identically is ever considered.
-//    Single-comm queries group by the first subcommunicator's core
-//    sequence (the only thing the simulation sees); all-comms queries use
-//    the hashed SameSetsAndInternal classifier, intersected across comm
-//    sizes — sound because exact max-min timing (completion slack 0, the
-//    library's default) is invariant under communicator exchange. At slack
-//    > 0 the engine's completion merging is job-order sensitive, so
-//    all-comms dedup falls back to ExactPlacement.
+//    Orders group by harness::sound_class_key, read in O(h) off their
+//    digits and concatenated over the comm sizes: single-comm queries by
+//    the first subcommunicator's core sequence (the only thing the
+//    simulation sees); all-comms queries by SameSetsAndInternal — sound
+//    because exact max-min timing (completion slack 0, the library's
+//    default) is invariant under communicator exchange. At slack > 0 the
+//    engine's completion merging is job-order sensitive, so all-comms
+//    dedup falls back to ExactPlacement.
 //  * stage 2 — two-tier branch-and-bound: every candidate gets the cheap
 //    serialization floor (verify::binding::serialization_floor: per-
 //    component byte sums, no routes, no DP) and the stream is sorted by
@@ -51,7 +52,6 @@
 #include <vector>
 
 #include "mixradix/harness/microbench.hpp"
-#include "mixradix/mr/equivalence.hpp"
 #include "mixradix/mr/metrics.hpp"
 #include "mixradix/mr/permutation.hpp"
 #include "mixradix/simmpi/collectives.hpp"
@@ -155,7 +155,6 @@ struct TuneStats {
   /// document stays comparable with reports written before them.
   std::int64_t bound_structures_built = 0;
   std::int64_t bound_structure_reuses = 0;
-  mr::ClassifyStats classify;     ///< stage-1 hashed-classifier counters.
   /// True iff the funnel ran to completion; false = budget truncation, the
   /// ranking is best-so-far (anytime semantics).
   bool exhausted = true;

@@ -67,10 +67,15 @@ class ThreadPool {
       std::size_t n, const std::function<void(unsigned, std::size_t)>& body,
       unsigned max_workers = 0);
 
+  /// The largest MIXRADIX_THREADS value default_threads() accepts.
+  static constexpr long kMaxDefaultThreads = 1024;
+
   /// Thread count used when the caller does not pin one: the
-  /// MIXRADIX_THREADS environment variable when set to a positive integer,
-  /// else std::thread::hardware_concurrency() (minimum 1). Re-read on
-  /// every call so tests and ctest wrappers can override it.
+  /// MIXRADIX_THREADS environment variable when set to an integer in
+  /// [1, kMaxDefaultThreads], else std::thread::hardware_concurrency()
+  /// (minimum 1). A malformed or larger value falls back the same way, so
+  /// a typo can neither wrap to a small count nor size a huge pool.
+  /// Re-read on every call so tests and ctest wrappers can override it.
   static unsigned default_threads();
 
  private:

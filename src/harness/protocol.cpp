@@ -34,16 +34,12 @@ std::vector<std::int64_t> sound_class_key(const Hierarchy& h,
                                           const MicrobenchConfig& config) {
   validate(h, config);
   if (!config.all_comms) {
-    // Rank j of the one communicator sits on the core of reordered rank j.
-    std::vector<std::int64_t> first = canonical_signature(
-        h, config.order, config.comm_size, Equivalence::ExactPlacement);
-    first.resize(static_cast<std::size_t>(config.comm_size));
-    return first;
+    return first_comm_key(h, config.order, config.comm_size);
   }
-  return canonical_signature(h, config.order, config.comm_size,
-                             config.completion_slack > 0
-                                 ? Equivalence::ExactPlacement
-                                 : Equivalence::SameSetsAndInternal);
+  return class_key(h, config.order, config.comm_size,
+                   config.completion_slack > 0
+                       ? Equivalence::ExactPlacement
+                       : Equivalence::SameSetsAndInternal);
 }
 
 std::vector<simmpi::PlanJob> protocol_jobs(Engine& engine,

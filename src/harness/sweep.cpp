@@ -67,7 +67,7 @@ std::vector<SweepSeries> run_sweep(Engine& engine,
       // Legend characterization goes through the closed-form kernels: for
       // an h! enumeration the O(s^2) reference pair scan would rival the
       // simulations themselves (bit-identical either way, see the
-      // ClosedForm and HashedClassifier tests).
+      // ClosedForm and DigitClassifier tests).
       for (const std::size_t oi : members) {
         out[oi].character =
             characterize_order(machine.hierarchy(), config.orders[oi],

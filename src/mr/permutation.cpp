@@ -104,29 +104,6 @@ Order nth_order_lexicographic(int n, long long index) {
   return order;
 }
 
-long long order_index_lexicographic(const Order& order) {
-  MR_EXPECT(is_permutation_of_iota(order),
-            "order must be a permutation of [0, n)");
-  const int n = static_cast<int>(order.size());
-  MR_EXPECT(n >= 1 && n <= 20, "n out of range");
-  // Factorial number system: digit i is how many still-unused values are
-  // smaller than order[i].
-  long long index = 0;
-  long long radix_product = factorial(n);
-  for (int i = 0; i < n; ++i) {
-    radix_product /= n - i;
-    long long smaller = 0;
-    for (int j = i + 1; j < n; ++j) {
-      if (order[static_cast<std::size_t>(j)] <
-          order[static_cast<std::size_t>(i)]) {
-        ++smaller;
-      }
-    }
-    index += smaller * radix_product;
-  }
-  return index;
-}
-
 std::vector<Order> all_orders_heap(int n) {
   MR_EXPECT(n >= 1 && n <= 12, "refusing to materialise more than 12! orders");
   std::vector<Order> out;

@@ -139,7 +139,6 @@ void write_json(std::ostream& os, const TuneReport& report, bool candidates) {
   os << "    \"sim_points\": " << s.sim_points << ",\n";
   os << "    \"exhaustive_points\": " << s.exhaustive_points << ",\n";
   os << "    \"budget_skipped\": " << s.budget_skipped << ",\n";
-  os << "    \"hash_collisions\": " << s.classify.hash_collisions << ",\n";
   os << "    \"exhausted\": " << jbool(s.exhausted) << "\n";
   os << "  },\n";
   os << "  \"top\": [\n";

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "mixradix/engine/engine.hpp"
@@ -54,18 +54,14 @@ harness::MicrobenchConfig point_config(const TuneQuery& query,
 // A class may share one simulation only if every member is BYTE-identical
 // to the representative at every query point. The rule is
 // harness::sound_class_key, the one run_sweep dedups by, applied at each of
-// the query's comm sizes (a pair must share a key at EVERY size):
-//  * SingleComm — the first subcommunicator's core sequence, the complete
-//    simulation input at any slack; the keys are concatenated over the
-//    comm sizes.
-//  * AllComms + slack 0 — SameSetsAndInternal, through the hashed
-//    classifier (h! orders reach 40,320 at depth 8), intersected across
-//    comm sizes.
-//  * AllComms + slack > 0 — ExactPlacement (completion merging is
-//    job-order sensitive, up to ~3% relative in the design probe), which
-//    is size-independent and needs no intersection.
-// Tune.CandidatesPartitionOrdersAsTheSweepDoes checks that both paths give
-// the key's partition.
+// the query's comm sizes (a pair must share a key at EVERY size): the first
+// subcommunicator's core sequence for SingleComm, SameSetsAndInternal for
+// AllComms at slack 0, and ExactPlacement for AllComms at slack > 0
+// (completion merging is job-order sensitive). Each key is read in O(h) off
+// the order's digits, and keys are tagged and length-prefixed, so their
+// concatenation over the comm sizes is one unambiguous key per order.
+// Tune.CandidatesPartitionOrdersAsTheSweepDoes checks the candidates
+// against canonical_signature, the placement-based ground truth.
 
 /// Distinct values of `values` in first-occurrence order.
 std::vector<std::int64_t> distinct(const std::vector<std::int64_t>& values) {
@@ -76,89 +72,45 @@ std::vector<std::int64_t> distinct(const std::vector<std::int64_t>& values) {
   return out;
 }
 
-/// Per-order class label array (indexed by lexicographic order rank) of one
-/// classify_orders partition.
-std::vector<std::int32_t> class_labels(const std::vector<OrderClass>& classes,
-                                       std::int64_t norders) {
-  std::vector<std::int32_t> labels(static_cast<std::size_t>(norders), -1);
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    for (const Order& member : classes[c].members) {
-      labels[static_cast<std::size_t>(order_index_lexicographic(member))] =
-          static_cast<std::int32_t>(c);
+/// FNV-1a over a key's words. Stage 1 needs no ordered map: candidates are
+/// numbered in visit order, and a hash groups 40,320 keys in a quarter of
+/// the std::map time.
+struct KeyHash {
+  std::size_t operator()(const std::vector<std::int64_t>& key) const noexcept {
+    std::size_t hash = 0xcbf29ce484222325ull;
+    for (const std::int64_t word : key) {
+      hash = (hash ^ static_cast<std::size_t>(word)) * 0x100000001b3ull;
     }
+    return hash;
   }
-  return labels;
-}
+};
 
-std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
-                                            const TuneQuery& query,
-                                            TuneStats& stats) {
-  const std::vector<Order> orders = all_orders_lexicographic(h.depth());
-  const std::int64_t norders = static_cast<std::int64_t>(orders.size());
+/// One loop over the orders in lexicographic order, so the first member of
+/// each candidate is its lexicographic representative. Serial: a key costs
+/// ~0.1 us, and fanning 40,320 of them over four workers measured no
+/// faster.
+std::vector<TuneCandidate> dedup_candidates(const Hierarchy& h,
+                                            const TuneQuery& query) {
   const std::vector<std::int64_t> sizes = distinct(query.comm_sizes);
-
-  // One label per order and grouping dimension; orders sharing every label
-  // form one candidate class.
-  std::vector<std::vector<std::int32_t>> labels;
-
-  if (query.concurrency == Concurrency::SingleComm) {
-    // Group by the sound class keys (the first subcommunicator's core
-    // sequence), concatenated over the query's comm sizes.
-    std::vector<std::vector<std::int64_t>> first_comm(orders.size());
-    fan_out(engine, orders.size(), resolve_workers(query.threads),
-            [&](std::size_t i) {
-      std::vector<std::int64_t> key;
-      for (const std::int64_t s : sizes) {
-        const QueryPoint point{query.collectives.front(), s,
-                               query.total_bytes.front()};
-        const std::vector<std::int64_t> part =
-            harness::sound_class_key(h, point_config(query, point, orders[i]));
+  std::vector<TuneCandidate> candidates;
+  std::unordered_map<std::vector<std::int64_t>, std::size_t, KeyHash> group_of;
+  for (const Order& order : all_orders_lexicographic(h.depth())) {
+    std::vector<std::int64_t> key;
+    for (const std::int64_t s : sizes) {
+      const QueryPoint point{query.collectives.front(), s,
+                             query.total_bytes.front()};
+      std::vector<std::int64_t> part =
+          harness::sound_class_key(h, point_config(query, point, order));
+      if (key.empty()) {
+        key = std::move(part);
+      } else {
         key.insert(key.end(), part.begin(), part.end());
       }
-      first_comm[i] = std::move(key);
-    });
-    std::vector<std::int32_t> label(orders.size());
-    std::map<std::vector<std::int64_t>, std::int32_t> seen;
-    for (std::size_t i = 0; i < orders.size(); ++i) {
-      label[i] = seen.try_emplace(std::move(first_comm[i]),
-                                  static_cast<std::int32_t>(seen.size()))
-                     .first->second;
     }
-    labels.push_back(std::move(label));
-  } else if (query.completion_slack > 0) {
-    ClassifyStats cs;
-    const auto classes =
-        classify_orders(engine, h, sizes.front(), Equivalence::ExactPlacement,
-                        query.threads, MetricsImpl::Fast, &cs);
-    stats.classify = cs;
-    labels.push_back(class_labels(classes, norders));
-  } else {
-    for (const std::int64_t s : sizes) {
-      ClassifyStats cs;
-      const auto classes =
-          classify_orders(engine, h, s, Equivalence::SameSetsAndInternal,
-                          query.threads, MetricsImpl::Fast, &cs);
-      stats.classify.orders += cs.orders;
-      stats.classify.classes += cs.classes;
-      stats.classify.signatures_hashed += cs.signatures_hashed;
-      stats.classify.collision_checks += cs.collision_checks;
-      stats.classify.hash_collisions += cs.hash_collisions;
-      labels.push_back(class_labels(classes, norders));
-    }
-  }
-
-  // Group orders (in lexicographic rank order, so the first member of each
-  // group is the lexicographic representative) by their label tuples.
-  std::vector<TuneCandidate> candidates;
-  std::map<std::vector<std::int32_t>, std::size_t> group_of;
-  std::vector<std::int32_t> key(labels.size());
-  for (std::size_t i = 0; i < orders.size(); ++i) {
-    for (std::size_t l = 0; l < labels.size(); ++l) key[l] = labels[l][i];
-    const auto [it, inserted] = group_of.try_emplace(key, candidates.size());
-    if (inserted) {
-      candidates.emplace_back().order = orders[i];
-    }
-    candidates[it->second].members.push_back(orders[i]);
+    const auto [it, inserted] =
+        group_of.try_emplace(std::move(key), candidates.size());
+    if (inserted) candidates.emplace_back().order = order;
+    candidates[it->second].members.push_back(order);
   }
   return candidates;
 }
@@ -361,8 +313,7 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   stats.exhaustive_points = stats.orders * npoints;
 
   // Stage 1: dedup into candidates.
-  std::vector<TuneCandidate> candidates =
-      dedup_candidates(engine, h, query, stats);
+  std::vector<TuneCandidate> candidates = dedup_candidates(h, query);
   const std::size_t n = candidates.size();
   stats.classes = static_cast<std::int64_t>(n);
 

@@ -144,7 +144,8 @@ unsigned ThreadPool::default_threads() {
   if (const char* env = std::getenv("MIXRADIX_THREADS")) {
     char* end = nullptr;
     const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 1) {
+    if (end != env && *end == '\0' && value >= 1 &&
+        value <= kMaxDefaultThreads) {
       return static_cast<unsigned>(value);
     }
   }

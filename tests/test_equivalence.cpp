@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/mr/decompose.hpp"
+#include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 
 namespace mr {
@@ -152,10 +155,10 @@ void expect_same_classes(const std::vector<OrderClass>& a,
   }
 }
 
-// The hashed two-pass classifier must reproduce the map-based reference
-// exactly — including on a depth-6 hierarchy with repeated radices (the
-// regime the hash path exists for) and for every granularity.
-TEST(HashedClassifier, MatchesReferenceClassifier) {
+// The digit-key classifier must reproduce the map-based reference exactly —
+// including on a depth-6 hierarchy with repeated radices and a comm size
+// (4) that cuts inside its radix-3 digits, and for every granularity.
+TEST(DigitClassifier, MatchesReferenceClassifier) {
   Engine engine;
   struct Case {
     Hierarchy hierarchy;
@@ -181,21 +184,19 @@ TEST(HashedClassifier, MatchesReferenceClassifier) {
 
         const long long orders = factorial(c.hierarchy.depth());
         EXPECT_EQ(fast_stats.orders, orders);
-        EXPECT_EQ(fast_stats.signatures_hashed, orders);
         EXPECT_EQ(fast_stats.classes, static_cast<long long>(fast.size()));
-        EXPECT_EQ(fast_stats.hash_collisions, 0);
         EXPECT_EQ(ref_stats.orders, orders);
-        EXPECT_EQ(ref_stats.signatures_hashed, 0);  // map path: no hashing
+        EXPECT_EQ(ref_stats.classes, static_cast<long long>(ref.size()));
       }
     }
   }
 }
 
-// Determinism guarantee under TSan: the pass-1 hash and pass-2 verify fan
-// out over the shared pool, yet the classification must be byte-identical
-// to the serial path for every granularity and both kernel impls — up to
+// Determinism guarantee under TSan: the keys and the characters fan out
+// over the shared pool, yet the classification must be byte-identical to
+// the serial path for every granularity and both kernel impls — up to
 // depth 7 at the granularity the tuner dedups all-comms queries by.
-TEST(HashedClassifier, DeterministicAcrossThreadCounts) {
+TEST(DigitClassifier, DeterministicAcrossThreadCounts) {
   Engine engine;
   struct Input {
     Hierarchy h;
@@ -225,7 +226,7 @@ TEST(HashedClassifier, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(HashedClassifier, SingletonCommunicatorsClassify) {
+TEST(DigitClassifier, SingletonCommunicatorsClassify) {
   // comm_size 1: every communicator is one core, so the core-set multiset
   // is the whole machine for every order — a single class at both set
   // granularities — while exact placement still separates orders.
@@ -247,7 +248,7 @@ TEST(HashedClassifier, SingletonCommunicatorsClassify) {
   }
 }
 
-TEST(HashedClassifier, DistinctOrdersAgreesAcrossImpls) {
+TEST(DigitClassifier, DistinctOrdersAgreesAcrossImpls) {
   Engine engine;
   const Hierarchy h{16, 2, 2, 8};
   EXPECT_EQ(
@@ -257,37 +258,9 @@ TEST(HashedClassifier, DistinctOrdersAgreesAcrossImpls) {
                       MetricsImpl::Reference));
 }
 
-void expect_classes_equal(const std::vector<OrderClass>& got,
-                          const std::vector<OrderClass>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t c = 0; c < got.size(); ++c) {
-    EXPECT_EQ(got[c].members, want[c].members) << "class " << c;
-    EXPECT_EQ(got[c].representative.order, want[c].representative.order);
-    EXPECT_EQ(got[c].representative.ring_cost,
-              want[c].representative.ring_cost);
-    EXPECT_EQ(got[c].representative.pair_pct, want[c].representative.pair_pct);
-  }
-}
-
-TEST(CoarsenClasses, MatchesDirectClassificationAtBothGranularities) {
-  Engine engine;
-  for (const Hierarchy& h : {Hierarchy{2, 2, 4}, Hierarchy{2, 2, 2, 4}}) {
-    for (const std::int64_t comm_size : {h.total() / 2, h.total()}) {
-      const auto exact =
-          classify_orders(engine, h, comm_size, Equivalence::ExactPlacement);
-      for (const Equivalence coarser :
-           {Equivalence::SameSetsAndInternal, Equivalence::SameSetsOnly}) {
-        expect_classes_equal(
-            coarsen_classes(h, comm_size, exact, coarser),
-            classify_orders(engine, h, comm_size, coarser));
-      }
-    }
-  }
-}
-
 // The exposed canonical signature is the placement itself, cut into
-// communicators and canonicalised per granularity; harness::sound_class_key
-// builds the sweep's dedup key from it, so it must equal the direct
+// communicators and canonicalised per granularity; class_key is tested
+// against it and falls back to it, so it must equal the direct
 // construction from placement_of_new_ranks for every order.
 TEST(CanonicalSignature, IsThePlacementCutIntoCommunicators) {
   for (const Hierarchy& h :
@@ -339,12 +312,180 @@ TEST(CanonicalSignature, IsThePlacementCutIntoCommunicators) {
                invalid_argument);
 }
 
-TEST(CoarsenClasses, ExactGranularityIsIdentity) {
-  Engine engine;
+/// Numbers each order by the first order whose key equals its own, in
+/// lexicographic order: two key functions partition the orders alike iff
+/// their label vectors are equal.
+template <class KeyFn>
+std::vector<std::size_t> labels_by(const std::vector<Order>& orders,
+                                   const KeyFn& key_of) {
+  std::map<decltype(key_of(orders.front())), std::size_t> first;
+  std::vector<std::size_t> labels;
+  labels.reserve(orders.size());
+  for (const Order& order : orders) {
+    labels.push_back(first.try_emplace(key_of(order), first.size()).first->second);
+  }
+  return labels;
+}
+
+/// A canonical signature in 16 bits per core, so that the depth-8 tree's
+/// 40,320 placements fit in a map.
+std::vector<std::uint16_t> packed(const std::vector<std::int64_t>& sig) {
+  return {sig.begin(), sig.end()};
+}
+
+/// Whether comm_size cuts the permuted space at a digit boundary (the rule
+/// class_key documents): the fastest digits cover P | comm_size, and the
+/// remaining m = comm_size / P is 1 or divides the next radix.
+bool aligned(const Hierarchy& h, const Order& order, std::int64_t comm_size) {
+  std::int64_t p = 1;
+  std::size_t i = 0;
+  while (i < order.size() && comm_size % (p * h.radix(order[i])) == 0) {
+    p *= h.radix(order[i++]);
+  }
+  const std::int64_t m = comm_size / p;
+  return m == 1 || h.radix(order[i]) % m == 0;
+}
+
+// The O(h) digit keys partition the orders exactly as the canonical
+// signatures do, at every granularity and for the first communicator
+// alone: on every preset shape, the depth-8 binary tree, and mixed radices
+// whose comm sizes cut inside a digit (⟦3,2,4⟧ at 2, ⟦6,4⟧, ⟦4,6,2⟧), where
+// aligned orders and unaligned ones (which fall back to the signature)
+// share one partition.
+TEST(ClassKey, PartitionsOrdersAsTheCanonicalSignatureDoes) {
+  struct Case {
+    Hierarchy h;
+    std::vector<std::int64_t> comm_sizes;  ///< empty: every divisor.
+  };
+  const std::vector<Case> cases = {
+      {topo::testbox().hierarchy(), {}},
+      {topo::hydra(2).hierarchy(), {}},
+      {topo::hydra(16).hierarchy(), {}},
+      {topo::hydra_node().hierarchy(), {}},
+      {topo::lumi(2).hierarchy(), {}},
+      {topo::lumi_node().hierarchy(), {}},
+      {topo::generic(3, 2, 6).hierarchy(), {}},
+      {Hierarchy{2, 2, 2, 2, 2, 2, 2, 2}, {16}},
+      {Hierarchy{3, 2, 4}, {}},
+      {Hierarchy{6, 4}, {}},
+      {Hierarchy{4, 6, 2}, {}},
+  };
+  int mixed = 0;
+  for (const Case& c : cases) {
+    const Hierarchy& h = c.h;
+    ASSERT_LE(h.total(), 1 << 16);
+    const std::vector<Order> orders = all_orders_lexicographic(h.depth());
+    std::vector<std::int64_t> sizes = c.comm_sizes;
+    for (std::int64_t s = 1; c.comm_sizes.empty() && s <= h.total(); ++s) {
+      if (h.total() % s == 0) sizes.push_back(s);
+    }
+    for (const std::int64_t comm_size : sizes) {
+      const std::string at = h.to_string() + " comm " + std::to_string(comm_size);
+      std::size_t unaligned = 0;
+      for (const Order& order : orders) {
+        unaligned += aligned(h, order, comm_size) ? 0 : 1;
+      }
+      if (unaligned != 0 && unaligned != orders.size()) ++mixed;
+      for (const Equivalence granularity : kGranularities) {
+        EXPECT_EQ(labels_by(orders,
+                            [&](const Order& o) {
+                              return class_key(h, o, comm_size, granularity);
+                            }),
+                  labels_by(orders,
+                            [&](const Order& o) {
+                              return packed(canonical_signature(
+                                  h, o, comm_size, granularity));
+                            }))
+            << at << " granularity " << static_cast<int>(granularity);
+      }
+      EXPECT_EQ(labels_by(orders,
+                          [&](const Order& o) {
+                            return first_comm_key(h, o, comm_size);
+                          }),
+                labels_by(orders,
+                          [&](const Order& o) {
+                            std::vector<std::int64_t> first =
+                                placement_of_new_ranks(h, o);
+                            first.resize(static_cast<std::size_t>(comm_size));
+                            return first;
+                          }))
+          << at << " first communicator";
+    }
+  }
+  // ⟦3,2,4⟧ at 2, ⟦6,4⟧ at 4 and 8, ⟦4,6,2⟧ at 4, 8, ... mix both kinds.
+  EXPECT_GE(mixed, 3);
+}
+
+TEST(ClassKey, RejectsBadOrdersAndCommSizes) {
   const Hierarchy h{2, 2, 4};
-  const auto exact = classify_orders(engine, h, 4, Equivalence::ExactPlacement);
-  expect_classes_equal(
-      coarsen_classes(h, 4, exact, Equivalence::ExactPlacement), exact);
+  for (const Equivalence granularity : kGranularities) {
+    EXPECT_THROW(class_key(h, {0, 1, 2}, 3, granularity), invalid_argument);
+    EXPECT_THROW(class_key(h, {0, 1, 2}, 0, granularity), invalid_argument);
+    EXPECT_THROW(class_key(h, {0, 1}, 4, granularity), invalid_argument);
+    EXPECT_THROW(class_key(h, {0, 1, 1}, 4, granularity), invalid_argument);
+  }
+  EXPECT_THROW(first_comm_key(h, {0, 1, 2}, 32), invalid_argument);
+  EXPECT_THROW(first_comm_key(h, {2, 1, 0, 3}, 4), invalid_argument);
+}
+
+// §3.3's worked example read off the digits: on ⟦2,2,4⟧ with
+// communicators of 4, [2,0,1] and [2,1,0] both run through the radix-4
+// level first, so they share the SameSetsAndInternal key; [0,1,2] and
+// [1,0,2] run through levels {0, 1} in different sequences, so they share
+// only the SameSetsOnly key.
+TEST(ClassKey, ReadsThePaperExampleOffTheDigits) {
+  const Hierarchy h{2, 2, 4};
+  const auto key = [&](const Order& order, Equivalence granularity) {
+    return class_key(h, order, 4, granularity);
+  };
+  EXPECT_EQ(key({2, 0, 1}, Equivalence::SameSetsAndInternal),
+            key({2, 1, 0}, Equivalence::SameSetsAndInternal));
+  EXPECT_NE(key({0, 1, 2}, Equivalence::SameSetsAndInternal),
+            key({1, 0, 2}, Equivalence::SameSetsAndInternal));
+  EXPECT_EQ(key({0, 1, 2}, Equivalence::SameSetsOnly),
+            key({1, 0, 2}, Equivalence::SameSetsOnly));
+  EXPECT_NE(key({0, 1, 2}, Equivalence::SameSetsOnly),
+            key({2, 1, 0}, Equivalence::SameSetsOnly));
+  EXPECT_EQ(first_comm_key(h, {2, 0, 1}, 4), first_comm_key(h, {2, 1, 0}, 4));
+  EXPECT_NE(first_comm_key(h, {0, 1, 2}, 4), first_comm_key(h, {1, 0, 2}, 4));
+}
+
+// Where the comm size cuts the permuted space at a digit boundary the key
+// holds a tag, a length, m and at most h levels, never a placement: on the
+// preset shapes, whose radices nest, every order at every comm size.
+TEST(ClassKey, StaysOrderSizedWhereTheCutIsAligned) {
+  for (const topo::Machine& machine :
+       {topo::testbox(), topo::hydra(16), topo::lumi(2)}) {
+    const Hierarchy& h = machine.hierarchy();
+    const auto most = static_cast<std::size_t>(h.depth()) + 3;
+    for (const Order& order : all_orders_lexicographic(h.depth())) {
+      for (std::int64_t comm_size = 1; comm_size <= h.total(); ++comm_size) {
+        if (h.total() % comm_size != 0) continue;
+        ASSERT_TRUE(aligned(h, order, comm_size));
+        for (const Equivalence granularity : kGranularities) {
+          EXPECT_LE(class_key(h, order, comm_size, granularity).size(), most);
+        }
+        EXPECT_LE(first_comm_key(h, order, comm_size).size(), most);
+      }
+    }
+  }
+}
+
+// Every radix is >= 2, so no two orders share a placement: the
+// ExactPlacement partition is h! singletons, even with repeated radices
+// and comm sizes that cut inside a digit.
+TEST(ClassKey, ExactPlacementSeparatesEveryOrder) {
+  Engine engine;
+  for (const Hierarchy& h : {Hierarchy{2, 2, 2, 2}, Hierarchy{3, 2, 4},
+                             Hierarchy{2, 2, 2, 3, 3, 4}}) {
+    for (const std::int64_t comm_size : {std::int64_t{1}, std::int64_t{4}}) {
+      const auto exact =
+          classify_orders(engine, h, comm_size, Equivalence::ExactPlacement, 1,
+                          MetricsImpl::Reference);
+      EXPECT_EQ(static_cast<long long>(exact.size()), factorial(h.depth()))
+          << h.to_string() << " comm " << comm_size;
+    }
+  }
 }
 
 }  // namespace

@@ -128,11 +128,20 @@ TEST(ThreadPool, DefaultThreadsHonoursTheEnvOverride) {
   const std::string saved = caller != nullptr ? caller : "";
   ASSERT_EQ(setenv("MIXRADIX_THREADS", "3", 1), 0);
   EXPECT_EQ(ThreadPool::default_threads(), 3u);
-  ASSERT_EQ(setenv("MIXRADIX_THREADS", "not-a-number", 1), 0);
-  const unsigned fallback = ThreadPool::default_threads();
+  ASSERT_EQ(setenv("MIXRADIX_THREADS", "1024", 1), 0);
+  EXPECT_EQ(ThreadPool::default_threads(), 1024u);
+  // Malformed or out-of-range values fall back to hardware_concurrency:
+  // 2^32 + 1 must not wrap to 1, and a million must not size the pool.
+  // Only default_threads() reads them; no pool is built from them.
+  std::vector<unsigned> fallbacks;
+  for (const char* bad : {"not-a-number", "1025", "1000000", "4294967297"}) {
+    ASSERT_EQ(setenv("MIXRADIX_THREADS", bad, 1), 0);
+    fallbacks.push_back(ThreadPool::default_threads());
+  }
   ASSERT_EQ(unsetenv("MIXRADIX_THREADS"), 0);
-  EXPECT_EQ(fallback, ThreadPool::default_threads());
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+  const unsigned unset = ThreadPool::default_threads();
+  EXPECT_GE(unset, 1u);
+  EXPECT_EQ(fallbacks, std::vector<unsigned>(fallbacks.size(), unset));
   if (caller != nullptr) setenv("MIXRADIX_THREADS", saved.c_str(), 1);
 }
 

@@ -12,7 +12,8 @@
 //  * SOUNDNESS — a pruned candidate's true score is strictly outside the
 //    top k, every dedup class member's own simulations score exactly its
 //    representative's, and the candidates partition the orders exactly as
-//    harness::sound_class_key, the sweep's rule, does.
+//    the placements do (mr::canonical_signature, independent of the digit
+//    keys stage 1 and the sweep group by).
 #include "mixradix/tune/search.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 
 #include "mixradix/engine/engine.hpp"
 #include "mixradix/harness/microbench.hpp"
+#include "mixradix/mr/equivalence.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/tune/report.hpp"
 #include "mixradix/util/expect.hpp"
@@ -391,13 +393,14 @@ TEST(Tune, PrunesSoundlyAtDepthSixWithFiveTimesFewerSims) {
 }
 
 TEST(Tune, CandidatesPartitionOrdersAsTheSweepDoes) {
-  // Stage 1 and run_sweep dedup by one rule, harness::sound_class_key: the
-  // tuner's candidates must group every order exactly as that key does
-  // (concatenated over the query's comm sizes), for one and all
-  // communicators, in exact and 2%-slack timing. The all-comms candidates
-  // come from the hashed classifier, so this ties it to the rule the sweep
-  // applies directly. One 64 B point and a one-point budget keep the
-  // funnel past stage 1 cheap.
+  // Stage 1 and run_sweep dedup by one rule, harness::sound_class_key,
+  // read off the orders' digits. The tuner's candidates must group every
+  // order exactly as the placements do, at every comm size of the query:
+  // by the first communicator's core sequence (one communicator), by
+  // SameSetsAndInternal signatures (all communicators, exact timing) or by
+  // ExactPlacement signatures (all communicators, 2% slack), all taken from
+  // mr::canonical_signature. One 64 B point and a one-point budget keep
+  // the funnel past stage 1 cheap.
   struct Case {
     topo::Machine machine;
     std::vector<std::vector<std::int64_t>> comm_sizes;  ///< one per query.
@@ -407,6 +410,9 @@ TEST(Tune, CandidatesPartitionOrdersAsTheSweepDoes) {
       {topo::hydra(2), {{8}, {16}, {32}}},
       {topo::hydra_node(), {{8}, {16}}},
       {topo::lumi(2), {{16}, {32}}},
+      // ⟦3,2,6⟧ at 2 and 4: some orders' cuts fall inside a digit (radix 3
+      // first at 2), so signature keys and digit keys meet in one query.
+      {topo::generic(3, 2, 6), {{2}, {4}, {2, 4}}},
   };
   for (const Case& c : cases) {
     const std::vector<Order> orders =
@@ -435,27 +441,27 @@ TEST(Tune, CandidatesPartitionOrdersAsTheSweepDoes) {
           for (const Order& order : orders) {
             std::vector<std::int64_t> key;
             for (const std::int64_t comm_size : comm_sizes) {
-              harness::MicrobenchConfig mb;
-              mb.order = order;
-              mb.comm_size = comm_size;
-              mb.total_bytes = 64;
-              mb.all_comms = concurrency == Concurrency::AllComms;
-              mb.completion_slack = slack;
-              const std::vector<std::int64_t> part =
-                  harness::sound_class_key(c.machine.hierarchy(), mb);
+              std::vector<std::int64_t> part = canonical_signature(
+                  c.machine.hierarchy(), order, comm_size,
+                  concurrency == Concurrency::SingleComm || slack > 0
+                      ? Equivalence::ExactPlacement
+                      : Equivalence::SameSetsAndInternal);
+              if (concurrency == Concurrency::SingleComm) {
+                part.resize(static_cast<std::size_t>(comm_size));
+              }
               key.insert(key.end(), part.begin(), part.end());
             }
             by_key[key].push_back(order);
           }
-          std::set<std::vector<Order>> sweep;
-          for (const auto& entry : by_key) sweep.insert(entry.second);
+          std::set<std::vector<Order>> placements;
+          for (const auto& entry : by_key) placements.insert(entry.second);
 
-          EXPECT_EQ(funnel, sweep)
+          EXPECT_EQ(funnel, placements)
               << c.machine.name() << " comm sizes " << comm_sizes.size()
               << " starting " << comm_sizes.front()
               << (concurrency == Concurrency::AllComms ? " all" : " single")
               << " slack " << slack << ": " << funnel.size()
-              << " candidates vs " << sweep.size() << " key classes";
+              << " candidates vs " << placements.size() << " classes";
         }
       }
     }
